@@ -1,6 +1,7 @@
 //! Tensor-backend micro-benchmark: GFLOP/s of the matmul kernels (AVX2
-//! default and forced-scalar), the im2col convolution forward/backward,
-//! the int8 serving kernels, and end-to-end DA-GAN encoding throughput.
+//! default and forced-scalar), the im2col convolution forward/backward
+//! (batched, and at the batch-1 shapes the server runs per frame), the
+//! int8 serving kernels, and end-to-end DA-GAN encoding throughput.
 //! Used to record before/after numbers for the deterministic parallel
 //! backend (see README "Performance"). For int8 rows the "GFLOP/s"
 //! column reports integer giga-ops/s on the same 2·m·k·n count.
@@ -10,7 +11,7 @@ use std::time::Instant;
 use odin_bench::report::{Args, Table};
 use odin_data::Image;
 use odin_gan::{DaGan, DaGanConfig};
-use odin_tensor::layers::Conv2d;
+use odin_tensor::layers::{Conv2d, Dense};
 use odin_tensor::ops::{matmul, matmul_nt, matmul_tn};
 use odin_tensor::qtensor::{dot_i8, quantize_activations, QConv2d};
 use odin_tensor::simd;
@@ -159,6 +160,43 @@ fn main() {
         format!("{bsz}x{cin}x{hw}x{hw} k3->{cout}"),
         format!("{:.2}", 3.0 * conv_flops / secs / 1e9),
         format!("{:.3}", secs * 1e3),
+    ]);
+
+    // Batch-1 inference at the shapes a served frame actually runs: the
+    // teacher's two widest convs, the DA-GAN encoder's first conv
+    // (ragged N = 12) and its latent projection (M = 1). At these row
+    // counts the batched rows above say nothing — per-call overheads
+    // (weight packing, im2col) are a multiple of the arithmetic.
+    for (name, cin, hw, stride, cout) in [
+        ("conv2d_b1_teacher12", 48usize, 12usize, 1usize, 64usize),
+        ("conv2d_b1_teacher6", 64, 6, 1, 64),
+        ("conv2d_b1_encoder48", 3, 48, 2, 12),
+    ] {
+        let x = rand_tensor(&mut rng, &[1, cin, hw, hw]);
+        let conv = Conv2d::k3(cin, cout, stride, &mut rng);
+        let out_hw = hw / stride;
+        let flops = (2 * cout * cin * 9 * out_hw * out_hw) as f64;
+        let secs = time_per_call(|| {
+            black_box(conv.infer(black_box(&x)));
+        });
+        t.row(vec![
+            name.into(),
+            format!("1x{cin}x{hw}x{hw} k3s{stride}->{cout}"),
+            format!("{:.2}", flops / secs / 1e9),
+            format!("{:.4}", secs * 1e3),
+        ]);
+    }
+    let (din, dout) = (864usize, 64usize);
+    let dx = rand_tensor(&mut rng, &[1, din]);
+    let dense = Dense::new(din, dout, &mut rng);
+    let secs = time_per_call(|| {
+        black_box(dense.infer(black_box(&dx)));
+    });
+    t.row(vec![
+        "dense_b1".into(),
+        format!("1x{din}x{dout}"),
+        format!("{:.2}", (2 * din * dout) as f64 / secs / 1e9),
+        format!("{:.4}", secs * 1e3),
     ]);
 
     // Int8 serving kernels: the quantized direct NHWC convolution at a

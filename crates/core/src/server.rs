@@ -38,7 +38,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use crossbeam::channel::{unbounded, Receiver, Sender};
-use odin_data::Frame;
+use odin_data::{Condition, Frame, GtBox, Image, ObjectClass, TimeOfDay, Weather};
 use odin_detect::Detector;
 use odin_log::{read_after, Cursor, LogRecord, RecordKind, EVENT_LOG_FILE};
 use odin_store::checkpoint::write_atomic;
@@ -47,6 +47,7 @@ use odin_telemetry::{
     chrome_trace, log_bounds, render_prometheus_grouped, Counter, FlightRecord, Gauge, Histogram,
     HttpHandlers, MetricsServer, Request, Response, TelemetrySnapshot,
 };
+use odin_tensor::par;
 use parking_lot::Mutex;
 
 use crate::encoder::LatentEncoder;
@@ -134,6 +135,24 @@ pub fn encode_ingest_frame(frame: &Frame) -> Vec<u8> {
     let mut enc = Encoder::new();
     persist_frame(frame, &mut enc);
     enc.into_bytes()
+}
+
+/// Largest frame side `POST /ingest/<stream>` accepts (the detectors
+/// resize to their own input anyway; the repo's streams are 48 px).
+const MAX_INGEST_SIDE: usize = 256;
+/// Most ground-truth boxes an ingested frame may carry.
+const MAX_INGEST_BOXES: usize = 256;
+
+/// The largest legal ingest frame: RGB [`MAX_INGEST_SIDE`]² with
+/// [`MAX_INGEST_BOXES`] boxes (every field of the codec is fixed-width,
+/// so the values do not matter).
+fn max_ingest_frame() -> Frame {
+    let any_box = GtBox { class: ObjectClass::ALL[0], x: 0.0, y: 0.0, w: 0.0, h: 0.0 };
+    Frame {
+        image: Image::new(3, MAX_INGEST_SIDE, MAX_INGEST_SIDE),
+        boxes: vec![any_box; MAX_INGEST_BOXES],
+        cond: Condition::new(Weather::Clear, TimeOfDay::Day),
+    }
 }
 
 /// Parses a `POST /ingest/<stream>` body back into a frame.
@@ -424,7 +443,12 @@ pub(crate) fn events_response(paths: &[PathBuf], req: &Request) -> Response {
     ))
 }
 
-fn worker_loop(rx: Receiver<Msg>, shards: Vec<Arc<ShardState>>, batch_max: usize) {
+fn worker_loop(rx: Receiver<Msg>, shards: Vec<Arc<ShardState>>, batch_max: usize, workers: usize) {
+    // The tensor pool is one per process: each serving worker takes its
+    // share, so `workers × intra-op threads ≤ tensor threads` and two
+    // workers never fork every kernel into the same two cores. Training
+    // pool threads set no cap and keep the whole pool.
+    par::set_intra_op_cap((par::num_threads() / workers).max(1));
     loop {
         let first = match rx.recv() {
             Ok(Msg::Job(j)) => j,
@@ -451,12 +475,13 @@ fn worker_loop(rx: Receiver<Msg>, shards: Vec<Arc<ShardState>>, batch_max: usize
         }
         for (stream, jobs) in by_stream {
             let shard = &shards[stream];
-            let frames: Vec<Frame> = jobs.iter().map(|j| j.frame.clone()).collect();
+            let (frames, waiters): (Vec<Frame>, Vec<_>) =
+                jobs.into_iter().map(|j| (j.frame, (j.submitted, j.reply))).unzip();
             let results = shard.odin.lock().process_batch(&frames);
             let handles = shard.handles.lock();
-            for (job, result) in jobs.into_iter().zip(results) {
-                handles.frame_ms.observe_ms(job.submitted.elapsed().as_secs_f64() * 1e3);
-                let _ = job.reply.send(result);
+            for ((submitted, reply), result) in waiters.into_iter().zip(results) {
+                handles.frame_ms.observe_ms(submitted.elapsed().as_secs_f64() * 1e3);
+                let _ = reply.send(result);
                 let depth = shard.depth.fetch_sub(1, Ordering::SeqCst) - 1;
                 handles.queue_gauge.set(depth as i64);
             }
@@ -561,7 +586,7 @@ impl OdinServer {
             workers.push(
                 std::thread::Builder::new()
                     .name(format!("odin-serve-w{w}"))
-                    .spawn(move || worker_loop(rx, shards, batch_max))
+                    .spawn(move || worker_loop(rx, shards, batch_max, n_workers))
                     .expect("spawn serving worker"),
             );
         }
@@ -656,6 +681,9 @@ impl OdinServer {
                 trace: Arc::new(move || t.render_trace()),
                 healthz: Arc::new(move || h.render_healthz()),
                 route: Some(Arc::new(move |req: &Request| r.route(req))),
+                // The body cap is whatever the frame codec itself
+                // writes for the largest legal frame.
+                max_body: encode_ingest_frame(&max_ingest_frame()).len(),
             },
         )?;
         let bound = server.addr();
@@ -922,6 +950,27 @@ mod tests {
         let (status, body) = odin_telemetry::http::get(addr, "/healthz").expect("healthz");
         assert!(status.contains("200"), "{status}");
         assert!(body.contains("\"status\":\"ok\""), "{body}");
+        server.shutdown();
+    }
+
+    #[test]
+    fn ingest_body_cap_is_the_largest_legal_frame() {
+        let mut server = new_server(quick_cfg());
+        let addr = server.serve("127.0.0.1:0").expect("bind");
+        // The largest legal frame is served...
+        let body = encode_ingest_frame(&max_ingest_frame());
+        let (status, reply) = odin_telemetry::http::post(addr, "/ingest/0", &body).expect("post");
+        assert!(status.contains("200"), "{status}: {reply}");
+        // ...and one byte more is refused from its headers alone.
+        use std::io::{Read, Write};
+        let mut conn = std::net::TcpStream::connect(addr).expect("connect");
+        let head = format!("POST /ingest/0 HTTP/1.1\r\nContent-Length: {}\r\n\r\n", body.len() + 1);
+        conn.write_all(head.as_bytes()).expect("send");
+        let mut reply = String::new();
+        conn.read_to_string(&mut reply).expect("reply");
+        assert!(reply.starts_with("HTTP/1.1 413"), "{reply}");
+        let (status, _) = odin_telemetry::http::get(addr, "/healthz").expect("healthz");
+        assert!(status.contains("200"), "{status}");
         server.shutdown();
     }
 

@@ -423,6 +423,7 @@ impl Telemetry {
                         _ => None,
                     }
                 })),
+                max_body: 0,
             },
         )
     }

@@ -233,6 +233,28 @@ impl Image {
         Tensor::from_vec(data, &[images.len(), c, h, w])
     }
 
+    /// Stacks borrowed images into a `[B, C, h, w]` batch tensor, each
+    /// already-`h`×`w` image copied once, straight into the batch, and
+    /// only foreign sizes resized (nearest-neighbour) on the way.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the slice is empty or channel counts differ.
+    pub fn batch_resized(images: &[&Image], h: usize, w: usize) -> Tensor {
+        assert!(!images.is_empty(), "cannot batch zero images");
+        let c = images[0].channels;
+        let mut data = Vec::with_capacity(images.len() * c * h * w);
+        for img in images {
+            assert_eq!(img.channels, c, "image channel mismatch");
+            if (img.height, img.width) == (h, w) {
+                data.extend_from_slice(&img.data);
+            } else {
+                data.extend_from_slice(&img.resize_nearest(h, w).data);
+            }
+        }
+        Tensor::from_vec(data, &[images.len(), c, h, w])
+    }
+
     /// Nearest-neighbour resize to `h`×`w`.
     ///
     /// Used to standardize generative-model inputs (e.g. 28×28 digits to a
@@ -298,6 +320,18 @@ mod tests {
         assert_eq!(img.get(0, 0, 0), 0.0);
         assert_eq!(img.get(0, 3, 0), 1.0);
         assert!(img.get(0, 1, 0) > 0.0 && img.get(0, 1, 0) < 1.0);
+    }
+
+    #[test]
+    fn batch_resized_copies_native_and_resizes_foreign() {
+        let mut native = Image::new(1, 4, 4);
+        native.set(0, 1, 2, 0.5);
+        let mut foreign = Image::new(1, 2, 2);
+        foreign.set(0, 1, 1, 0.25);
+        let t = Image::batch_resized(&[&native, &foreign], 4, 4);
+        assert_eq!(t.shape(), &[2, 1, 4, 4]);
+        assert_eq!(&t.data()[..16], native.to_tensor().data());
+        assert_eq!(&t.data()[16..], foreign.resize_nearest(4, 4).to_tensor().data());
     }
 
     #[test]

@@ -170,17 +170,7 @@ impl Detector {
 
     /// Runs detection (decode + NMS) on a batch of frames.
     pub fn detect_batch(&self, images: &[&Image]) -> Vec<Vec<Detection>> {
-        let resized: Vec<Image> = images
-            .iter()
-            .map(|im| {
-                if im.height() == self.size && im.width() == self.size {
-                    (*im).clone()
-                } else {
-                    im.resize_nearest(self.size, self.size)
-                }
-            })
-            .collect();
-        let batch = Image::batch(&resized);
+        let batch = Image::batch_resized(images, self.size, self.size);
         let pred = self.net.infer(&batch);
         decode(&pred, self.size, self.conf_threshold)
             .into_iter()
@@ -376,6 +366,41 @@ mod tests {
         let blob = a.export_params();
         b.import_params(&blob);
         assert_eq!(a.forward(&x).data(), b.forward(&x).data());
+    }
+
+    #[test]
+    fn shared_detector_first_used_by_two_threads_at_once_agrees() {
+        // The layers build their packed weights on first use, through
+        // `&self`: two threads racing on a never-used shared detector
+        // must both see the result a private, warmed-up copy gives.
+        let build = || {
+            let mut d = Detector::heavy(48, &mut StdRng::seed_from_u64(7));
+            d.conf_threshold = 0.0; // untrained: keep every cell's box
+            d
+        };
+        let gen = SceneGen::new(48);
+        let frame = gen
+            .frame(&mut StdRng::seed_from_u64(8), Condition::new(Weather::Clear, TimeOfDay::Day));
+        let reference = build();
+        let _ = reference.detect(&frame.image);
+        let want = reference.detect(&frame.image);
+        assert!(!want.is_empty(), "threshold 0 must yield detections to compare");
+
+        let shared = std::sync::Arc::new(build());
+        let gate = std::sync::Barrier::new(2);
+        let got: Vec<Vec<Detection>> = std::thread::scope(|s| {
+            let racers: Vec<_> = (0..2)
+                .map(|_| {
+                    s.spawn(|| {
+                        gate.wait();
+                        shared.detect(&frame.image)
+                    })
+                })
+                .collect();
+            racers.into_iter().map(|r| r.join().expect("racer")).collect()
+        });
+        assert_eq!(got[0], want);
+        assert_eq!(got[1], want);
     }
 
     #[test]

@@ -50,23 +50,6 @@ pub fn per_sample_recon_mse(logits: &Tensor, targets: &Tensor) -> Vec<f32> {
         .collect()
 }
 
-/// Prepares a `[B, C, s, s]` batch from images, resizing to `s`×`s` if
-/// needed.
-pub fn batch_resized(images: &[&Image], s: usize) -> Tensor {
-    assert!(!images.is_empty(), "cannot batch zero images");
-    let resized: Vec<Image> = images
-        .iter()
-        .map(|im| {
-            if im.height() == s && im.width() == s {
-                (*im).clone()
-            } else {
-                im.resize_nearest(s, s)
-            }
-        })
-        .collect();
-    Image::batch(&resized)
-}
-
 /// Gaussian noise tensor with the same shape as `like`.
 pub fn gaussian_like(rng: &mut StdRng, like: &Tensor, std: f32) -> Tensor {
     odin_tensor::init::normal(rng, like.shape(), std)
@@ -77,7 +60,7 @@ pub fn gaussian_like(rng: &mut StdRng, like: &Tensor, std: f32) -> Tensor {
 pub fn sample_batch(rng: &mut StdRng, images: &[Image], n: usize, s: usize) -> Tensor {
     assert!(!images.is_empty(), "cannot sample from an empty dataset");
     let picks: Vec<&Image> = (0..n).map(|_| &images[rng.gen_range(0..images.len())]).collect();
-    batch_resized(&picks, s)
+    Image::batch_resized(&picks, s, s)
 }
 
 #[cfg(test)]
@@ -101,14 +84,6 @@ mod tests {
         let targets = Tensor::from_vec(vec![0.5, 1.0], &[1, 2]);
         let errs = per_sample_recon_mse(&logits, &targets);
         assert!((errs[0] - 0.125).abs() < 1e-6); // (0^2 + 0.5^2)/2
-    }
-
-    #[test]
-    fn batch_resized_standardizes() {
-        let a = Image::new(1, 28, 28);
-        let b = Image::new(1, 32, 32);
-        let t = batch_resized(&[&a, &b], 32);
-        assert_eq!(t.shape(), &[2, 1, 32, 32]);
     }
 
     #[test]

@@ -228,13 +228,13 @@ impl DaGan {
     pub fn encode_images(&mut self, images: &[&Image]) -> Tensor {
         const CHUNK: usize = 32;
         if images.len() <= CHUNK {
-            let batch = crate::common::batch_resized(images, self.cfg.size);
+            let batch = Image::batch_resized(images, self.cfg.size, self.cfg.size);
             return self.encode(&batch);
         }
         let latent = self.cfg.latent;
         let mut out = Vec::with_capacity(images.len() * latent);
         for chunk in images.chunks(CHUNK) {
-            let batch = crate::common::batch_resized(chunk, self.cfg.size);
+            let batch = Image::batch_resized(chunk, self.cfg.size, self.cfg.size);
             out.extend_from_slice(self.encode(&batch).data());
         }
         Tensor::from_vec(out, &[images.len(), latent])

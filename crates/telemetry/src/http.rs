@@ -32,6 +32,10 @@ use std::time::Duration;
 /// threads under a connection flood.
 pub const MAX_CONNECTION_THREADS: usize = 8;
 
+/// Cap on the request line plus all headers, in bytes. A request whose
+/// header block does not end within it is answered `431` unread.
+pub const MAX_HEADER_BYTES: usize = 8 * 1024;
+
 /// A render closure for one built-in endpoint: called per request,
 /// returns the full response body.
 pub type Handler = Arc<dyn Fn() -> String + Send + Sync>;
@@ -105,6 +109,11 @@ pub struct HttpHandlers {
     /// Catch-all for every other request (any method). `None` keeps the
     /// classic three-endpoint exposition server.
     pub route: Option<RouteHandler>,
+    /// Largest request body, in bytes, the server will allocate for and
+    /// read; a longer `Content-Length` is answered `413` unread. `0` for
+    /// a read-only server. The owner of the routes knows its largest
+    /// legal payload — this crate does not.
+    pub max_body: usize,
 }
 
 /// A running exposition server. Dropping it shuts the listener down and
@@ -191,27 +200,57 @@ pub fn serve<A: ToSocketAddrs>(addr: A, handlers: HttpHandlers) -> std::io::Resu
     Ok(MetricsServer { addr, stop, handle: Some(handle) })
 }
 
-fn handle_connection(stream: TcpStream, handlers: &HttpHandlers) -> std::io::Result<()> {
-    let mut reader = BufReader::new(stream);
+/// Reads one request off the wire, or the rejection to answer it with.
+/// Nothing the client sends sizes an allocation before it is checked:
+/// the header block is read through a [`MAX_HEADER_BYTES`] window and
+/// the body buffer exists only once its declared length is ≤ `max_body`.
+fn read_request(
+    reader: &mut BufReader<TcpStream>,
+    max_body: usize,
+) -> std::io::Result<Result<Request, Response>> {
+    let mut head = reader.by_ref().take(MAX_HEADER_BYTES as u64);
     let mut request_line = String::new();
-    reader.read_line(&mut request_line)?;
+    head.read_line(&mut request_line)?;
     // Drain the request headers (noting Content-Length for the body).
     let mut content_length = 0usize;
+    let mut terminated = false;
+    let mut line = String::new();
     loop {
-        let mut line = String::new();
-        if reader.read_line(&mut line)? == 0 || line == "\r\n" || line == "\n" {
+        line.clear();
+        head.read_line(&mut line)?;
+        if line == "\r\n" || line == "\n" {
+            terminated = true;
             break;
+        }
+        if !line.ends_with('\n') {
+            break; // client EOF, or the window ran out mid-block
         }
         if let Some((name, value)) = line.split_once(':') {
             if name.eq_ignore_ascii_case("content-length") {
-                content_length = value.trim().parse().unwrap_or(0);
+                let Ok(n) = value.trim().parse::<usize>() else {
+                    return Ok(Err(Response::text(
+                        "400 Bad Request",
+                        "Content-Length is not a byte count\n",
+                    )));
+                };
+                content_length = n;
             }
         }
     }
-    let mut body = vec![0u8; content_length];
-    if content_length > 0 {
-        reader.read_exact(&mut body)?;
+    if !terminated && head.limit() == 0 {
+        return Ok(Err(Response::text(
+            "431 Request Header Fields Too Large",
+            format!("request headers exceed {MAX_HEADER_BYTES} bytes\n"),
+        )));
     }
+    if content_length > max_body {
+        return Ok(Err(Response::text(
+            "413 Payload Too Large",
+            format!("body of {content_length} bytes exceeds the {max_body}-byte limit\n"),
+        )));
+    }
+    let mut body = vec![0u8; content_length];
+    reader.read_exact(&mut body)?;
 
     let mut parts = request_line.split_whitespace();
     let method = parts.next().unwrap_or("").to_string();
@@ -220,25 +259,31 @@ fn handle_connection(stream: TcpStream, handlers: &HttpHandlers) -> std::io::Res
         Some((p, q)) => (p.to_string(), q.to_string()),
         None => (raw_path.to_string(), String::new()),
     };
+    Ok(Ok(Request { method, path, query, body }))
+}
 
-    let response = match (method.as_str(), path.as_str()) {
-        ("GET", "/metrics") => Response {
-            status: "200 OK",
-            content_type: "text/plain; version=0.0.4; charset=utf-8",
-            body: (handlers.metrics)().into_bytes(),
-        },
-        ("GET", "/trace") => Response::ok_json((handlers.trace)().into_bytes()),
-        ("GET", "/healthz") => Response::ok_json((handlers.healthz)().into_bytes()),
-        _ => {
-            let request = Request { method, path, query, body };
-            match handlers.route.as_ref().and_then(|r| r(&request)) {
+fn handle_connection(stream: TcpStream, handlers: &HttpHandlers) -> std::io::Result<()> {
+    let mut reader = BufReader::new(stream);
+    let request = read_request(&mut reader, handlers.max_body)?;
+    let rejected = request.is_err();
+    let response = match request {
+        Err(rejection) => rejection,
+        Ok(request) => match (request.method.as_str(), request.path.as_str()) {
+            ("GET", "/metrics") => Response {
+                status: "200 OK",
+                content_type: "text/plain; version=0.0.4; charset=utf-8",
+                body: (handlers.metrics)().into_bytes(),
+            },
+            ("GET", "/trace") => Response::ok_json((handlers.trace)().into_bytes()),
+            ("GET", "/healthz") => Response::ok_json((handlers.healthz)().into_bytes()),
+            _ => match handlers.route.as_ref().and_then(|r| r(&request)) {
                 Some(resp) => resp,
                 None if request.method != "GET" => {
                     Response::text("405 Method Not Allowed", "method not allowed\n")
                 }
                 None => Response::text("404 Not Found", "not found\n"),
-            }
-        }
+            },
+        },
     };
 
     // One buffer, one write: headers and body leave in a single TCP
@@ -253,9 +298,32 @@ fn handle_connection(stream: TcpStream, handlers: &HttpHandlers) -> std::io::Res
     let mut out = Vec::with_capacity(header.len() + response.body.len());
     out.extend_from_slice(header.as_bytes());
     out.extend_from_slice(&response.body);
-    let mut stream = reader.into_inner();
-    stream.write_all(&out)?;
-    stream.flush()
+    reader.get_mut().write_all(&out)?;
+    reader.get_mut().flush()?;
+    if rejected {
+        linger(reader);
+    }
+    Ok(())
+}
+
+/// Closes a connection whose request was rejected unread. Closing with
+/// bytes still unread makes the kernel send a reset, which can destroy
+/// the rejection before the client reads it — so finish our side, then
+/// discard what the client is still sending, bounded in bytes and time.
+fn linger(mut reader: BufReader<TcpStream>) {
+    const LINGER: Duration = Duration::from_millis(500);
+    const LINGER_BYTES: usize = 64 * 1024;
+    let _ = reader.get_ref().shutdown(std::net::Shutdown::Write);
+    let _ = reader.get_ref().set_read_timeout(Some(LINGER));
+    let deadline = std::time::Instant::now() + LINGER;
+    let mut left = LINGER_BYTES;
+    let mut sink = [0u8; 4096];
+    while left > 0 && std::time::Instant::now() < deadline {
+        match reader.read(&mut sink) {
+            Ok(0) | Err(_) => break,
+            Ok(n) => left = left.saturating_sub(n),
+        }
+    }
 }
 
 fn read_response(mut stream: TcpStream) -> std::io::Result<(String, String)> {
@@ -307,7 +375,73 @@ mod tests {
             trace: Arc::new(|| "{\"traceEvents\":[]}".to_string()),
             healthz: Arc::new(|| "{\"status\":\"ok\"}".to_string()),
             route: None,
+            max_body: 1024,
         }
+    }
+
+    /// Sends `request` verbatim and returns `(status_line, body)`.
+    fn raw(addr: SocketAddr, request: &[u8]) -> (String, String) {
+        let mut stream = TcpStream::connect(addr).expect("connect");
+        stream.set_read_timeout(Some(Duration::from_secs(5))).expect("timeout");
+        stream.write_all(request).expect("send");
+        read_response(stream).expect("response")
+    }
+
+    fn assert_still_serving(addr: SocketAddr) {
+        let (status, _) = get(addr, "/healthz").expect("healthz");
+        assert!(status.contains("200"), "{status}");
+    }
+
+    #[test]
+    fn unparsable_content_length_is_400_not_an_empty_body() {
+        let server = serve("127.0.0.1:0", handlers()).expect("bind");
+        for bad in ["twelve", "-1", "1e3", "", "99999999999999999999999999"] {
+            let req = format!("POST /echo HTTP/1.1\r\nContent-Length: {bad}\r\n\r\n");
+            let (status, _) = raw(server.addr(), req.as_bytes());
+            assert!(status.contains("400"), "Content-Length {bad:?}: {status}");
+        }
+        assert_still_serving(server.addr());
+    }
+
+    #[test]
+    fn oversized_body_is_413_without_reading_or_allocating_it() {
+        let server = serve("127.0.0.1:0", handlers()).expect("bind");
+        // Only the headers are sent: a server that tried to read (or
+        // allocate) the declared exabyte would hang or abort instead.
+        let req = format!("POST /echo HTTP/1.1\r\nContent-Length: {}\r\n\r\n", u64::MAX / 2);
+        let (status, body) = raw(server.addr(), req.as_bytes());
+        assert!(status.contains("413"), "{status}");
+        assert!(body.contains("1024-byte limit"), "{body}");
+        // One byte over is refused, the cap itself is served.
+        let (status, _) =
+            raw(server.addr(), b"POST /echo HTTP/1.1\r\nContent-Length: 1025\r\n\r\n");
+        assert!(status.contains("413"), "{status}");
+        let (status, _) = post(server.addr(), "/echo", &[0u8; 1024]).expect("post");
+        assert!(status.contains("405"), "{status}");
+        assert_still_serving(server.addr());
+    }
+
+    #[test]
+    fn oversized_header_block_is_431() {
+        let server = serve("127.0.0.1:0", handlers()).expect("bind");
+        // One endless header line, many small ones, and an endless
+        // request line: none may buffer past the cap.
+        let long_line =
+            format!("GET / HTTP/1.1\r\nX-Pad: {}\r\n\r\n", "a".repeat(MAX_HEADER_BYTES));
+        let many_lines =
+            format!("GET / HTTP/1.1\r\n{}\r\n", "X-Pad: a\r\n".repeat(MAX_HEADER_BYTES / 10 + 1));
+        let long_request_line = format!("GET /{} HTTP/1.1\r\n\r\n", "a".repeat(MAX_HEADER_BYTES));
+        for req in [long_line, many_lines, long_request_line] {
+            let (status, _) = raw(server.addr(), req.as_bytes());
+            assert!(status.contains("431"), "{status}");
+        }
+        // A block that ends exactly at the cap is still served.
+        let pad = MAX_HEADER_BYTES - "GET /healthz HTTP/1.1\r\nX-Pad: \r\n\r\n".len();
+        let at_cap = format!("GET /healthz HTTP/1.1\r\nX-Pad: {}\r\n\r\n", "a".repeat(pad));
+        assert_eq!(at_cap.len(), MAX_HEADER_BYTES);
+        let (status, _) = raw(server.addr(), at_cap.as_bytes());
+        assert!(status.contains("200"), "{status}");
+        assert_still_serving(server.addr());
     }
 
     #[test]

@@ -20,7 +20,10 @@ pub trait Layer: Send + Sync {
     fn forward(&mut self, input: &Tensor, train: bool) -> Tensor;
 
     /// Inference-mode forward pass through `&self`: no activation
-    /// caching, no running-statistic updates, no interior mutability.
+    /// caching, no running-statistic updates. The only interior state a
+    /// layer may touch is a write-once cache derived purely from its
+    /// parameters (the packed weight panels of `Conv2d`/`Dense`), which
+    /// can never change a result and is safe to race on.
     /// Must produce exactly the same output as `forward(input, false)`.
     fn infer(&self, input: &Tensor) -> Tensor;
 

@@ -4,7 +4,7 @@ use rand::rngs::StdRng;
 
 use crate::init;
 use crate::layer::Layer;
-use crate::ops::{col2im, im2col, im2col_into, matmul, matmul_nt, matmul_tn, ConvGeom};
+use crate::ops::{col2im, im2col, im2col_into, matmul, matmul_tn, ConvGeom, WeightPanels};
 use crate::scratch;
 use crate::tensor::Tensor;
 
@@ -26,6 +26,9 @@ pub struct Conv2d {
     stride: usize,
     pad: usize,
     w: Tensor,
+    /// Packed form of `w` for the forward product; stale whenever `w`
+    /// may have changed, i.e. after every [`Layer::params_grads`].
+    panels: WeightPanels,
     b: Tensor,
     dw: Tensor,
     db: Tensor,
@@ -66,6 +69,7 @@ impl Conv2d {
             stride,
             pad,
             w: init::normal(rng, &[out_c, fan_in], std),
+            panels: WeightPanels::default(),
             b: Tensor::zeros(&[out_c]),
             dw: Tensor::zeros(&[out_c, fan_in]),
             db: Tensor::zeros(&[out_c]),
@@ -165,7 +169,7 @@ impl Conv2d {
     /// positions→NCHW repack happen in one output sweep.
     fn apply(&self, cols: &Tensor, geom: &ConvGeom, batch: usize) -> Tensor {
         let (oh, ow) = (geom.out_h(), geom.out_w());
-        let pos = matmul_nt(cols, &self.w); // [B*OH*OW, out_c]
+        let pos = self.panels.matmul_nt(cols, &self.w); // [B*OH*OW, out_c]
         let md = pos.data();
         let bias = self.b.data();
         let oc = self.out_c;
@@ -217,6 +221,7 @@ impl Layer for Conv2d {
         };
         im2col_into(input, &geom, &mut cols_buf);
         let cols = Tensor::from_vec(cols_buf, &[batch * geom.out_h() * geom.out_w(), patch]);
+        self.panels.refresh(&self.w);
         let out = self.apply(&cols, &geom, batch);
         if train {
             let act_mask = self.fused_act.map(|_| out.data().iter().map(|&v| v > 0.0).collect());
@@ -273,6 +278,7 @@ impl Layer for Conv2d {
     }
 
     fn params_grads(&mut self) -> Vec<(&mut Tensor, &mut Tensor)> {
+        self.panels.invalidate();
         vec![(&mut self.w, &mut self.dw), (&mut self.b, &mut self.db)]
     }
 

@@ -4,7 +4,7 @@ use rand::rngs::StdRng;
 
 use crate::init;
 use crate::layer::Layer;
-use crate::ops::{matmul, matmul_nt, matmul_tn};
+use crate::ops::{matmul, matmul_tn, WeightPanels};
 use crate::tensor::Tensor;
 
 /// A fully-connected (affine) layer: `y = x Wᵀ + b`.
@@ -12,6 +12,9 @@ use crate::tensor::Tensor;
 /// Input `[B, in]`, output `[B, out]`. Weights are stored `[out, in]`.
 pub struct Dense {
     w: Tensor,
+    /// Packed form of `w` for the forward product; stale whenever `w`
+    /// may have changed, i.e. after every [`Layer::params_grads`].
+    panels: WeightPanels,
     b: Tensor,
     dw: Tensor,
     db: Tensor,
@@ -24,6 +27,7 @@ impl Dense {
         let std = (2.0 / in_dim as f32).sqrt();
         Dense {
             w: init::normal(rng, &[out_dim, in_dim], std),
+            panels: WeightPanels::default(),
             b: Tensor::zeros(&[out_dim]),
             dw: Tensor::zeros(&[out_dim, in_dim]),
             db: Tensor::zeros(&[out_dim]),
@@ -47,6 +51,7 @@ impl Layer for Dense {
         if train {
             self.cached_input = Some(input.clone());
         }
+        self.panels.refresh(&self.w);
         self.infer(input)
     }
 
@@ -59,7 +64,7 @@ impl Layer for Dense {
             input.shape()[1],
             self.in_dim()
         );
-        let mut y = matmul_nt(input, &self.w);
+        let mut y = self.panels.matmul_nt(input, &self.w);
         let out = y.shape()[1];
         let bias = self.b.data();
         for row in y.data_mut().chunks_exact_mut(out) {
@@ -93,6 +98,7 @@ impl Layer for Dense {
     }
 
     fn params_grads(&mut self) -> Vec<(&mut Tensor, &mut Tensor)> {
+        self.panels.invalidate();
         vec![(&mut self.w, &mut self.dw), (&mut self.b, &mut self.db)]
     }
 

@@ -7,15 +7,23 @@
 //! All three matmul variants share the same structure: the public
 //! function is a thin dispatcher that splits the output into row blocks
 //! (a pure function of the row count — see [`crate::par`]) and runs a
-//! register-blocked 4×4 micro-kernel over each block, on the worker pool
-//! when the problem is big enough and serially otherwise. Every output
-//! element is produced by a single accumulator walking `k` in ascending
-//! order, so the serial and parallel paths are bit-identical at any
-//! thread count.
+//! register-blocked micro-kernel over each block (AVX2 4×8 when
+//! enabled, scalar 4×4 otherwise), on the worker pool when the problem
+//! is big enough and serially otherwise. Every output element is
+//! produced by a single accumulator walking `k` in ascending order, so
+//! the serial and parallel, scalar and vector paths are all
+//! bit-identical at any thread count.
+//!
+//! The NT product (`a × bᵀ`, the forward pass of every layer) reads its
+//! right-hand side in packed column panels on the AVX2 path. A layer
+//! packs its weight once and keeps it (`WeightPanels`); the free
+//! [`matmul_nt`] packs per call.
+
+use std::sync::OnceLock;
 
 use crate::par;
 use crate::scratch;
-use crate::simd;
+use crate::simd::{self, PackedPanels};
 use crate::tensor::Tensor;
 
 /// Micro-kernel tile edge: output is computed in 4×4 register tiles.
@@ -123,18 +131,6 @@ pub fn matmul(a: &Tensor, b: &Tensor) -> Tensor {
     Tensor::from_vec(out, &[m, n])
 }
 
-/// NT chunk kernel: dispatches to the AVX2 panel-packed micro-kernel
-/// when enabled, else the scalar 4×4 tiles. Bit-identical either way.
-fn matmul_nt_chunk(ad: &[f32], bd: &[f32], chunk: &mut [f32], r0: usize, k: usize, n: usize) {
-    #[cfg(target_arch = "x86_64")]
-    if simd::simd_enabled() {
-        // Safety: simd_enabled() is true only when AVX2 was detected.
-        unsafe { simd::avx2::matmul_nt_chunk(ad, bd, chunk, r0, k, n) };
-        return;
-    }
-    matmul_nt_chunk_scalar(ad, bd, chunk, r0, k, n);
-}
-
 /// Dot-product kernel for `out[r0..][..] = a[r0..] × bᵀ` where
 /// `a` is `[m, k]` and `b` is `[n, k]`, both row-major.
 fn matmul_nt_chunk_scalar(
@@ -194,22 +190,114 @@ fn matmul_nt_chunk_scalar(
     }
 }
 
-/// Matrix multiply with the right-hand side transposed:
-/// `a [m, k] × bᵀ where b is [n, k] → [m, n]`.
-///
-/// Avoids materializing the transpose.
-pub fn matmul_nt(a: &Tensor, b: &Tensor) -> Tensor {
+/// Checks an NT product's operand shapes and returns `(m, k, n)`.
+fn nt_dims(a: &Tensor, b: &Tensor) -> (usize, usize, usize) {
     assert_eq!(a.ndim(), 2, "matmul_nt lhs must be 2-D");
     assert_eq!(b.ndim(), 2, "matmul_nt rhs must be 2-D");
     let (m, k) = (a.shape()[0], a.shape()[1]);
     let (n, k2) = (b.shape()[0], b.shape()[1]);
     assert_eq!(k, k2, "matmul_nt inner dimension mismatch: {k} vs {k2}");
+    (m, k, n)
+}
+
+/// `a × bᵀ` through the scalar reference kernel (the non-AVX2 path).
+fn matmul_nt_scalar(a: &Tensor, b: &Tensor) -> Tensor {
+    let (m, k, n) = nt_dims(a, b);
     let mut out = scratch::take_zeroed(m * n);
     let (ad, bd) = (a.data(), b.data());
     run_row_blocks(&mut out, n, m, 2 * m * k * n, &|_, r0, chunk| {
-        matmul_nt_chunk(ad, bd, chunk, r0, k, n);
+        matmul_nt_chunk_scalar(ad, bd, chunk, r0, k, n);
     });
     Tensor::from_vec(out, &[m, n])
+}
+
+/// `a × bᵀ` through the AVX2 kernel, `b` already packed.
+///
+/// # Safety
+///
+/// Requires AVX2 (callers check [`simd::simd_enabled`]).
+#[cfg(target_arch = "x86_64")]
+unsafe fn matmul_nt_packed(a: &Tensor, b: &PackedPanels) -> Tensor {
+    assert_eq!(a.ndim(), 2, "matmul_nt lhs must be 2-D");
+    let (m, k, n) = (a.shape()[0], a.shape()[1], b.cols());
+    assert_eq!(k, b.depth(), "matmul_nt inner dimension mismatch: {k} vs {}", b.depth());
+    let mut out = scratch::take_zeroed(m * n);
+    let ad = a.data();
+    run_row_blocks(&mut out, n, m, 2 * m * k * n, &|_, r0, chunk| {
+        // SAFETY: AVX2 is this function's own precondition.
+        unsafe { simd::avx2::matmul_nt_packed_chunk(ad, b, chunk, r0) };
+    });
+    Tensor::from_vec(out, &[m, n])
+}
+
+/// Matrix multiply with the right-hand side transposed:
+/// `a [m, k] × bᵀ where b is [n, k] → [m, n]`.
+///
+/// Avoids materializing the transpose. On the AVX2 path `b` is packed
+/// into column panels (pure data movement) and handed to the same
+/// kernel the layers reach through their cached `WeightPanels` — which
+/// is how a `b` that outlives the call avoids paying for the packing,
+/// and its buffer, on every product.
+pub fn matmul_nt(a: &Tensor, b: &Tensor) -> Tensor {
+    #[cfg(target_arch = "x86_64")]
+    if simd::simd_enabled() {
+        nt_dims(a, b); // shape checks before `b` is indexed as `[n, k]`
+        let panels = pack_weight(b, PackedPanels::default());
+        // SAFETY: simd_enabled() is true only when AVX2 was detected.
+        return unsafe { matmul_nt_packed(a, &panels) };
+    }
+    matmul_nt_scalar(a, b)
+}
+
+/// The panel-major packing of one layer's `[n, k]` weight: derived
+/// state, never persisted or counted as parameters. Built on first use —
+/// from `&self`, so a frozen layer shared across threads packs exactly
+/// once — and dropped by [`WeightPanels::invalidate`], which the owning
+/// layer must call wherever it hands out `&mut` access to the weight.
+#[derive(Default)]
+pub(crate) struct WeightPanels {
+    /// Set ⇒ packed from the weight's current values.
+    live: OnceLock<PackedPanels>,
+    /// The last invalidated packing; [`WeightPanels::refresh`] re-packs
+    /// into its allocation so a training step allocates nothing.
+    spare: PackedPanels,
+}
+
+/// Packs the `[n, k]` matrix `w` into `into`'s allocation.
+fn pack_weight(w: &Tensor, mut into: PackedPanels) -> PackedPanels {
+    into.repack(w.data(), w.shape()[0], w.shape()[1]);
+    into
+}
+
+impl WeightPanels {
+    /// Marks the packing stale (the weight is about to change).
+    pub(crate) fn invalidate(&mut self) {
+        if let Some(stale) = self.live.take() {
+            self.spare = stale;
+        }
+    }
+
+    /// Re-packs a stale packing into the retained buffer. Optional —
+    /// [`WeightPanels::matmul_nt`] packs on demand — but the `&mut self`
+    /// training path calls it to stay allocation-free at steady state.
+    pub(crate) fn refresh(&mut self, w: &Tensor) {
+        if simd::simd_enabled() && self.live.get().is_none() {
+            let _ = self.live.set(pack_weight(w, std::mem::take(&mut self.spare)));
+        }
+    }
+
+    /// `a × wᵀ`, bit-identical to [`matmul_nt`]`(a, w)`. `w` must be the
+    /// weight this cache belongs to.
+    pub(crate) fn matmul_nt(&self, a: &Tensor, w: &Tensor) -> Tensor {
+        #[cfg(target_arch = "x86_64")]
+        if simd::simd_enabled() {
+            let panels = self.live.get_or_init(|| pack_weight(w, PackedPanels::default()));
+            debug_assert_eq!(&[panels.cols(), panels.depth()], w.shape());
+            // SAFETY: simd_enabled() is true only when AVX2 was detected.
+            return unsafe { matmul_nt_packed(a, panels) };
+        }
+        matmul_nt_scalar(a, w)
+    }
 }
 
 /// TN chunk kernel: dispatches to the AVX2 rank-1-update micro-kernel
@@ -318,43 +406,78 @@ impl ConvGeom {
 /// Fills one block of patch rows (`[r0, r0 + chunk_rows)` in the
 /// `[B * out_h * out_w, patch]` column matrix). Writes every element,
 /// including padding zeros, so the destination needs no pre-clearing.
+///
+/// 3×3 kernels — every convolution the models run except the 1×1 heads
+/// — take a branch-free path at interior positions (whole patch inside
+/// the image): three fixed 3-element copies per channel, with the
+/// interior test hoisted to one range check per output row. Borders and
+/// other kernel sizes go through [`im2col_patch`]; both write the same
+/// values.
 fn im2col_rows(data: &[f32], g: &ConvGeom, r0: usize, chunk: &mut [f32]) {
     let (oh, ow) = (g.out_h(), g.out_w());
     let patch = g.in_c * g.kernel * g.kernel;
     let img_stride = g.in_c * g.in_h * g.in_w;
     let chan_stride = g.in_h * g.in_w;
-    for (local, dst) in chunk.chunks_exact_mut(patch).enumerate() {
-        let row = r0 + local;
-        let bi = row / (oh * ow);
-        let rem = row % (oh * ow);
-        let (oy, ox) = (rem / ow, rem % ow);
+    // Output columns whose 3-wide window needs no padding: those with
+    // `0 <= ox * stride - pad` and `ox * stride - pad + 3 <= in_w`.
+    let interior_x = if g.kernel == 3 && g.in_w >= 3 {
+        g.pad.div_ceil(g.stride)..((g.in_w + g.pad - 3) / g.stride + 1).min(ow)
+    } else {
+        0..0
+    };
+    let mut dsts = chunk.chunks_exact_mut(patch);
+    let mut row = r0;
+    let end = r0 + dsts.len();
+    while row < end {
+        // One output row (or the part of it inside this block) at a time.
+        let (bi, rem) = (row / (oh * ow), row % (oh * ow));
+        let (oy, ox0) = (rem / ow, rem % ow);
+        let ox1 = ow.min(ox0 + (end - row));
         let img = &data[bi * img_stride..(bi + 1) * img_stride];
-        let mut di = 0usize;
-        for c in 0..g.in_c {
-            let chan = &img[c * chan_stride..(c + 1) * chan_stride];
-            for ky in 0..g.kernel {
-                let iy = (oy * g.stride + ky) as isize - g.pad as isize;
-                if iy < 0 || iy >= g.in_h as isize {
-                    dst[di..di + g.kernel].fill(0.0);
-                    di += g.kernel;
-                    continue;
+        let y0 = oy * g.stride;
+        let interior_y = y0 >= g.pad && y0 - g.pad + 3 <= g.in_h;
+        for ox in ox0..ox1 {
+            let dst = dsts.next().expect("block holds whole patch rows");
+            if interior_y && interior_x.contains(&ox) {
+                let top_left = (y0 - g.pad) * g.in_w + ox * g.stride - g.pad;
+                for (d, chan) in dst.chunks_exact_mut(9).zip(img.chunks_exact(chan_stride)) {
+                    let window = &chan[top_left..top_left + 2 * g.in_w + 3];
+                    d[0..3].copy_from_slice(&window[0..3]);
+                    d[3..6].copy_from_slice(&window[g.in_w..g.in_w + 3]);
+                    d[6..9].copy_from_slice(&window[2 * g.in_w..2 * g.in_w + 3]);
                 }
-                // In-bounds kx range: 0 <= x0 + kx < in_w. Zero-fill the
-                // out-of-bounds edges, memcpy the contiguous middle —
-                // this is the vectorized form of a per-element bounds
-                // check and writes identical values.
-                let row_base = iy as usize * g.in_w;
-                let x0 = (ox * g.stride) as isize - g.pad as isize;
-                let kx_lo = (-x0).clamp(0, g.kernel as isize) as usize;
-                let kx_hi =
-                    (g.in_w as isize - x0).clamp(kx_lo as isize, g.kernel as isize) as usize;
-                dst[di..di + kx_lo].fill(0.0);
-                if kx_hi > kx_lo {
-                    let src = row_base + (x0 + kx_lo as isize) as usize;
-                    dst[di + kx_lo..di + kx_hi].copy_from_slice(&chan[src..src + (kx_hi - kx_lo)]);
-                }
-                dst[di + kx_hi..di + g.kernel].fill(0.0);
-                di += g.kernel;
+            } else {
+                im2col_patch(img, g, oy, ox, dst);
+            }
+        }
+        row += ox1 - ox0;
+    }
+}
+
+/// One patch row of the column matrix for output position `(oy, ox)` of
+/// one image, any kernel and any overlap with the zero padding.
+fn im2col_patch(img: &[f32], g: &ConvGeom, oy: usize, ox: usize, dst: &mut [f32]) {
+    // Signed top-left corner of the window; padding puts it off-image.
+    let y0 = (oy * g.stride) as isize - g.pad as isize;
+    let x0 = (ox * g.stride) as isize - g.pad as isize;
+    // In-bounds kx range: 0 <= x0 + kx < in_w, the same for every row.
+    let kx_lo = (-x0).clamp(0, g.kernel as isize) as usize;
+    let kx_hi = (g.in_w as isize - x0).clamp(kx_lo as isize, g.kernel as isize) as usize;
+    let mut dst_rows = dst.chunks_exact_mut(g.kernel);
+    for chan in img.chunks_exact(g.in_h * g.in_w) {
+        for ky in 0..g.kernel as isize {
+            let d = dst_rows.next().expect("patch holds in_c * kernel rows");
+            let iy = y0 + ky;
+            if iy < 0 || iy >= g.in_h as isize {
+                d.fill(0.0);
+                continue;
+            }
+            // Kernels are 1 or 3 wide: a per-element select beats
+            // fill + memcpy + fill calls of run-time length.
+            let src_row = &chan[iy as usize * g.in_w..][..g.in_w];
+            for (kx, v) in d.iter_mut().enumerate() {
+                let inside = (kx_lo..kx_hi).contains(&kx);
+                *v = if inside { src_row[(x0 + kx as isize) as usize] } else { 0.0 };
             }
         }
     }

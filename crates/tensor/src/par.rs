@@ -23,7 +23,19 @@
 //! Worker threads are spawned lazily on the first parallel job and kept
 //! for the life of the process; jobs smaller than the parallel threshold
 //! never touch the pool at all.
+//!
+//! # Intra-op budget
+//!
+//! The pool is one per process, so N threads that each fork their
+//! kernels into it oversubscribe the cores N-fold. A thread that is
+//! itself one of several concurrent callers (a serving worker) declares
+//! its share with [`set_intra_op_cap`]: kernels submitted from that
+//! thread then use at most that many threads (1 = always serial, never
+//! touching the pool). The cap is thread-local — threads that never set
+//! one (the training pool) keep the full [`num_threads`]. By the
+//! determinism contract any cap gives identical bits.
 
+use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 
@@ -85,10 +97,35 @@ pub fn reset_parallel_threshold() {
     PARALLEL_THRESHOLD.store(DEFAULT_PARALLEL_THRESHOLD, Ordering::Relaxed);
 }
 
+thread_local! {
+    /// This thread's share of the pool; `usize::MAX` = uncapped.
+    static INTRA_OP_CAP: Cell<usize> = const { Cell::new(usize::MAX) };
+}
+
+/// Caps the threads (submitter included) that kernels called from the
+/// *current* thread may use, for the rest of the thread's life or until
+/// set again; `usize::MAX` lifts the cap. Concurrent callers sharing the
+/// pool should each take `num_threads() / callers` so that
+/// `callers × cap ≤ num_threads()`.
+///
+/// # Panics
+///
+/// Panics if `max_threads` is zero.
+pub fn set_intra_op_cap(max_threads: usize) {
+    assert!(max_threads > 0, "intra-op cap must be at least 1");
+    INTRA_OP_CAP.with(|c| c.set(max_threads));
+}
+
+/// Threads a kernel submitted from the current thread may use:
+/// [`num_threads`] clipped to this thread's [`set_intra_op_cap`].
+fn intra_op_threads() -> usize {
+    num_threads().min(INTRA_OP_CAP.with(Cell::get))
+}
+
 /// True if a kernel performing `flops` scalar operations over `blocks`
 /// partitionable blocks should use the pool.
 pub(crate) fn should_parallelize(flops: usize, blocks: usize) -> bool {
-    blocks >= 2 && num_threads() >= 2 && flops >= PARALLEL_THRESHOLD.load(Ordering::Relaxed)
+    blocks >= 2 && intra_op_threads() >= 2 && flops >= PARALLEL_THRESHOLD.load(Ordering::Relaxed)
 }
 
 /// A fan-out job: workers claim block indices from `next` until
@@ -147,7 +184,7 @@ fn pool() -> &'static Mutex<Pool> {
 /// has completed. Falls back to a plain serial loop when the pool would
 /// not help.
 pub(crate) fn parallel_blocks(blocks: usize, body: &(dyn Fn(usize) + Sync)) {
-    let threads = num_threads().min(blocks);
+    let threads = intra_op_threads().min(blocks);
     if threads < 2 {
         for i in 0..blocks {
             body(i);
@@ -276,6 +313,28 @@ mod tests {
         });
         assert_eq!(hits.load(Ordering::Relaxed), 8);
         set_num_threads(4);
+    }
+
+    #[test]
+    fn intra_op_cap_is_per_thread_and_serializes_at_one() {
+        set_num_threads(4);
+        let runs_on_submitter = || {
+            let me = std::thread::current().id();
+            parallel_blocks(16, &|_| assert_eq!(std::thread::current().id(), me));
+        };
+        // A capped sibling thread leaves this thread uncapped.
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                set_intra_op_cap(1);
+                assert_eq!(intra_op_threads(), 1);
+                runs_on_submitter();
+            });
+        });
+        assert_eq!(INTRA_OP_CAP.with(Cell::get), usize::MAX);
+        set_intra_op_cap(1);
+        assert!(!should_parallelize(usize::MAX, 64));
+        runs_on_submitter();
+        set_intra_op_cap(usize::MAX);
     }
 
     #[test]

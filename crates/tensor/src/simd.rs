@@ -73,11 +73,65 @@ pub fn reset_simd() {
     STATE.store(UNKNOWN, Ordering::Relaxed);
 }
 
+/// Output columns per packed panel: the `f32` lanes of one AVX2 register.
+pub(crate) const PANEL: usize = 8;
+
+/// The right-hand side of an NT product — `b` as `[n, k]` row-major, one
+/// `k`-long row per output column — re-laid out panel-major for the AVX2
+/// kernel: `[n.div_ceil(PANEL)][k][PANEL]`, so step `kk` of panel `p` is
+/// one contiguous 8-lane load holding `b[p * 8 + lane][kk]`. The last
+/// panel of a ragged `n` is zero-padded; its pad lanes are computed and
+/// discarded. Packing is pure data movement, so it cannot change a bit
+/// of any product.
+#[derive(Default)]
+pub(crate) struct PackedPanels {
+    /// Invariant: `data.len() == n.div_ceil(PANEL) * k * PANEL`.
+    data: Vec<f32>,
+    n: usize,
+    k: usize,
+}
+
+// Only the AVX2 path consumes a packing.
+#[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
+impl PackedPanels {
+    /// Elements a packing of an `[n, k]` matrix occupies.
+    fn packed_len(n: usize, k: usize) -> usize {
+        n.div_ceil(PANEL) * k * PANEL
+    }
+
+    /// Re-packs from `bd` (`[n, k]` row-major), reusing the allocation.
+    pub(crate) fn repack(&mut self, bd: &[f32], n: usize, k: usize) {
+        assert_eq!(bd.len(), n * k, "packed rhs size mismatch");
+        self.data.clear();
+        self.data.resize(Self::packed_len(n, k), 0.0);
+        (self.n, self.k) = (n, k);
+        if k == 0 {
+            return;
+        }
+        for (j, col) in bd.chunks_exact(k).enumerate() {
+            let base = (j / PANEL) * k * PANEL + j % PANEL;
+            for (kk, &v) in col.iter().enumerate() {
+                self.data[base + kk * PANEL] = v;
+            }
+        }
+    }
+
+    /// Output columns (`n`) of the packed matrix.
+    pub(crate) fn cols(&self) -> usize {
+        self.n
+    }
+
+    /// Reduction length (`k`) of the packed matrix.
+    pub(crate) fn depth(&self) -> usize {
+        self.k
+    }
+}
+
 /// AVX2 kernel bodies. Callers must check [`simd_enabled`] first; every
 /// function is `unsafe` because it requires AVX2 at runtime.
 #[cfg(target_arch = "x86_64")]
 pub(crate) mod avx2 {
-    use crate::scratch;
+    use super::{PackedPanels, PANEL};
     use std::arch::x86_64::*;
 
     /// Computes `R` output rows × 8 output columns: each lane of each
@@ -87,11 +141,13 @@ pub(crate) mod avx2 {
     /// `a` points at the first of `R` consecutive `k`-long rows
     /// (row stride `k`); `b` points at an 8-wide column panel with row
     /// stride `b_stride`; `out` at the first of `R` output rows (row
-    /// stride `out_stride`).
+    /// stride `out_stride`), of which the first `cols ≤ 8` columns are
+    /// written.
     ///
     /// # Safety
     ///
-    /// Requires AVX2 and in-bounds pointers for the strides above.
+    /// Requires AVX2 and in-bounds pointers for the strides above (all
+    /// 8 lanes of `b` are read whatever `cols` is).
     #[target_feature(enable = "avx2")]
     unsafe fn rows8<const R: usize>(
         a: *const f32,
@@ -100,6 +156,7 @@ pub(crate) mod avx2 {
         b_stride: usize,
         out: *mut f32,
         out_stride: usize,
+        cols: usize,
     ) {
         let mut acc = [_mm256_setzero_ps(); R];
         for kk in 0..k {
@@ -110,7 +167,13 @@ pub(crate) mod avx2 {
             }
         }
         for (r, accr) in acc.iter().enumerate() {
-            _mm256_storeu_ps(out.add(r * out_stride), *accr);
+            if cols == 8 {
+                _mm256_storeu_ps(out.add(r * out_stride), *accr);
+            } else {
+                let mut lanes = [0.0f32; 8];
+                _mm256_storeu_ps(lanes.as_mut_ptr(), *accr);
+                std::ptr::copy_nonoverlapping(lanes.as_ptr(), out.add(r * out_stride), cols);
+            }
         }
     }
 
@@ -141,10 +204,10 @@ pub(crate) mod avx2 {
                 let b = bd.as_ptr().add(j);
                 let out = chunk.as_mut_ptr().add(i * n + j);
                 match ih {
-                    4 => rows8::<4>(a, k, b, n, out, n),
-                    3 => rows8::<3>(a, k, b, n, out, n),
-                    2 => rows8::<2>(a, k, b, n, out, n),
-                    _ => rows8::<1>(a, k, b, n, out, n),
+                    4 => rows8::<4>(a, k, b, n, out, n, 8),
+                    3 => rows8::<3>(a, k, b, n, out, n, 8),
+                    2 => rows8::<2>(a, k, b, n, out, n, 8),
+                    _ => rows8::<1>(a, k, b, n, out, n, 8),
                 }
                 j += 8;
             }
@@ -165,67 +228,49 @@ pub(crate) mod avx2 {
         }
     }
 
-    /// 8-lane NT kernel: `chunk = a[r0..r0+rows] × bᵀ` with `a` `[m, k]`
-    /// and `b` `[n, k]`, both row-major. An 8-column panel of `bᵀ` is
-    /// packed into contiguous `[k × 8]` scratch (pure data movement),
-    /// turning the dot-product layout into the NN kernel shape; the
-    /// packing cost amortizes over the chunk's rows. Bit-identical to
-    /// `ops::matmul_nt_chunk`.
+    /// 8-lane NT kernel over a packed right-hand side:
+    /// `chunk = a[r0..r0+rows] × bᵀ` with `a` `[m, k]` row-major and `b`
+    /// in [`PackedPanels`] form, which gives the dot-product layout the
+    /// NN kernel's shape. Bit-identical to `ops::matmul_nt_chunk_scalar`
+    /// on the unpacked `b`.
     ///
     /// # Safety
     ///
-    /// Requires AVX2; slices must hold a full `[rows, k] × [n, k]`
-    /// problem as in the scalar kernel.
+    /// Requires AVX2.
     #[target_feature(enable = "avx2")]
-    pub unsafe fn matmul_nt_chunk(
+    pub unsafe fn matmul_nt_packed_chunk(
         ad: &[f32],
-        bd: &[f32],
+        b: &PackedPanels,
         chunk: &mut [f32],
         r0: usize,
-        k: usize,
-        n: usize,
     ) {
+        let (k, n) = (b.k, b.n);
         let rows = chunk.len() / n;
-        let mut panel = scratch::take_raw(k * 8);
-        panel.resize(k * 8, 0.0);
-        let mut j = 0;
-        while j + 8 <= n {
-            for c in 0..8 {
-                let src = &bd[(j + c) * k..(j + c + 1) * k];
-                for (kk, &v) in src.iter().enumerate() {
-                    panel[kk * 8 + c] = v;
-                }
-            }
+        assert_eq!(chunk.len(), rows * n, "output chunk is not whole rows");
+        assert!(ad.len() >= (r0 + rows) * k, "lhs shorter than the rows it is asked for");
+        assert_eq!(b.data.len(), PackedPanels::packed_len(n, k), "packed rhs invariant");
+        for (p, j) in (0..n).step_by(PANEL).enumerate() {
+            let cols = (n - j).min(PANEL);
+            // SAFETY (pointer arithmetic below): panel `p` spans
+            // `k * PANEL` elements inside `b.data` (asserted length);
+            // rows `r0 + i ..+ ih` of `a` and `i ..+ ih` of `chunk`
+            // are in bounds by the two asserts above, and only `cols`
+            // columns from `j` are stored, `j + cols <= n`.
+            let panel = b.data.as_ptr().add(p * k * PANEL);
             let mut i = 0;
             while i < rows {
                 let ih = (rows - i).min(4);
                 let a = ad.as_ptr().add((r0 + i) * k);
-                let b = panel.as_ptr();
                 let out = chunk.as_mut_ptr().add(i * n + j);
                 match ih {
-                    4 => rows8::<4>(a, k, b, 8, out, n),
-                    3 => rows8::<3>(a, k, b, 8, out, n),
-                    2 => rows8::<2>(a, k, b, 8, out, n),
-                    _ => rows8::<1>(a, k, b, 8, out, n),
+                    4 => rows8::<4>(a, k, panel, PANEL, out, n, cols),
+                    3 => rows8::<3>(a, k, panel, PANEL, out, n, cols),
+                    2 => rows8::<2>(a, k, panel, PANEL, out, n, cols),
+                    _ => rows8::<1>(a, k, panel, PANEL, out, n, cols),
                 }
                 i += ih;
             }
-            j += 8;
         }
-        // Ragged column tail: contiguous scalar dot products.
-        while j < n {
-            let b_row = &bd[j * k..(j + 1) * k];
-            for r in 0..rows {
-                let a_row = &ad[(r0 + r) * k..(r0 + r + 1) * k];
-                let mut acc = 0.0f32;
-                for (av, bv) in a_row.iter().zip(b_row.iter()) {
-                    acc += av * bv;
-                }
-                chunk[r * n + j] = acc;
-            }
-            j += 1;
-        }
-        scratch::recycle(panel);
     }
 
     /// Int8 dot product with an i32 accumulator: 16 lanes per step via

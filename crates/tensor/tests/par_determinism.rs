@@ -6,7 +6,7 @@
 //! threshold), so each one serializes on a shared mutex and restores the
 //! defaults through an RAII guard.
 
-use odin_tensor::layers::Conv2d;
+use odin_tensor::layers::{Conv2d, Dense};
 use odin_tensor::ops::{im2col, matmul, matmul_nt, matmul_tn, softmax_rows, ConvGeom};
 use odin_tensor::par;
 use odin_tensor::{Layer, Tensor};
@@ -33,6 +33,7 @@ impl Drop for KnobGuard<'_> {
     fn drop(&mut self) {
         par::set_num_threads(1);
         par::reset_parallel_threshold();
+        par::set_intra_op_cap(usize::MAX);
     }
 }
 
@@ -130,6 +131,46 @@ proptest! {
         let serial = run(4, usize::MAX);
         assert_eq!(base.0.data(), serial.0.data(), "serial conv forward differs");
         assert_eq!(base.1.data(), serial.1.data(), "serial conv backward differs");
+    }
+
+    /// A serving worker's intra-op cap is one more way of choosing how
+    /// many threads run the same blocks: capped to 1, uncapped on a
+    /// 4-thread pool, and a 1-thread process (`ODIN_THREADS=1`) must
+    /// agree bit for bit, forward and backward, conv and dense.
+    #[test]
+    fn intra_op_cap_is_bit_invariant(
+        batch in 1usize..4,
+        in_c in 1usize..3,
+        out_c in 1usize..5,
+        hw in 4usize..10,
+        seed in 0u64..1000,
+    ) {
+        let _g = KnobGuard::acquire();
+        let mut rng = StdRng::seed_from_u64(seed);
+        let x = rand_tensor(&mut rng, &[batch, in_c, hw, hw]);
+        let run = |threads: usize, cap: usize| {
+            par::set_num_threads(threads);
+            par::set_intra_op_cap(cap);
+            par::set_parallel_threshold(0);
+            let mut wrng = StdRng::seed_from_u64(seed ^ 0xCA9);
+            let mut conv = Conv2d::k3(in_c, out_c, 1, &mut wrng);
+            let mut dense = Dense::new(out_c * hw * hw, 5, &mut wrng);
+            let y = conv.forward(&x, true);
+            let flat = y.reshape(&[batch, out_c * hw * hw]);
+            let z = dense.forward(&flat, true);
+            let g_flat = dense.backward(&z);
+            let gx = conv.backward(&g_flat.reshape(y.shape()));
+            let mut out = vec![y, z, gx];
+            out.extend(conv.params_grads().into_iter().map(|(_, g)| g.clone()));
+            out.extend(dense.params_grads().into_iter().map(|(_, g)| g.clone()));
+            out
+        };
+        let uncapped = run(4, usize::MAX);
+        for (what, got) in [("cap 1", run(4, 1)), ("cap 2", run(4, 2)), ("1 thread", run(1, usize::MAX))] {
+            for (want, got) in uncapped.iter().zip(got.iter()) {
+                assert_eq!(want.data(), got.data(), "{what} differs from uncapped");
+            }
+        }
     }
 
     #[test]

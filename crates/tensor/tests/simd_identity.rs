@@ -10,7 +10,7 @@
 //! guard. On CPUs without AVX2 both "paths" are scalar and the identity
 //! assertions hold trivially.
 
-use odin_tensor::layers::Conv2d;
+use odin_tensor::layers::{Conv2d, Dense};
 use odin_tensor::ops::{matmul, matmul_nt, matmul_tn};
 use odin_tensor::qtensor::{dot_i8, quantize_activations, QConv2d};
 use odin_tensor::simd;
@@ -79,6 +79,31 @@ proptest! {
         assert_simd_invariant(|| matmul(&a, &b));
         assert_simd_invariant(|| matmul_nt(&a, &b_t));
         assert_simd_invariant(|| matmul_tn(&a_t, &b));
+    }
+
+    /// The packed-panel NT kernel against the scalar reference, bit for
+    /// bit, at the row counts a served frame produces (one latent row,
+    /// one tile, a 6×6 and a 12×12 feature map, and a ragged 37), over
+    /// column counts on both sides of the 8-lane panel edge (the
+    /// zero-padded last panel) and odd reduction lengths — both through
+    /// the free function (pack, then call) and through a layer that
+    /// packs once and reuses the panels.
+    #[test]
+    fn packed_panel_kernel_matches_scalar_reference(
+        m in (0usize..5).prop_map(|i| [1usize, 4, 36, 37, 144][i]),
+        n in (0usize..5).prop_map(|i| [1usize, 12, 13, 24, 25][i]),
+        k in (0usize..24).prop_map(|i| 2 * i + 1),
+        seed in 0u64..1000,
+    ) {
+        let _g = SimdGuard::acquire();
+        let mut rng = StdRng::seed_from_u64(seed);
+        let a = rand_tensor(&mut rng, &[m, k]);
+        let b_t = rand_tensor(&mut rng, &[n, k]);
+        assert_simd_invariant(|| matmul_nt(&a, &b_t));
+        let dense = Dense::new(k, n, &mut rng);
+        assert_simd_invariant(|| dense.infer(&a));
+        // Second SIMD call: the panels packed by the first are reused.
+        assert_simd_invariant(|| dense.infer(&a));
     }
 
     /// The fused conv+activation sweep equals the unfused convolution

@@ -308,6 +308,15 @@ cp /tmp/odin-ci-bench/tensor_gflops.json results/BENCH_tensor_gflops.json
 cargo run --release -p odin-bench --bin bench_gate -- \
     --baseline results/tensor_gflops.json --candidate results/BENCH_tensor_gflops.json \
     --column 2 --max-drop-pct 40 \
-    --rows matmul,matmul_nt,matmul_tn,matmul_scalar,matmul_nt_scalar,matmul_tn_scalar,conv2d_fwd,conv2d_fwd_bwd,conv2d_int8,dot_i8
+    --rows matmul,matmul_nt,matmul_tn,matmul_scalar,matmul_nt_scalar,matmul_tn_scalar,conv2d_fwd,conv2d_fwd_bwd,conv2d_b1_teacher12,conv2d_b1_teacher6,conv2d_b1_encoder48,dense_b1,conv2d_int8,dot_i8
+
+# Wire-level benchmark: its own workspace (the root build and tests do
+# not see it), so it needs its own step. Unit tests plus its 2-second
+# smoke of all four workloads, then one short run through the real
+# command whose result line must report correct outputs.
+echo "==> benchmark/ tests + 2 s compute_dagan_teacher run"
+(cd benchmark && cargo test --release --offline)
+benchmark/run.sh --workload compute_dagan_teacher --seed 1 --seconds 2 --trace 0 \
+    | tail -n 1 | jq -e '.correct == true' >/dev/null
 
 echo "CI OK"
