@@ -11,9 +11,12 @@
 //! * [`specializer`] — YoloSpecialized (oracle-trained) and YoloLite
 //!   (teacher-distilled) model generation (§5.1–§5.2),
 //! * [`selector`] — the KNN-U / KNN-W / Δ-BM selection policies (§5.3),
-//! * [`training`] — SPECIALIZER scheduling: inline (deterministic
-//!   default) or on background worker threads so the serving path never
-//!   blocks on a training run,
+//! * [`recovery`] — the per-cluster recovery episode (collecting →
+//!   training → installed or evicted): the half of [`pipeline::Odin`]
+//!   between a drift and the model that answers it,
+//! * [`training`] — SPECIALIZER scheduling: one trainer, run inline
+//!   (deterministic default) or on background worker threads so the
+//!   serving path never blocks on a training run,
 //! * [`query`] / [`filter`] — aggregation queries and the lightweight
 //!   per-cluster filters of §6.6 (ODIN-PP / ODIN-FILTER),
 //! * [`metrics`] — windowed stream evaluation (Figure 9) and
@@ -29,7 +32,7 @@
 //!   the drift-event WAL ([`pipeline::Odin::enable_store`]),
 //! * [`server`] — multi-stream sharded serving: per-stream [`Odin`]
 //!   shards (isolated drift state) behind one ingest front end with a
-//!   shared model registry, shared training pool, admission control,
+//!   shared model registry, shared trainer, admission control,
 //!   and per-stream-labeled exposition ([`server::OdinServer`]).
 //!
 //! ## Quick example
@@ -67,6 +70,7 @@ pub mod filter;
 pub mod metrics;
 pub mod pipeline;
 pub mod query;
+pub mod recovery;
 pub mod registry;
 pub mod selector;
 pub mod server;
@@ -94,4 +98,4 @@ pub use store::{
     STREAMS_DIR, WAL_FILE,
 };
 pub use telemetry::Telemetry;
-pub use training::{TrainHandle, TrainJob, TrainRouter, TrainedModel, TrainingMode, TrainingPool};
+pub use training::{TrainJob, TrainedModel, Trainer, TrainingMode};

@@ -9,36 +9,39 @@
 //! teacher model serves inference (the static-baseline behaviour).
 //!
 //! Stages ❶+❷ share one ingest path ([`Odin::process`] and
-//! [`Odin::bootstrap_clusters`] both run it), and SPECIALIZER can train
-//! either inline or on background workers — see [`crate::training`].
+//! [`Odin::bootstrap_clusters`] both run it). This file is the serving
+//! and persistence half of [`Odin`]; what happens between a drift and
+//! the model that answers it — the per-cluster recovery episode,
+//! training, install, WAL replay — is [`crate::recovery`], and
+//! SPECIALIZER's inline/background scheduling is [`crate::training`].
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::path::Path;
 use std::sync::Arc;
 
 use odin_data::{Frame, GtBox};
 use odin_detect::{nms, Detection, Detector, DEFAULT_NMS_IOU};
-use odin_drift::{Assignment, ClusterManager, ClusterSignature, DriftEvent, ManagerConfig};
+use odin_drift::{Assignment, ClusterManager, DriftEvent, ManagerConfig};
 use odin_log::{EventLogConfig, LogMetrics, LogRecord, LogWriter, RecordKind, ServedLabel};
 use odin_store::checkpoint::write_atomic;
 use odin_store::{read_wal, Checkpoint, CheckpointBuilder, Decoder, Encoder, Persist, StoreError};
-use odin_telemetry::{Level, SpanCtx, SpanGuard, TimelineStage, NO_PARENT};
+use odin_telemetry::{Level, SpanCtx, SpanGuard, TimelineStage};
 
 use crate::attic::{AtticConfig, ModelAttic};
 use crate::encoder::LatentEncoder;
 use crate::metrics::PipelineStats;
+use crate::recovery::{persist_episodes, restore_episodes, Episode};
 use crate::registry::{ClusterModel, ModelKind, ModelRegistry, ServePrecision, SharedRegistry};
 use crate::selector::{select, Selection, SelectionPolicy};
 use crate::specializer::{Specializer, SpecializerConfig};
 use crate::store::{
-    decode_wal_event, encode_archive, encode_attic_take, encode_drift, encode_evict,
-    encode_install, persist_detector, persist_encoder, persist_frames, persist_registry_models,
-    persist_retained_jobs, persist_telemetry, restore_detector, restore_encoder, restore_frames,
-    restore_registry_models, restore_retained_jobs, restore_telemetry, section, CheckpointPolicy,
-    PipelineStore, RetainedJob, WalEvent, EVENT_LOG_FILE, FLIGHT_FILE, SNAPSHOT_FILE, WAL_FILE,
+    decode_wal_event, persist_detector, persist_encoder, persist_frames, persist_registry_models,
+    persist_telemetry, restore_detector, restore_encoder, restore_frames, restore_registry_models,
+    restore_telemetry, section, CheckpointPolicy, PipelineStore, EVENT_LOG_FILE, FLIGHT_FILE,
+    SNAPSHOT_FILE, WAL_FILE,
 };
 use crate::telemetry::Telemetry;
-use crate::training::{TrainHandle, TrainJob, TrainRouter, TrainedModel, TrainingMode};
+use crate::training::{Trainer, TrainingMode};
 
 /// Frames encoded per [`LatentEncoder::project_batch`] call by the
 /// stream/bootstrap paths. Bounds im2col scratch while amortizing
@@ -181,39 +184,34 @@ pub struct IngestOutcome {
 }
 
 /// The ODIN system.
+///
+/// Fields marked `pub(crate)` are the ones [`crate::recovery`]'s half
+/// of the implementation works on.
 pub struct Odin {
     encoder: Box<dyn LatentEncoder>,
-    manager: ClusterManager,
-    registry: SharedRegistry,
-    specializer: Specializer,
+    pub(crate) manager: ClusterManager,
+    pub(crate) registry: SharedRegistry,
     teacher: Arc<Detector>,
-    temp_frames: Vec<Frame>,
-    /// Frames accumulated per promoted-but-not-yet-modeled cluster.
-    pending: BTreeMap<usize, Vec<Frame>>,
-    /// Clusters whose training job is queued or running in the
-    /// background pool.
-    training_pending: BTreeSet<usize>,
-    /// Inputs of queued/running background jobs, retained until install
-    /// so a checkpoint can carry them across a restart (the job seed
-    /// makes the re-trained model bit-identical).
-    inflight: BTreeMap<usize, RetainedJob>,
-    /// Open recovery arcs: per promoted cluster, the trace context of
-    /// its `drift_detected` marker. Training spans parent onto it, so
-    /// one trace links detection → training → install; persisted in
-    /// checkpoints so restored pipelines keep the linkage.
-    recovery: BTreeMap<usize, SpanCtx>,
-    pool: Option<TrainHandle>,
+    pub(crate) temp_frames: Vec<Frame>,
+    /// One open recovery episode per promoted cluster that has no model
+    /// yet — collecting frames, or training ([`crate::recovery`]).
+    /// Persisted in checkpoints, retained training jobs included, so a
+    /// restart resumes every episode where it stood.
+    pub(crate) episodes: BTreeMap<usize, Episode>,
+    /// SPECIALIZER's executor: private to a standalone pipeline, the
+    /// server's shared one for a shard ([`Odin::attach_shared`]).
+    pub(crate) trainer: Arc<Trainer>,
     /// Archived models of cap-evicted clusters ([`crate::attic`]),
     /// probed on drift for a recurring-regime reinstall.
-    attic: ModelAttic,
+    pub(crate) attic: ModelAttic,
     /// Live persistence runtime ([`Odin::enable_store`]): WAL appender,
     /// background snapshot writer, and the snapshot policy.
-    store: Option<PipelineStore>,
-    stats: PipelineStats,
-    telemetry: Telemetry,
-    cfg: OdinConfig,
-    seed: u64,
-    model_seq: u64,
+    pub(crate) store: Option<PipelineStore>,
+    pub(crate) stats: PipelineStats,
+    pub(crate) telemetry: Telemetry,
+    pub(crate) cfg: OdinConfig,
+    pub(crate) seed: u64,
+    pub(crate) model_seq: u64,
     /// Base of this pipeline's cluster-id namespace inside the (possibly
     /// shared) registry: global id = `ns_base + local id`. `0` for a
     /// standalone pipeline; `stream * NS_STRIDE` for a server shard
@@ -254,32 +252,20 @@ impl Odin {
         cfg: OdinConfig,
         seed: u64,
     ) -> Self {
-        let specializer = Specializer::new(cfg.specializer);
-        let telemetry = Telemetry::new();
-        let pool = match cfg.training {
-            TrainingMode::Inline => None,
-            TrainingMode::Background { workers } => {
-                let router =
-                    TrainRouter::new(workers, specializer, Arc::clone(&teacher), telemetry.clone());
-                Some(TrainHandle::new(router, 0))
-            }
-        };
+        let trainer =
+            Trainer::new(cfg.training, Specializer::new(cfg.specializer), Arc::clone(&teacher));
         Odin {
             encoder,
             manager: ClusterManager::new(cfg.manager),
             registry: ModelRegistry::new().into_shared(),
-            specializer,
             teacher,
             temp_frames: Vec::new(),
-            pending: BTreeMap::new(),
-            training_pending: BTreeSet::new(),
-            inflight: BTreeMap::new(),
-            recovery: BTreeMap::new(),
-            pool,
+            episodes: BTreeMap::new(),
+            trainer,
             attic: ModelAttic::new(cfg.attic),
             store: None,
             stats: PipelineStats::default(),
-            telemetry,
+            telemetry: Telemetry::new(),
             cfg,
             seed,
             model_seq: 0,
@@ -291,8 +277,14 @@ impl Odin {
     }
 
     /// Global registry id of one of this pipeline's local cluster ids.
-    fn gid(&self, local: usize) -> usize {
+    pub(crate) fn gid(&self, local: usize) -> usize {
         self.ns_base + local
+    }
+
+    /// This pipeline's stream index (`0` standalone): who it is to a
+    /// shared [`Trainer`] and in the event log.
+    pub(crate) fn stream(&self) -> usize {
+        self.ns_base / NS_STRIDE
     }
 
     /// This pipeline's half-open global-id range inside the registry.
@@ -361,10 +353,8 @@ impl Odin {
     /// still pending.
     pub fn stats(&self) -> PipelineStats {
         let mut s = self.stats.clone();
-        if let Some(pool) = &self.pool {
-            s.queue_depth = pool.queue_depth();
-            s.in_flight = pool.in_flight();
-        }
+        s.queue_depth = self.trainer.queue_depth();
+        s.in_flight = self.trainer.in_flight();
         s.store_errors = self.telemetry.store_errors.get();
         s.last_store_error = self.telemetry.last_store_error();
         s
@@ -391,12 +381,12 @@ impl Odin {
     /// contents are a pure function of the stream — the background
     /// writer only decides *when* bytes reach the disk. A full queue
     /// drops the record and counts it; it never blocks serving.
-    fn log_event(&mut self, mut rec: LogRecord) {
+    pub(crate) fn log_event(&mut self, mut rec: LogRecord) {
         let Some(log) = &self.event_log else { return };
         self.log_seq += 1;
         rec.seq = self.log_seq;
         rec.ts_us = (self.telemetry.registry().now_ms() * 1000.0).round() as u64;
-        rec.stream = (self.ns_base / NS_STRIDE) as u32;
+        rec.stream = self.stream() as u32;
         log.append(rec);
     }
 
@@ -425,136 +415,10 @@ impl Odin {
                     self.temp_frames.push(frame.clone());
                 }
             }
-            Assignment::Cluster(id) => {
-                // A cluster still waiting for its model keeps collecting
-                // training data.
-                if let Some(buf) = self.pending.get_mut(&id) {
-                    if buf.len() < self.cfg.buffer_cap {
-                        buf.push(frame.clone());
-                    }
-                    self.try_train(id);
-                }
-            }
+            Assignment::Cluster(id) => self.collect(id, frame),
         }
         if let Some(event) = obs.promoted {
-            self.telemetry.drift_events.inc();
-            self.telemetry.record_timeline(
-                TimelineStage::DriftDetected,
-                event.cluster_id,
-                event.at,
-            );
-            // Each drift episode opens its own trace: later spans —
-            // train_job_queued, the (possibly worker-side) train span,
-            // and the install marker — all parent back onto this
-            // drift_detected marker, even across threads or a
-            // checkpoint restore.
-            let trace = self.telemetry.new_trace();
-            let marker = self.telemetry.instant(
-                "drift_detected",
-                SpanCtx { trace, parent: NO_PARENT },
-                event.cluster_id as i64,
-                event.at as i64,
-            );
-            let rctx = SpanCtx { trace, parent: marker };
-            self.recovery.insert(event.cluster_id, rctx);
-            // Log the promotion (with the full new-cluster state) before
-            // any consequence of it, mirroring the live apply order.
-            if self.store.is_some() {
-                let payload =
-                    self.manager.cluster(event.cluster_id).map(|c| encode_drift(event, c));
-                if let Some(p) = payload {
-                    self.wal_append(&p, rctx);
-                }
-            }
-            // The drift record opens the episode in the event log under
-            // the recovery trace, before any of its consequences
-            // (train_queued, install, eviction) are logged.
-            self.log_event(LogRecord {
-                kind: RecordKind::DriftDetected,
-                frame: event.at as u64,
-                cluster: event.cluster_id as i64,
-                trace: rctx.trace,
-                ..LogRecord::empty()
-            });
-            let seed_frames = std::mem::take(&mut self.temp_frames);
-            self.pending.insert(event.cluster_id, seed_frames);
-            // Handle the cap eviction this promotion forced *before*
-            // scheduling recovery for the new cluster: the evicted
-            // model lands in the attic first, so a regime displaced by
-            // its own return is still reinstallable (and the WAL's
-            // Archive → Install order matches the live probe order).
-            if let Some(evicted) = obs.evicted {
-                self.telemetry.evictions.inc();
-                self.telemetry.record_timeline(
-                    TimelineStage::ClusterEvicted,
-                    evicted,
-                    self.manager.seen(),
-                );
-                let model = self.registry.write().remove(self.gid(evicted));
-                let dropped = self.manager.take_evicted();
-                if self.cfg.attic.enabled {
-                    if let (Some(model), Some(cluster)) = (model, dropped.as_ref()) {
-                        // Archive before the eviction becomes durable:
-                        // a crash between the two WAL appends replays
-                        // into "archived, not yet evicted" — the model
-                        // is never lost.
-                        let signature = ClusterSignature::from_cluster(cluster);
-                        let quantized = model.precision() == ServePrecision::Int8;
-                        if self.store.is_some() {
-                            let p = encode_archive(
-                                evicted,
-                                &signature,
-                                model.kind,
-                                &model.detector,
-                                quantized,
-                            );
-                            self.wal_append(&p, ctx);
-                        }
-                        let lru = self.attic.archive(
-                            evicted,
-                            signature,
-                            model.kind,
-                            model.detector,
-                            quantized,
-                        );
-                        self.telemetry.attic_archived.inc();
-                        self.telemetry.attic_evicted.add(lru as u64);
-                    }
-                }
-                if self.store.is_some() {
-                    let p = encode_evict(evicted);
-                    self.wal_append(&p, ctx);
-                }
-                // A queued-but-not-started background job for the
-                // evicted cluster would only burn a worker on a model
-                // nobody can serve; tombstone it so the pool discards
-                // it at dequeue (counted in
-                // `odin_train_cancelled_total`). A job already running
-                // finishes and is dropped by the orphan path instead.
-                if self.training_pending.contains(&evicted) {
-                    if let Some(pool) = &self.pool {
-                        pool.cancel(evicted);
-                    }
-                }
-                self.pending.remove(&evicted);
-                self.training_pending.remove(&evicted);
-                self.inflight.remove(&evicted);
-                self.recovery.remove(&evicted);
-                self.log_event(LogRecord {
-                    kind: RecordKind::ClusterEvicted,
-                    frame: self.manager.seen() as u64,
-                    cluster: evicted as i64,
-                    trace: ctx.trace,
-                    ..LogRecord::empty()
-                });
-            }
-            if !self.try_reinstall_from_attic(event.cluster_id, rctx) {
-                self.try_train(event.cluster_id);
-            }
-            // Preserve the spans and events leading up to the drift:
-            // when a store is attached, dump the flight recorder next
-            // to the WAL.
-            self.telemetry.flight_autodump();
+            self.on_drift(event, obs.evicted, ctx);
         }
         IngestOutcome {
             latent,
@@ -616,7 +480,7 @@ impl Odin {
         // or trained, its frames are covered by the teacher or by
         // nearby clusters' models — count both gap-serving modes.
         if let Assignment::Cluster(id) = outcome.assignment {
-            if self.training_pending.contains(&id) || self.pending.contains_key(&id) {
+            if self.episodes.contains_key(&id) {
                 match served_by {
                     ServedBy::Teacher => self.stats.teacher_frames_while_pending += 1,
                     _ => self.stats.fallback_frames_while_pending += 1,
@@ -656,285 +520,6 @@ impl Odin {
             used_teacher: served_by == ServedBy::Teacher,
             served_by,
             selection,
-        }
-    }
-
-    /// Schedules (or inline-runs) a cluster's training once it has
-    /// accumulated enough frames (Algorithm 2's `GenerateNewModel`,
-    /// gated on data sufficiency).
-    fn try_train(&mut self, cluster_id: usize) {
-        let ready = self
-            .pending
-            .get(&cluster_id)
-            .is_some_and(|buf| !buf.is_empty() && buf.len() >= self.cfg.min_train_frames);
-        if !ready {
-            return;
-        }
-        let frames = self.pending.remove(&cluster_id).expect("checked above");
-        self.model_seq += 1;
-        let seed = self.seed.wrapping_add(self.model_seq * 7919);
-        let kind = match self.cfg.oracle {
-            OracleLabels::Immediate => ModelKind::Specialized,
-            OracleLabels::Never => ModelKind::Lite,
-        };
-        self.stats.jobs_submitted += 1;
-        self.telemetry.jobs_submitted.inc();
-        self.telemetry.record_timeline(
-            TimelineStage::TrainJobQueued,
-            cluster_id,
-            self.manager.seen(),
-        );
-        // Continue the cluster's drift episode (or open a fresh trace
-        // if no episode marker exists, e.g. after restoring a
-        // pre-tracing checkpoint).
-        let rctx = match self.recovery.get(&cluster_id) {
-            Some(c) => *c,
-            None => SpanCtx { trace: self.telemetry.new_trace(), parent: NO_PARENT },
-        };
-        let queued = self.telemetry.instant(
-            "train_job_queued",
-            rctx,
-            cluster_id as i64,
-            self.manager.seen() as i64,
-        );
-        let job_ctx = SpanCtx { trace: rctx.trace, parent: queued };
-        self.log_event(LogRecord {
-            kind: RecordKind::TrainQueued,
-            frame: self.manager.seen() as u64,
-            cluster: cluster_id as i64,
-            trace: rctx.trace,
-            ..LogRecord::empty()
-        });
-        match &self.pool {
-            None => {
-                let mut span = self.telemetry.span("train", job_ctx);
-                span.set_cluster(cluster_id);
-                let detector = match kind {
-                    ModelKind::Specialized => self.specializer.build_specialized(seed, &frames),
-                    ModelKind::Lite => self.specializer.build_lite(seed, &self.teacher, &frames),
-                };
-                let ctx = span.child_ctx();
-                let wall_ms = span.close();
-                self.install_with_gate(
-                    TrainedModel { stream: 0, cluster_id, detector, kind, wall_ms, ctx },
-                    Some(&frames),
-                );
-            }
-            Some(pool) => {
-                pool.submit(TrainJob {
-                    stream: 0, // the handle stamps its own stream index
-                    cluster_id,
-                    seed,
-                    kind,
-                    frames: frames.clone(),
-                    ctx: job_ctx,
-                });
-                self.training_pending.insert(cluster_id);
-                self.inflight.insert(cluster_id, RetainedJob { seed, kind, frames, ctx: job_ctx });
-            }
-        }
-    }
-
-    /// On drift, probes the attic for an archived model whose signature
-    /// matches the promoted cluster's centroid. On a hit the cached
-    /// model is reinstalled through the normal install gate (re-deriving
-    /// int8 serving under [`ServePrecision::Int8`]) instead of queueing
-    /// a train job — recovery latency collapses from a SPECIALIZER run
-    /// to a registry insert. Returns true when it reinstalled.
-    fn try_reinstall_from_attic(&mut self, cluster_id: usize, rctx: SpanCtx) -> bool {
-        if !self.cfg.attic.enabled || self.attic.is_empty() {
-            return false;
-        }
-        let hit = self.manager.cluster(cluster_id).and_then(|c| self.attic.lookup(c.centroid()));
-        let Some((idx, dist)) = hit else {
-            self.telemetry.attic_misses.inc();
-            return false;
-        };
-        let entry = self.attic.take(idx);
-        self.telemetry.attic_hits.inc();
-        if self.store.is_some() {
-            // The take precedes the Install record in the WAL so replay
-            // consumes the same entry the live probe did.
-            let p = encode_attic_take(entry.cluster_id);
-            self.wal_append(&p, rctx);
-        }
-        // The attic-hit marker stands where train_job_queued + train
-        // would: same trace, so the arc reads
-        // drift_detected → attic_hit → install.
-        let marker = self.telemetry.instant(
-            "attic_hit",
-            rctx,
-            cluster_id as i64,
-            self.manager.seen() as i64,
-        );
-        self.log_event(LogRecord {
-            kind: RecordKind::AtticHit,
-            frame: self.manager.seen() as u64,
-            cluster: cluster_id as i64,
-            trace: rctx.trace,
-            ..LogRecord::empty()
-        });
-        self.telemetry.event(
-            Level::Info,
-            "attic",
-            format!(
-                "cluster {cluster_id}: reinstalling archived model of evicted cluster {} \
-                 (centroid distance {dist:.3})",
-                entry.cluster_id
-            ),
-        );
-        let gate = self.pending.remove(&cluster_id).unwrap_or_default();
-        self.install_with_gate(
-            TrainedModel {
-                stream: 0,
-                cluster_id,
-                detector: entry.detector,
-                kind: entry.kind,
-                wall_ms: 0.0,
-                ctx: SpanCtx { trace: rctx.trace, parent: marker },
-            },
-            if gate.is_empty() { None } else { Some(&gate) },
-        );
-        true
-    }
-
-    /// Installs one background-trained model: the retained job's frames
-    /// (kept for checkpointing) double as the int8 gate set.
-    fn install(&mut self, model: TrainedModel) {
-        let retained = self.inflight.remove(&model.cluster_id);
-        self.install_with_gate(model, retained.as_ref().map(|j| j.frames.as_slice()));
-    }
-
-    /// Installs one trained model, unless its cluster was evicted while
-    /// the model was training. Under [`ServePrecision::Int8`] the model
-    /// is quantized here — once, at install time — and the swap is
-    /// gated on an mAP-delta check over `gate` (the frames it trained
-    /// on); a failed gate falls back to f32 serving.
-    fn install_with_gate(&mut self, model: TrainedModel, gate: Option<&[Frame]>) {
-        self.training_pending.remove(&model.cluster_id);
-        self.inflight.remove(&model.cluster_id);
-        self.recovery.remove(&model.cluster_id);
-        self.stats.train_wall_ms += model.wall_ms;
-        self.telemetry.stage_train.observe_ms(model.wall_ms);
-        if self.manager.cluster(model.cluster_id).is_none() {
-            // Evicted mid-training: there is no cluster left to serve.
-            // Close the recovery arc with a terminal marker on the same
-            // trace instead of vanishing silently, and count the wasted
-            // training run.
-            self.telemetry.train_orphaned.inc();
-            self.telemetry.instant(
-                "train_orphaned",
-                model.ctx,
-                model.cluster_id as i64,
-                self.manager.seen() as i64,
-            );
-            self.log_event(LogRecord {
-                kind: RecordKind::TrainOrphaned,
-                frame: self.manager.seen() as u64,
-                cluster: model.cluster_id as i64,
-                latency_us: (model.wall_ms * 1000.0).round() as u64,
-                trace: model.ctx.trace,
-                ..LogRecord::empty()
-            });
-            return;
-        }
-        let mut cm = ClusterModel::new(model.detector, model.kind);
-        if self.cfg.precision == ServePrecision::Int8 {
-            self.quantize_gated(&mut cm, model.cluster_id, gate);
-        }
-        if self.store.is_some() {
-            let quantized = cm.precision() == ServePrecision::Int8;
-            let p = encode_install(model.cluster_id, model.kind, &cm.detector, quantized);
-            self.wal_append(&p, model.ctx);
-        }
-        let (counter, stage) = match model.kind {
-            ModelKind::Lite => (&self.telemetry.models_lite, TimelineStage::LiteInstalled),
-            ModelKind::Specialized => {
-                (&self.telemetry.models_specialized, TimelineStage::SpecializedInstalled)
-            }
-        };
-        counter.inc();
-        self.telemetry.record_timeline(stage, model.cluster_id, self.manager.seen());
-        // Close the recovery arc: the install marker parents onto the
-        // train span (possibly recorded on a worker thread), completing
-        // drift_detected → train_job_queued → train → install in one
-        // trace.
-        self.telemetry.instant(
-            "install",
-            model.ctx,
-            model.cluster_id as i64,
-            self.manager.seen() as i64,
-        );
-        // Close the episode in the event log too: same trace as the
-        // drift/queued records, train wall time as the latency field.
-        self.log_event(LogRecord {
-            kind: RecordKind::ModelInstalled,
-            frame: self.manager.seen() as u64,
-            cluster: model.cluster_id as i64,
-            latency_us: (model.wall_ms * 1000.0).round() as u64,
-            trace: model.ctx.trace,
-            ..LogRecord::empty()
-        });
-        self.registry.write().insert(self.gid(model.cluster_id), cm);
-        self.stats.models_installed += 1;
-    }
-
-    /// Attempts int8 quantization of a freshly trained model, gated on
-    /// an mAP-delta check over up to [`QUANT_GATE_FRAMES`] of `gate`.
-    /// On a failed gate the model reverts to f32 and the fallback is
-    /// counted in `odin_quant_fallback_total`. With no gate frames the
-    /// quantization is accepted ungated (quantization is deterministic
-    /// and the delta bound holds in expectation; warm-start paths use
-    /// this).
-    fn quantize_gated(&mut self, cm: &mut ClusterModel, cluster_id: usize, gate: Option<&[Frame]>) {
-        if cm.quantize() != ServePrecision::Int8 {
-            return; // architecture not quantizable; keep serving f32
-        }
-        let frames = match gate {
-            Some(f) if !f.is_empty() => f,
-            _ => return,
-        };
-        let eval = &frames[..frames.len().min(QUANT_GATE_FRAMES)];
-        let q_map = cm.quant.as_ref().expect("quantized above").evaluate_map(eval);
-        let f_map = cm.detector.evaluate_map(eval);
-        if q_map + QUANT_MAP_DELTA < f_map {
-            cm.quant = None;
-            self.telemetry.quant_fallback.inc();
-            self.telemetry.event(
-                Level::Warn,
-                "quant",
-                format!(
-                    "cluster {cluster_id}: int8 mAP {q_map:.3} more than \
-                     {QUANT_MAP_DELTA} below f32 mAP {f_map:.3}; serving f32"
-                ),
-            );
-        }
-    }
-
-    /// Lands every background-trained model that has finished, without
-    /// blocking. Called at frame boundaries. On a shared pool this
-    /// drains only this shard's models.
-    fn install_completed(&mut self) {
-        let done = match &self.pool {
-            Some(pool) => pool.drain(),
-            None => return,
-        };
-        for m in done {
-            self.install(m);
-        }
-    }
-
-    /// Blocks until every queued and in-flight background training job
-    /// this pipeline submitted has finished, then installs the results.
-    /// No-op under [`TrainingMode::Inline`]. After this returns, the
-    /// registry state matches what inline training would have produced.
-    pub fn finish_training(&mut self) {
-        let done = match &self.pool {
-            Some(pool) => pool.drain_barrier(),
-            None => return,
-        };
-        for m in done {
-            self.install(m);
         }
     }
 
@@ -990,10 +575,8 @@ impl Odin {
             ServePrecision::F32 => 0,
             ServePrecision::Int8 => 1,
         });
-        if let Some(pool) = &self.pool {
-            self.telemetry.queue_depth.set(pool.queue_depth() as i64);
-            self.telemetry.in_flight.set(pool.in_flight() as i64);
-        }
+        self.telemetry.queue_depth.set(self.trainer.queue_depth() as i64);
+        self.telemetry.in_flight.set(self.trainer.in_flight() as i64);
     }
 
     /// Switches the SELECTOR policy (used by the Table-5 experiment to
@@ -1159,18 +742,7 @@ impl Odin {
 
         let mut enc = Encoder::new();
         persist_frames(&self.temp_frames, &mut enc);
-        enc.put_usize(self.pending.len());
-        for (id, frames) in &self.pending {
-            enc.put_usize(*id);
-            persist_frames(frames, &mut enc);
-        }
-        persist_retained_jobs(&self.inflight, &mut enc);
-        enc.put_usize(self.recovery.len());
-        for (id, rctx) in &self.recovery {
-            enc.put_usize(*id);
-            enc.put_u64(rctx.trace);
-            enc.put_u64(rctx.parent);
-        }
+        persist_episodes(&self.episodes, &mut enc);
         builder.section(section::FRAMES, enc.into_bytes());
 
         builder.section(section::STATS, self.stats.to_store_bytes());
@@ -1353,21 +925,7 @@ impl Odin {
 
         let mut dec = Decoder::new(cp.require(section::FRAMES)?);
         let temp_frames = restore_frames(&mut dec)?;
-        let n_pending = dec.take_usize("pending len")?;
-        let mut pending = BTreeMap::new();
-        for _ in 0..n_pending {
-            let id = dec.take_usize("pending id")?;
-            pending.insert(id, restore_frames(&mut dec)?);
-        }
-        let inflight = restore_retained_jobs(&mut dec)?;
-        let n_recovery = dec.take_usize("recovery len")?;
-        let mut recovery = BTreeMap::new();
-        for _ in 0..n_recovery {
-            let id = dec.take_usize("recovery id")?;
-            let trace = dec.take_u64("recovery trace")?;
-            let parent = dec.take_u64("recovery parent")?;
-            recovery.insert(id, SpanCtx { trace, parent });
-        }
+        let episodes = restore_episodes(&mut dec)?;
         dec.finish("frames")?;
 
         let stats = PipelineStats::from_store_bytes(cp.require(section::STATS)?, "stats")?;
@@ -1385,8 +943,7 @@ impl Odin {
         odin.log_seq = log_seq;
         odin.stats = stats;
         odin.temp_frames = temp_frames;
-        odin.pending = pending;
-        odin.recovery = recovery;
+        odin.episodes = episodes;
         if let Some(attic) = attic {
             odin.attic = attic;
         }
@@ -1411,94 +968,8 @@ impl Odin {
             odin.telemetry.registry().recorder().load(&flight);
             odin.telemetry.registry().tracer().load_state(next_span, next_trace);
         }
-        odin.resubmit_inflight(inflight);
+        odin.resubmit_training();
         Ok((odin, last_wal_seq))
-    }
-
-    /// Re-schedules training jobs that were in flight at checkpoint
-    /// time. Their original seeds are reused, so the resulting weights
-    /// are bit-identical to what the checkpointed process would have
-    /// produced; `jobs_submitted` is *not* re-incremented (the original
-    /// submission already counted).
-    fn resubmit_inflight(&mut self, inflight: BTreeMap<usize, RetainedJob>) {
-        for (cluster_id, job) in inflight {
-            match &self.pool {
-                Some(pool) => {
-                    pool.submit(TrainJob {
-                        stream: 0, // the handle stamps its own stream index
-                        cluster_id,
-                        seed: job.seed,
-                        kind: job.kind,
-                        frames: job.frames.clone(),
-                        ctx: job.ctx,
-                    });
-                    self.training_pending.insert(cluster_id);
-                    self.inflight.insert(cluster_id, job);
-                }
-                None => {
-                    let mut span = self.telemetry.span("train", job.ctx);
-                    span.set_cluster(cluster_id);
-                    let detector = match job.kind {
-                        ModelKind::Specialized => {
-                            self.specializer.build_specialized(job.seed, &job.frames)
-                        }
-                        ModelKind::Lite => {
-                            self.specializer.build_lite(job.seed, &self.teacher, &job.frames)
-                        }
-                    };
-                    let ctx = span.child_ctx();
-                    let wall_ms = span.close();
-                    self.install(TrainedModel {
-                        stream: 0,
-                        cluster_id,
-                        detector,
-                        kind: job.kind,
-                        wall_ms,
-                        ctx,
-                    });
-                }
-            }
-        }
-    }
-
-    /// Applies one replayed WAL record. Replay converges the *learned*
-    /// state (clusters and models) to what the crashed process had;
-    /// seq-ordering in the WAL reproduces the live apply order.
-    fn apply_wal_event(&mut self, event: WalEvent) {
-        match event {
-            WalEvent::Drift { event, cluster } => {
-                self.manager.apply_promotion(cluster, event.at);
-            }
-            WalEvent::Evict { cluster_id } => {
-                self.manager.apply_eviction(cluster_id);
-                self.registry.write().remove(self.gid(cluster_id));
-                self.pending.remove(&cluster_id);
-                self.training_pending.remove(&cluster_id);
-                self.inflight.remove(&cluster_id);
-                self.recovery.remove(&cluster_id);
-            }
-            WalEvent::Install { cluster_id, kind, detector, quantized } => {
-                if self.manager.cluster(cluster_id).is_some() {
-                    let mut cm = ClusterModel::new(detector, kind);
-                    if quantized {
-                        cm.quantize();
-                    }
-                    self.registry.write().insert(self.gid(cluster_id), cm);
-                    self.pending.remove(&cluster_id);
-                    self.training_pending.remove(&cluster_id);
-                    self.inflight.remove(&cluster_id);
-                    self.recovery.remove(&cluster_id);
-                }
-            }
-            WalEvent::Archive { cluster_id, signature, kind, detector, quantized } => {
-                // Replay convention: converge state, never re-count
-                // telemetry (the live counters are in the snapshot).
-                self.attic.archive(cluster_id, signature, kind, detector, quantized);
-            }
-            WalEvent::AtticTake { source_id } => {
-                self.attic.take_by_source(source_id);
-            }
-        }
     }
 
     /// Attaches a persistence runtime: every drift event, eviction, and
@@ -1534,12 +1005,12 @@ impl Odin {
     /// Turns this standalone pipeline into shard `stream` of a
     /// multi-stream server: its models move into `registry` (the
     /// process-wide [`SharedRegistry`]) under the namespace
-    /// `stream * NS_STRIDE`, its training jobs flow through `router`
-    /// (the process-wide pool) when one is given, and its trace/span id
+    /// `stream * NS_STRIDE`, its training jobs flow through `trainer`
+    /// (the process-wide one) as stream `stream`, and its trace/span id
     /// allocators jump to a per-stream base so Perfetto exports group
     /// per stream and stay deterministic per shard.
     ///
-    /// Any models still training on the pipeline's private pool are
+    /// Any models still training on the pipeline's private trainer are
     /// finished and installed first, so the handoff loses nothing. The
     /// trace-id base is applied with `max` semantics: a fresh shard
     /// jumps to its base, while a restored shard whose persisted
@@ -1549,7 +1020,7 @@ impl Odin {
         &mut self,
         stream: usize,
         registry: &SharedRegistry,
-        router: Option<Arc<TrainRouter>>,
+        trainer: &Arc<Trainer>,
     ) {
         self.finish_training();
         let ns_base = stream * NS_STRIDE;
@@ -1565,7 +1036,7 @@ impl Odin {
             self.registry = Arc::clone(registry);
         }
         self.ns_base = ns_base;
-        self.pool = router.map(|r| TrainHandle::new(r, stream));
+        self.trainer = Arc::clone(trainer);
         let tracer = self.telemetry.registry().tracer();
         let (next_span, next_trace) = tracer.state();
         let base = (stream as u64) << 40;
@@ -1595,8 +1066,8 @@ impl Odin {
         Ok(builder.to_bytes())
     }
 
-    /// Shared handle to the teacher (a server builds its training
-    /// router around the same weights every shard serves from).
+    /// Shared handle to the teacher (a server builds its trainer
+    /// around the same weights every shard serves from).
     pub(crate) fn teacher_handle(&self) -> Arc<Detector> {
         Arc::clone(&self.teacher)
     }
@@ -1631,7 +1102,7 @@ impl Odin {
         self.store.as_ref().map(|s| s.writer.failures()).unwrap_or(0)
     }
 
-    fn wal_append(&mut self, payload: &[u8], ctx: SpanCtx) {
+    pub(crate) fn wal_append(&mut self, payload: &[u8], ctx: SpanCtx) {
         let Some(store) = self.store.as_mut() else { return };
         let res = {
             let _g = self.telemetry.stage_span("wal_append", &self.telemetry.stage_wal_append, ctx);

@@ -10,10 +10,11 @@
 //!   so one camera's drift cannot contaminate another's detectors.
 //! * **Process-wide shared state** — one [`SharedRegistry`] holds every
 //!   stream's specialized models under disjoint id namespaces
-//!   ([`NS_STRIDE`]), one [`TrainRouter`] feeds a single training pool
-//!   from every shard (a drift burst on one camera borrows the whole
-//!   training capacity), and the exposition endpoints merge per-shard
-//!   telemetry under `stream="<id>"` labels.
+//!   ([`NS_STRIDE`]), one [`Trainer`] trains for every shard (a drift
+//!   burst on one camera borrows the whole training capacity; each
+//!   job records into the submitting shard's telemetry), and the
+//!   exposition endpoints merge per-shard telemetry under
+//!   `stream="<id>"` labels.
 //!
 //! Frames enter through [`OdinServer::submit`] (or `POST
 //! /ingest/<stream>` once [`OdinServer::serve`] is up), pass admission
@@ -59,7 +60,7 @@ use crate::store::{
     STREAMS_DIR,
 };
 use crate::telemetry::Telemetry;
-use crate::training::{TrainRouter, TrainingMode};
+use crate::training::{Trainer, TrainingMode};
 
 /// Configuration of the serving layer (the per-stream pipelines are
 /// configured by the embedded [`OdinConfig`]).
@@ -79,10 +80,10 @@ pub struct ServerConfig {
     /// its queue. Batching amortizes the encoder's im2col without
     /// changing results.
     pub batch_max: usize,
-    /// Per-stream pipeline configuration. `training` selects the
-    /// *shared* pool: `Background { workers }` builds one
-    /// [`TrainRouter`] with that many workers serving every shard;
-    /// `Inline` trains on the serving workers (deterministic).
+    /// Per-stream pipeline configuration. `training` configures the
+    /// one [`Trainer`] every shard shares: `Background { workers }`
+    /// gives it that many worker threads; `Inline` trains on the
+    /// serving workers (deterministic).
     pub odin: OdinConfig,
 }
 
@@ -214,7 +215,7 @@ struct ServerInner {
     shards: Vec<Arc<ShardState>>,
     worker_txs: Vec<Sender<Msg>>,
     registry: SharedRegistry,
-    router: Option<Arc<TrainRouter>>,
+    trainer: Arc<Trainer>,
     queue_cap: usize,
     stopped: AtomicBool,
     /// Root store directory once [`OdinServer::enable_store`] /
@@ -283,16 +284,21 @@ impl ServerInner {
         chrome_trace(&merged)
     }
 
+    /// `"degraded"` once any shard has counted a store error, like the
+    /// standalone [`Telemetry::render_healthz`].
     fn render_healthz(&self) -> String {
         let depths: Vec<String> =
             self.shards.iter().map(|s| s.depth.load(Ordering::SeqCst).to_string()).collect();
-        let log_depths: Vec<String> = self
-            .shards
-            .iter()
-            .map(|s| s.handles.lock().telemetry.event_log_queue_depth.get().to_string())
-            .collect();
+        let mut store_errors = 0;
+        let mut log_depths = Vec::with_capacity(self.shards.len());
+        for shard in &self.shards {
+            let handles = shard.handles.lock();
+            store_errors += handles.telemetry.store_errors.get();
+            log_depths.push(handles.telemetry.event_log_queue_depth.get().to_string());
+        }
+        let status = if store_errors == 0 { "ok" } else { "degraded" };
         format!(
-            "{{\"status\":\"ok\",\"streams\":{},\"queue_cap\":{},\"queue_depths\":[{}],\"event_log_queue_depths\":[{}]}}",
+            "{{\"status\":\"{status}\",\"streams\":{},\"queue_cap\":{},\"queue_depths\":[{}],\"event_log_queue_depths\":[{}],\"store_errors\":{store_errors}}}",
             self.shards.len(),
             self.queue_cap,
             depths.join(","),
@@ -514,10 +520,10 @@ impl OdinServer {
     {
         let teacher = Arc::new(teacher);
         let registry = ModelRegistry::new().into_shared();
-        let router = Self::build_router(cfg.odin.training, &teacher, cfg.odin);
-        // Shards run Inline internally: background training flows
-        // through the shared router attached below, never a private
-        // per-shard pool.
+        let trainer = Self::build_trainer(&cfg, &teacher);
+        // Shards are built Inline: all training flows through the
+        // shared trainer attached below, never a private per-shard
+        // pool.
         let shard_cfg = OdinConfig { training: TrainingMode::Inline, ..cfg.odin };
         let shards: Vec<Odin> = (0..cfg.streams.max(1))
             .map(|i| {
@@ -529,45 +535,25 @@ impl OdinServer {
                 )
             })
             .collect();
-        Self::assemble(cfg, shards, registry, router)
+        Self::assemble(cfg, shards, registry, trainer)
     }
 
-    fn build_router(
-        mode: TrainingMode,
-        teacher: &Arc<Detector>,
-        cfg: OdinConfig,
-    ) -> Option<Arc<TrainRouter>> {
-        match mode {
-            TrainingMode::Inline => None,
-            TrainingMode::Background { workers } => {
-                // The router's worker spans record into a detached
-                // telemetry (each job's SpanCtx still carries the
-                // submitting shard's trace id, so per-stream traces
-                // stay linked).
-                let telemetry = Telemetry::new();
-                telemetry.clear_sinks();
-                Some(TrainRouter::new(
-                    workers,
-                    Specializer::new(cfg.specializer),
-                    Arc::clone(teacher),
-                    telemetry,
-                ))
-            }
-        }
+    fn build_trainer(cfg: &ServerConfig, teacher: &Arc<Detector>) -> Arc<Trainer> {
+        Trainer::new(cfg.odin.training, Specializer::new(cfg.odin.specializer), Arc::clone(teacher))
     }
 
     fn assemble(
         cfg: ServerConfig,
         pipelines: Vec<Odin>,
         registry: SharedRegistry,
-        router: Option<Arc<TrainRouter>>,
+        trainer: Arc<Trainer>,
     ) -> Self {
         let shards: Vec<Arc<ShardState>> = pipelines
             .into_iter()
             .enumerate()
             .map(|(i, mut odin)| {
                 odin.set_snapshot_self_contained(false);
-                odin.attach_shared(i, &registry, router.clone());
+                odin.attach_shared(i, &registry, &trainer);
                 Arc::new(ShardState {
                     handles: Mutex::new(ShardHandles::for_pipeline(&odin)),
                     odin: Mutex::new(odin),
@@ -594,7 +580,7 @@ impl OdinServer {
             shards,
             worker_txs,
             registry,
-            router,
+            trainer,
             queue_cap: cfg.queue_cap.max(1),
             stopped: AtomicBool::new(false),
             store_dir: Mutex::new(None),
@@ -648,7 +634,7 @@ impl OdinServer {
     }
 
     /// Finishes all shards' outstanding background training (via the
-    /// shared router) and installs the models.
+    /// shared trainer) and installs the models.
     pub fn finish_training(&self) {
         self.drain();
         for shard in &self.inner.shards {
@@ -743,7 +729,7 @@ impl OdinServer {
     /// Rebuilds a server from [`OdinServer::checkpoint_all`] /
     /// [`OdinServer::enable_store`] output: reads `shared.odst` once,
     /// restores every shard from its namespace directory (snapshot +
-    /// WAL replay), and re-attaches the shared registry/router. Each
+    /// WAL replay), and re-attaches the shared registry/trainer. Each
     /// shard comes back bit-identical to the one that wrote it.
     pub fn restore_from_dir(dir: &Path, cfg: ServerConfig) -> Result<Self, StoreError> {
         let shared = Checkpoint::read(&dir.join(SHARED_SNAPSHOT_FILE))?;
@@ -754,8 +740,8 @@ impl OdinServer {
         }
         let registry = ModelRegistry::new().into_shared();
         let teacher = pipelines[0].teacher_handle();
-        let router = Self::build_router(cfg.odin.training, &teacher, cfg.odin);
-        let server = Self::assemble(cfg, pipelines, registry, router);
+        let trainer = Self::build_trainer(&cfg, &teacher);
+        let server = Self::assemble(cfg, pipelines, registry, trainer);
         *server.inner.store_dir.lock() = Some(dir.to_path_buf());
         Ok(server)
     }
@@ -778,7 +764,7 @@ impl OdinServer {
                 reg.remove(id);
             }
         }
-        odin.attach_shared(stream, &self.inner.registry, self.inner.router.clone());
+        odin.attach_shared(stream, &self.inner.registry, &self.inner.trainer);
         let shard = &self.inner.shards[stream];
         let mut slot = shard.odin.lock();
         *shard.handles.lock() = ShardHandles::for_pipeline(&odin);

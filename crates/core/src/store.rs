@@ -5,8 +5,9 @@
 //! complete pipeline state — configuration, encoder weights, teacher,
 //! cluster manager (centroids, Δ-bands, KL histograms), the model
 //! registry (lite/specialized detector weights), frame buffers, and
-//! in-flight training jobs — enough to rebuild a bit-identical `Odin`
-//! with [`crate::pipeline::Odin::restore`].
+//! open recovery episodes with their in-flight training jobs (encoded
+//! next to their type, in [`crate::recovery`]) — enough to rebuild a
+//! bit-identical `Odin` with [`crate::pipeline::Odin::restore`].
 //!
 //! The drift-event WAL complements snapshots: every promotion, eviction,
 //! and model install is appended (with the full promoted-cluster /
@@ -18,7 +19,6 @@
 //! Everything here is little-endian and hand-coded via
 //! [`odin_store::codec`]; the vendored serde has no serializer backend.
 
-use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -37,7 +37,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use odin_telemetry::{
-    FlightRecord, HistogramSnapshot, Level, RecordedEvent, SpanCtx, SpanRecord, TelemetrySnapshot,
+    FlightRecord, HistogramSnapshot, Level, RecordedEvent, SpanRecord, TelemetrySnapshot,
     TimelineEvent, TimelineStage,
 };
 
@@ -95,19 +95,6 @@ pub enum CheckpointPolicy {
     EveryNFrames(usize),
     /// Snapshot at the frame boundary after each drift event.
     OnDrift,
-}
-
-/// A copy of a training job's inputs, retained from submission until its
-/// model installs so a checkpoint can carry queued/running work across a
-/// restart (the job seed makes the rebuilt model bit-identical).
-pub(crate) struct RetainedJob {
-    pub seed: u64,
-    pub kind: ModelKind,
-    pub frames: Vec<Frame>,
-    /// Trace context the job was (or will be re-)submitted under, so a
-    /// restored pipeline's training spans stay linked to the original
-    /// drift episode.
-    pub ctx: SpanCtx,
 }
 
 // ---------------------------------------------------------------------
@@ -786,8 +773,8 @@ pub(crate) fn decode_wal_event(payload: &[u8]) -> Result<WalEvent, StoreError> {
 }
 
 // ---------------------------------------------------------------------
-// Registry / frame-buffer section codecs (operate on parts, the
-// pipeline assembles them under its own locks)
+// Registry section codec (operates on parts, the pipeline assembles
+// them under its own locks)
 // ---------------------------------------------------------------------
 
 pub(crate) fn persist_registry_models(
@@ -816,35 +803,6 @@ pub(crate) fn restore_registry_models(
         let det = restore_detector(dec)?;
         let quantized = dec.take_bool("registry quantized")?;
         out.push((id, kind, det, quantized));
-    }
-    Ok(out)
-}
-
-pub(crate) fn persist_retained_jobs(jobs: &BTreeMap<usize, RetainedJob>, enc: &mut Encoder) {
-    enc.put_usize(jobs.len());
-    for (id, job) in jobs {
-        enc.put_usize(*id);
-        enc.put_u64(job.seed);
-        persist_model_kind(job.kind, enc);
-        persist_frames(&job.frames, enc);
-        enc.put_u64(job.ctx.trace);
-        enc.put_u64(job.ctx.parent);
-    }
-}
-
-pub(crate) fn restore_retained_jobs(
-    dec: &mut Decoder<'_>,
-) -> Result<BTreeMap<usize, RetainedJob>, StoreError> {
-    let n = dec.take_usize("inflight len")?;
-    let mut out = BTreeMap::new();
-    for _ in 0..n {
-        let id = dec.take_usize("inflight id")?;
-        let seed = dec.take_u64("inflight seed")?;
-        let kind = restore_model_kind(dec)?;
-        let frames = restore_frames(dec)?;
-        let trace = dec.take_u64("inflight ctx trace")?;
-        let parent = dec.take_u64("inflight ctx parent")?;
-        out.insert(id, RetainedJob { seed, kind, frames, ctx: SpanCtx { trace, parent } });
     }
     Ok(out)
 }

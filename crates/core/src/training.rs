@@ -1,26 +1,37 @@
-//! SPECIALIZER scheduling — inline or on background workers.
+//! SPECIALIZER scheduling — one [`Trainer`], with or without worker
+//! threads.
 //!
 //! The paper's SPECIALIZER "generates a new model" whenever DETECTOR
 //! promotes a cluster (Algorithm 2). Training a detector takes orders of
 //! magnitude longer than serving a frame, so doing it on the serving
-//! thread stalls the stream for the whole training run. This module
-//! decouples the stages:
+//! thread stalls the stream for the whole training run. There is one
+//! way to train — `run_job` — and [`TrainingMode`] only decides which
+//! thread calls it:
 //!
-//! * [`TrainingMode::Inline`] trains synchronously inside
-//!   `Odin::process`. Fully deterministic — every paper-table harness
+//! * [`TrainingMode::Inline`] is a [`Trainer`] with no worker threads:
+//!   [`Trainer::submit`] runs the job on the caller and hands the model
+//!   straight back. Fully deterministic — every paper-table harness
 //!   uses it, and it is the default.
-//! * [`TrainingMode::Background`] hands [`TrainJob`]s to a
-//!   [`TrainingPool`] of worker threads over channels. The serving
-//!   thread never trains; completed models are drained and installed at
-//!   frame boundaries, and frames for a still-training cluster are
+//! * [`TrainingMode::Background`] gives the [`Trainer`] worker threads
+//!   fed over a channel. `submit` returns at once; finished models are
+//!   banked per submitting stream and collected at frame boundaries
+//!   ([`Trainer::drain`]), and frames for a still-training cluster are
 //!   served by the teacher or by nearby clusters' models meanwhile.
 //!
+//! A multi-stream server shares one `Trainer` between all its shards
+//! (a drift burst on one camera borrows the whole training capacity); a
+//! standalone pipeline is the one-stream case of the same type. Every
+//! submission names the submitting stream and carries that shard's
+//! [`Telemetry`], so the `train` span, the training wall time and the
+//! cancellation count land in the submitter's own registry whichever
+//! thread did the work.
+//!
 //! Because each job carries its own seed (derived from the submission
-//! sequence number), the models a background pool produces are
+//! sequence number), the models background workers produce are
 //! bit-identical to the ones inline training would have built — only
 //! *when* they become servable differs.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -29,6 +40,7 @@ use crossbeam::channel::{unbounded, Receiver, Sender};
 use odin_data::Frame;
 use odin_detect::Detector;
 use odin_telemetry::SpanCtx;
+use parking_lot::Mutex;
 
 use crate::registry::ModelKind;
 use crate::specializer::Specializer;
@@ -53,13 +65,11 @@ pub enum TrainingMode {
 
 /// One unit of SPECIALIZER work: build a model of `kind` for
 /// `cluster_id` from `frames`, seeding all randomness from `seed`.
+/// Shared (`Arc`) between the cluster's recovery episode — which keeps
+/// it for checkpoints and the install-time int8 gate — and the worker
+/// that trains from it, so the frames exist once.
 #[derive(Debug)]
 pub struct TrainJob {
-    /// The submitting stream's index when the pool is shared by a
-    /// multi-stream server (`0` for a single-stream pipeline). The
-    /// [`TrainRouter`] uses it to hand the finished model back to the
-    /// shard that asked for it.
-    pub stream: usize,
     /// The promoted cluster the model will serve.
     pub cluster_id: usize,
     /// RNG seed — carried in the job so Inline and Background modes
@@ -69,18 +79,15 @@ pub struct TrainJob {
     pub kind: ModelKind,
     /// The cluster's accumulated training frames.
     pub frames: Vec<Frame>,
-    /// Trace context the job was submitted under: the worker-side
-    /// `train` span parents onto the submitter's `train_job_queued`
-    /// marker, so one trace links drift detection to the trained model
-    /// across the thread hop.
+    /// Trace context the job was submitted under: the `train` span
+    /// parents onto the submitter's `train_job_queued` marker, so one
+    /// trace links drift detection to the trained model across the
+    /// thread hop (and across a checkpoint restore).
     pub ctx: SpanCtx,
 }
 
-/// A model built by a worker, ready for registry installation.
+/// A trained model, ready for registry installation.
 pub struct TrainedModel {
-    /// The stream whose shard submitted the job (copied from
-    /// [`TrainJob::stream`]).
-    pub stream: usize,
     /// The cluster the model was built for.
     pub cluster_id: usize,
     /// The trained detector.
@@ -90,68 +97,109 @@ pub struct TrainedModel {
     /// Wall-clock the training run took, in milliseconds.
     pub wall_ms: f64,
     /// Trace context for the install: same trace as the submitting
-    /// recovery arc, parented on the worker's `train` span.
+    /// recovery arc, parented on the `train` span.
     pub ctx: SpanCtx,
 }
 
-/// What came back from a worker for one submitted job: a trained model,
-/// or notice that the job was discarded at dequeue because its cluster
-/// was evicted first ([`TrainingPool::cancel`]). Cancellations still
-/// flow through the results channel so the submitted/collected
-/// accounting (and the drain barrier) stays exact.
-pub(crate) enum TrainOutcome {
-    /// The job trained to completion.
-    Done(TrainedModel),
-    /// The job was tombstoned before a worker picked it up; only the
-    /// submitting stream is needed, to settle its outstanding count.
-    Cancelled { stream: usize },
+/// Trains one job — the only caller of the [`Specializer`]'s builders.
+/// Opens a `train` span from [`TrainJob::ctx`] in `telemetry` (the
+/// submitting pipeline's, whichever thread runs this), measures wall
+/// time against that telemetry's clock, and threads a child context
+/// into the [`TrainedModel`] for the install marker.
+fn run_job(
+    specializer: &Specializer,
+    teacher: &Detector,
+    telemetry: &Telemetry,
+    job: &TrainJob,
+) -> TrainedModel {
+    let mut span = telemetry.span("train", job.ctx);
+    span.set_cluster(job.cluster_id);
+    let detector = match job.kind {
+        ModelKind::Specialized => specializer.build_specialized(job.seed, &job.frames),
+        ModelKind::Lite => specializer.build_lite(job.seed, teacher, &job.frames),
+    };
+    let ctx = span.child_ctx();
+    let wall_ms = span.close();
+    TrainedModel { cluster_id: job.cluster_id, detector, kind: job.kind, wall_ms, ctx }
 }
 
-/// A pool of SPECIALIZER worker threads fed over channels.
+/// A job on its way to a worker: who asked, and where to record.
+#[derive(Debug)]
+struct Queued {
+    stream: usize,
+    job: Arc<TrainJob>,
+    telemetry: Telemetry,
+}
+
+/// What a worker sends back per dequeued job: the submitting stream,
+/// and the model — or `None` when the job was discarded at dequeue
+/// because its cluster was evicted first ([`Trainer::cancel`]).
+/// Cancellations still flow back so the per-stream outstanding count
+/// (and the drain barrier) stays exact.
+type Settled = (usize, Option<TrainedModel>);
+
+/// The receiving half: results not yet handed to their shard.
+struct Inbox {
+    results: Receiver<Settled>,
+    /// Finished models banked per stream until that shard drains.
+    ready: BTreeMap<usize, Vec<TrainedModel>>,
+    /// Submitted-but-unsettled jobs per stream.
+    outstanding: BTreeMap<usize, usize>,
+}
+
+impl Inbox {
+    fn bank(&mut self, (stream, model): Settled) {
+        if let Some(n) = self.outstanding.get_mut(&stream) {
+            *n = n.saturating_sub(1);
+        }
+        if let Some(m) = model {
+            self.ready.entry(stream).or_default().push(m);
+        }
+    }
+}
+
+/// SPECIALIZER's executor: zero worker threads ([`TrainingMode::Inline`])
+/// or a pool of them ([`TrainingMode::Background`]), serving one
+/// pipeline or every shard of a server.
 ///
-/// Jobs flow worker-ward through an unbounded MPMC channel; finished
-/// models flow back through a second one. Counters are monotone
-/// (`submitted >= started >= finished`), so queue depth and in-flight
-/// counts are snapshots computed from their differences.
-pub struct TrainingPool {
-    /// `None` only transiently during drop (taking it closes the
-    /// channel so workers exit their recv loop).
-    jobs: Option<Sender<TrainJob>>,
-    results: Receiver<TrainOutcome>,
+/// Jobs flow worker-ward through an unbounded MPMC channel; settled
+/// jobs flow back through a second one and are banked per submitting
+/// stream, so a shard only ever sees its own models. Counters are
+/// monotone (`submitted >= started >= finished`), so queue depth and
+/// in-flight counts are snapshots computed from their differences.
+pub struct Trainer {
+    specializer: Specializer,
+    teacher: Arc<Detector>,
+    /// `None` when there are no workers (and, transiently, during drop:
+    /// taking it closes the channel so workers exit their recv loop).
+    jobs: Option<Sender<Queued>>,
     workers: Vec<JoinHandle<()>>,
-    submitted: Arc<AtomicUsize>,
+    submitted: AtomicUsize,
     started: Arc<AtomicUsize>,
     finished: Arc<AtomicUsize>,
-    /// Jobs tombstoned by [`TrainingPool::cancel`]: workers discard a
+    /// Jobs tombstoned by [`Trainer::cancel`]: workers discard a
     /// dequeued job whose `(stream, cluster_id)` is in the set. Cluster
     /// ids are never reused, so a tombstone that arrives after its job
     /// already started is inert forever.
-    cancelled: Arc<parking_lot::Mutex<BTreeSet<(usize, usize)>>>,
-    /// Results the owner has pulled out of `results` (main-thread only).
-    collected: usize,
+    cancelled: Arc<Mutex<BTreeSet<(usize, usize)>>>,
+    inbox: Mutex<Inbox>,
 }
 
-impl TrainingPool {
-    /// Spawns `workers` (at least 1) threads that build models with
-    /// `specializer`, distilling from `teacher` for Lite jobs. Each
-    /// worker continues the job's trace under `telemetry`: it opens a
-    /// `train` span from [`TrainJob::ctx`], measures wall time against
-    /// the telemetry clock, and threads a child context into the
-    /// [`TrainedModel`] for the install marker back on the serving
-    /// thread.
-    pub fn new(
-        workers: usize,
-        specializer: Specializer,
-        teacher: Arc<Detector>,
-        telemetry: Telemetry,
-    ) -> Self {
-        let (job_tx, job_rx) = unbounded::<TrainJob>();
-        let (res_tx, res_rx) = unbounded::<TrainOutcome>();
-        let submitted = Arc::new(AtomicUsize::new(0));
+impl Trainer {
+    /// Builds the trainer `mode` asks for: no threads for `Inline`,
+    /// `workers` (at least 1) for `Background`. Models are built with
+    /// `specializer`, distilling from `teacher` for Lite jobs.
+    pub fn new(mode: TrainingMode, specializer: Specializer, teacher: Arc<Detector>) -> Arc<Self> {
+        let workers = match mode {
+            TrainingMode::Inline => 0,
+            TrainingMode::Background { workers } => workers.max(1),
+        };
+        let (job_tx, job_rx) = unbounded::<Queued>();
+        let (res_tx, res_rx) = unbounded::<Settled>();
         let started = Arc::new(AtomicUsize::new(0));
         let finished = Arc::new(AtomicUsize::new(0));
-        let cancelled = Arc::new(parking_lot::Mutex::new(BTreeSet::new()));
-        let handles = (0..workers.max(1))
+        let cancelled = Arc::new(Mutex::new(BTreeSet::new()));
+        let handles = (0..workers)
             .map(|_| {
                 let rx = job_rx.clone();
                 let tx = res_tx.clone();
@@ -159,341 +207,133 @@ impl TrainingPool {
                 let started = Arc::clone(&started);
                 let finished = Arc::clone(&finished);
                 let cancelled = Arc::clone(&cancelled);
-                let telemetry = telemetry.clone();
                 std::thread::spawn(move || {
-                    while let Ok(job) = rx.recv() {
+                    while let Ok(q) = rx.recv() {
                         started.fetch_add(1, Ordering::SeqCst);
-                        if cancelled.lock().remove(&(job.stream, job.cluster_id)) {
+                        let model = if cancelled.lock().remove(&(q.stream, q.job.cluster_id)) {
                             // Evicted before training started: the
                             // cluster this model would serve is gone.
                             // Discard the job without burning a
                             // training run.
-                            telemetry.train_cancelled.inc();
-                            finished.fetch_add(1, Ordering::SeqCst);
-                            if tx.send(TrainOutcome::Cancelled { stream: job.stream }).is_err() {
-                                break;
-                            }
-                            continue;
-                        }
-                        let mut span = telemetry.span("train", job.ctx);
-                        span.set_cluster(job.cluster_id);
-                        let detector = match job.kind {
-                            ModelKind::Specialized => {
-                                specializer.build_specialized(job.seed, &job.frames)
-                            }
-                            ModelKind::Lite => {
-                                specializer.build_lite(job.seed, &teacher, &job.frames)
-                            }
-                        };
-                        let ctx = span.child_ctx();
-                        let wall_ms = span.close();
-                        let done = TrainedModel {
-                            stream: job.stream,
-                            cluster_id: job.cluster_id,
-                            detector,
-                            kind: job.kind,
-                            wall_ms,
-                            ctx,
+                            q.telemetry.train_cancelled.inc();
+                            None
+                        } else {
+                            Some(run_job(&specializer, &teacher, &q.telemetry, &q.job))
                         };
                         finished.fetch_add(1, Ordering::SeqCst);
-                        if tx.send(TrainOutcome::Done(done)).is_err() {
-                            break; // pool dropped; nobody wants results
+                        if tx.send((q.stream, model)).is_err() {
+                            break; // trainer dropped; nobody wants results
                         }
                     }
                 })
             })
             .collect();
-        TrainingPool {
-            jobs: Some(job_tx),
-            results: res_rx,
+        Arc::new(Trainer {
+            specializer,
+            teacher,
+            jobs: (workers > 0).then_some(job_tx),
             workers: handles,
-            submitted,
+            submitted: AtomicUsize::new(0),
             started,
             finished,
             cancelled,
-            collected: 0,
-        }
+            inbox: Mutex::new(Inbox {
+                results: res_rx,
+                ready: BTreeMap::new(),
+                outstanding: BTreeMap::new(),
+            }),
+        })
     }
 
-    /// Tombstones `(stream, cluster_id)`'s queued job: a worker that
-    /// dequeues it discards it instead of training (counted in
-    /// `odin_train_cancelled_total` by the discarding worker). Best
-    /// effort — a job already running trains to completion and is
-    /// dropped by the install-time orphan path instead. Cluster ids are
-    /// never reused, so a tombstone that lands too late stays inert.
+    /// Trains `job` for `stream`, recording into `telemetry` (the
+    /// submitting pipeline's). Without workers the job runs here and the
+    /// model comes straight back; with workers it is enqueued, `None` is
+    /// returned at once, and the model arrives through
+    /// [`Trainer::drain`] / [`Trainer::drain_barrier`] for `stream`.
+    pub fn submit(
+        &self,
+        stream: usize,
+        job: Arc<TrainJob>,
+        telemetry: &Telemetry,
+    ) -> Option<TrainedModel> {
+        let Some(jobs) = &self.jobs else {
+            return Some(run_job(&self.specializer, &self.teacher, telemetry, &job));
+        };
+        *self.inbox.lock().outstanding.entry(stream).or_insert(0) += 1;
+        self.submitted.fetch_add(1, Ordering::SeqCst);
+        jobs.send(Queued { stream, job, telemetry: telemetry.clone() })
+            .expect("training workers alive");
+        None
+    }
+
+    /// Tombstones `stream`'s queued job for `cluster_id`: a worker that
+    /// dequeues it discards it instead of training (counted in the
+    /// submitter's `odin_train_cancelled_total`). Best effort — a job
+    /// already running trains to completion and is dropped by the
+    /// install-time orphan path instead.
     pub fn cancel(&self, stream: usize, cluster_id: usize) {
         self.cancelled.lock().insert((stream, cluster_id));
     }
 
-    /// Enqueues a job; returns immediately.
-    pub fn submit(&self, job: TrainJob) {
-        self.submitted.fetch_add(1, Ordering::SeqCst);
-        self.jobs
-            .as_ref()
-            .expect("job channel open until drop")
-            .send(job)
-            .expect("training workers alive");
+    /// Collects `stream`'s finished models without blocking (banked
+    /// ones first, then whatever has completed since). Other streams'
+    /// models that completed meanwhile are banked for their own shards.
+    pub fn drain(&self, stream: usize) -> Vec<TrainedModel> {
+        if self.jobs.is_none() {
+            return Vec::new(); // no workers: submit already returned every model
+        }
+        let mut inbox = self.inbox.lock();
+        while let Ok(settled) = inbox.results.try_recv() {
+            inbox.bank(settled);
+        }
+        inbox.ready.remove(&stream).unwrap_or_default()
     }
 
-    /// Jobs enqueued but not yet picked up by a worker.
+    /// Blocks until every job `stream` submitted has settled, then
+    /// returns its models. With more than one worker the order results
+    /// arrive in is nondeterministic; callers install into a map keyed
+    /// by cluster id, so final state does not depend on it. Holds the
+    /// inbox lock while waiting, so concurrent drains of other streams
+    /// stall until this stream's jobs land — callers only block here at
+    /// quiesce points (`Odin::finish_training`), never on the per-frame
+    /// path.
+    pub fn drain_barrier(&self, stream: usize) -> Vec<TrainedModel> {
+        let mut inbox = self.inbox.lock();
+        while inbox.outstanding.get(&stream).is_some_and(|n| *n > 0) {
+            match inbox.results.recv() {
+                Ok(settled) => inbox.bank(settled),
+                Err(_) => break, // the workers died; don't hang forever
+            }
+        }
+        inbox.ready.remove(&stream).unwrap_or_default()
+    }
+
+    /// Jobs enqueued but not yet picked up by a worker (all streams).
     pub fn queue_depth(&self) -> usize {
         self.submitted.load(Ordering::SeqCst).saturating_sub(self.started.load(Ordering::SeqCst))
     }
 
-    /// Jobs currently training on a worker.
+    /// Jobs currently training on a worker (all streams).
     pub fn in_flight(&self) -> usize {
         self.started.load(Ordering::SeqCst).saturating_sub(self.finished.load(Ordering::SeqCst))
     }
 
-    /// Jobs submitted whose results have not yet been collected.
-    pub fn pending(&self) -> usize {
-        self.submitted.load(Ordering::SeqCst).saturating_sub(self.collected)
-    }
-
-    /// Collects every finished model without blocking. Cancelled jobs
-    /// are settled (counted as collected) but yield no model.
-    pub fn drain(&mut self) -> Vec<TrainedModel> {
-        self.drain_outcomes()
-            .into_iter()
-            .filter_map(|o| match o {
-                TrainOutcome::Done(m) => Some(m),
-                TrainOutcome::Cancelled { .. } => None,
-            })
-            .collect()
-    }
-
-    /// [`TrainingPool::drain`] keeping cancellation outcomes — the
-    /// [`TrainRouter`] needs them to settle per-stream accounting.
-    pub(crate) fn drain_outcomes(&mut self) -> Vec<TrainOutcome> {
-        let mut out = Vec::new();
-        while let Ok(o) = self.results.try_recv() {
-            self.collected += 1;
-            out.push(o);
-        }
-        out
-    }
-
-    /// Blocks until every submitted job has finished, returning all
-    /// uncollected results. With more than one worker the order results
-    /// arrive in is nondeterministic; callers install into a map keyed
-    /// by cluster id, so final state does not depend on it.
-    pub fn drain_barrier(&mut self) -> Vec<TrainedModel> {
-        let mut out = Vec::new();
-        while self.collected < self.submitted.load(Ordering::SeqCst) {
-            match self.results.recv() {
-                Ok(o) => {
-                    self.collected += 1;
-                    if let TrainOutcome::Done(m) = o {
-                        out.push(m);
-                    }
-                }
-                Err(_) => break, // a worker died; don't hang forever
-            }
-        }
-        out
-    }
-
-    /// Blocks until one more job settles (trained or cancelled) and
-    /// returns its outcome, or `None` when nothing is outstanding (or a
-    /// worker died). The [`TrainRouter`] uses this to wait for one
-    /// stream's jobs while banking other streams' results.
-    pub(crate) fn recv_blocking(&mut self) -> Option<TrainOutcome> {
-        if self.collected >= self.submitted.load(Ordering::SeqCst) {
-            return None;
-        }
-        match self.results.recv() {
-            Ok(o) => {
-                self.collected += 1;
-                Some(o)
-            }
-            Err(_) => None,
-        }
+    /// Jobs submitted by `stream` that have not settled yet.
+    #[cfg(test)]
+    fn outstanding_for(&self, stream: usize) -> usize {
+        self.inbox.lock().outstanding.get(&stream).copied().unwrap_or(0)
     }
 }
 
-impl Drop for TrainingPool {
+impl Drop for Trainer {
     /// Closes the job channel and joins the workers. A worker mid-run
-    /// finishes its current job first, so dropping a busy pool can
+    /// finishes its current job first, so dropping a busy trainer can
     /// block for up to one training run.
     fn drop(&mut self) {
         self.jobs.take();
         for h in self.workers.drain(..) {
             let _ = h.join();
         }
-    }
-}
-
-/// A multi-stream front over one shared [`TrainingPool`]: jobs from
-/// every shard flow into the same worker threads, and finished models
-/// are routed back to the shard (stream) that submitted them.
-///
-/// The router is the process-wide half of SPECIALIZER in the sharded
-/// serving layer: one set of training workers serves N streams, so a
-/// drift burst on one camera borrows the whole training capacity
-/// instead of a per-stream slice. Per-stream result queues keep shards
-/// isolated — a shard only ever sees its own models.
-pub struct TrainRouter {
-    inner: parking_lot::Mutex<RouterInner>,
-}
-
-struct RouterInner {
-    pool: TrainingPool,
-    /// Finished models banked for streams that have not drained yet.
-    ready: std::collections::BTreeMap<usize, Vec<TrainedModel>>,
-    /// Outstanding (submitted but not yet routed) jobs per stream.
-    outstanding: std::collections::BTreeMap<usize, usize>,
-}
-
-impl TrainRouter {
-    /// Builds a router over a fresh pool of `workers` threads. Worker
-    /// spans record into `telemetry` (the server's registry when
-    /// shared); each job's [`SpanCtx`] still carries the submitting
-    /// shard's trace id, so traces stay grouped per stream.
-    pub fn new(
-        workers: usize,
-        specializer: Specializer,
-        teacher: Arc<Detector>,
-        telemetry: Telemetry,
-    ) -> Arc<Self> {
-        Arc::new(TrainRouter {
-            inner: parking_lot::Mutex::new(RouterInner {
-                pool: TrainingPool::new(workers, specializer, teacher, telemetry),
-                ready: std::collections::BTreeMap::new(),
-                outstanding: std::collections::BTreeMap::new(),
-            }),
-        })
-    }
-
-    /// Enqueues a job on the shared pool ([`TrainJob::stream`] decides
-    /// which shard gets the result back).
-    pub fn submit(&self, job: TrainJob) {
-        let mut inner = self.inner.lock();
-        *inner.outstanding.entry(job.stream).or_insert(0) += 1;
-        inner.pool.submit(job);
-    }
-
-    fn route(inner: &mut RouterInner, o: TrainOutcome, stream: usize, out: &mut Vec<TrainedModel>) {
-        let from = match &o {
-            TrainOutcome::Done(m) => m.stream,
-            TrainOutcome::Cancelled { stream } => *stream,
-        };
-        if let Some(n) = inner.outstanding.get_mut(&from) {
-            *n = n.saturating_sub(1);
-        }
-        let TrainOutcome::Done(m) = o else { return };
-        if m.stream == stream {
-            out.push(m);
-        } else {
-            inner.ready.entry(m.stream).or_default().push(m);
-        }
-    }
-
-    /// Cancels `stream`'s queued-but-not-started training job for
-    /// `cluster_id` (best effort — see [`TrainingPool::cancel`]).
-    pub fn cancel(&self, stream: usize, cluster_id: usize) {
-        self.inner.lock().pool.cancel(stream, cluster_id);
-    }
-
-    /// Collects `stream`'s finished models without blocking (banked
-    /// ones first, then whatever the pool has completed).
-    pub fn drain(&self, stream: usize) -> Vec<TrainedModel> {
-        let mut inner = self.inner.lock();
-        let mut out = inner.ready.remove(&stream).unwrap_or_default();
-        for o in inner.pool.drain_outcomes() {
-            Self::route(&mut inner, o, stream, &mut out);
-        }
-        out
-    }
-
-    /// Blocks until every job `stream` submitted has finished, then
-    /// returns them. Other streams' models completed meanwhile are
-    /// banked for their own shards. Holds the router lock while
-    /// waiting, so concurrent drains of other streams stall until this
-    /// stream's jobs land — callers only block here at quiesce points
-    /// (`Odin::finish_training`), never on the per-frame path.
-    pub fn drain_barrier(&self, stream: usize) -> Vec<TrainedModel> {
-        let mut inner = self.inner.lock();
-        let mut out = inner.ready.remove(&stream).unwrap_or_default();
-        for o in inner.pool.drain_outcomes() {
-            Self::route(&mut inner, o, stream, &mut out);
-        }
-        while inner.outstanding.get(&stream).copied().unwrap_or(0) > 0 {
-            match inner.pool.recv_blocking() {
-                Some(o) => Self::route(&mut inner, o, stream, &mut out),
-                None => break, // a worker died; don't hang forever
-            }
-        }
-        out
-    }
-
-    /// Jobs enqueued on the shared pool but not yet picked up (all
-    /// streams).
-    pub fn queue_depth(&self) -> usize {
-        self.inner.lock().pool.queue_depth()
-    }
-
-    /// Jobs currently training on a worker (all streams).
-    pub fn in_flight(&self) -> usize {
-        self.inner.lock().pool.in_flight()
-    }
-
-    /// Jobs submitted by `stream` whose models have not been handed
-    /// back yet.
-    pub fn outstanding_for(&self, stream: usize) -> usize {
-        self.inner.lock().outstanding.get(&stream).copied().unwrap_or(0)
-    }
-}
-
-/// One shard's handle onto a (possibly shared) [`TrainRouter`]: the
-/// pipeline submits with its own stream index and only ever drains its
-/// own results.
-#[derive(Clone)]
-pub struct TrainHandle {
-    router: Arc<TrainRouter>,
-    stream: usize,
-}
-
-impl TrainHandle {
-    /// Wraps `router` for the shard serving `stream`.
-    pub fn new(router: Arc<TrainRouter>, stream: usize) -> Self {
-        TrainHandle { router, stream }
-    }
-
-    /// Enqueues a job, stamping it with this shard's stream index.
-    pub fn submit(&self, mut job: TrainJob) {
-        job.stream = self.stream;
-        self.router.submit(job);
-    }
-
-    /// Cancels this shard's queued-but-not-started job for
-    /// `cluster_id` (best effort — see [`TrainingPool::cancel`]).
-    pub fn cancel(&self, cluster_id: usize) {
-        self.router.cancel(self.stream, cluster_id);
-    }
-
-    /// This shard's stream index.
-    pub fn stream(&self) -> usize {
-        self.stream
-    }
-
-    /// Non-blocking collection of this shard's finished models.
-    pub fn drain(&self) -> Vec<TrainedModel> {
-        self.router.drain(self.stream)
-    }
-
-    /// Blocks until every job this shard submitted has finished.
-    pub fn drain_barrier(&self) -> Vec<TrainedModel> {
-        self.router.drain_barrier(self.stream)
-    }
-
-    /// Shared-pool queue depth (all streams).
-    pub fn queue_depth(&self) -> usize {
-        self.router.queue_depth()
-    }
-
-    /// Shared-pool in-flight count (all streams).
-    pub fn in_flight(&self) -> usize {
-        self.router.in_flight()
     }
 }
 
@@ -522,33 +362,37 @@ mod tests {
         (teacher, frames)
     }
 
+    fn background(workers: usize, teacher: Arc<Detector>) -> Arc<Trainer> {
+        Trainer::new(TrainingMode::Background { workers }, quick_specializer(), teacher)
+    }
+
     fn tel() -> Telemetry {
         let t = Telemetry::new();
         t.clear_sinks();
         t
     }
 
-    fn ctx() -> SpanCtx {
-        SpanCtx { trace: 1, parent: odin_telemetry::NO_PARENT }
+    fn job(cluster_id: usize, kind: ModelKind, frames: &[Frame]) -> Arc<TrainJob> {
+        Arc::new(TrainJob {
+            cluster_id,
+            seed: cluster_id as u64,
+            kind,
+            frames: frames.to_vec(),
+            ctx: SpanCtx { trace: 1, parent: odin_telemetry::NO_PARENT },
+        })
     }
 
     #[test]
-    fn pool_trains_and_returns_models() {
+    fn workers_train_and_return_models() {
         let (teacher, frames) = fixture();
-        let mut pool = TrainingPool::new(2, quick_specializer(), teacher, tel());
+        let trainer = background(2, teacher);
+        let t = tel();
         for (i, kind) in [ModelKind::Specialized, ModelKind::Lite].into_iter().enumerate() {
-            pool.submit(TrainJob {
-                stream: 0,
-                cluster_id: i,
-                seed: i as u64,
-                kind,
-                frames: frames.clone(),
-                ctx: ctx(),
-            });
+            assert!(trainer.submit(0, job(i, kind, &frames), &t).is_none());
         }
-        let done = pool.drain_barrier();
+        let done = trainer.drain_barrier(0);
         assert_eq!(done.len(), 2);
-        assert_eq!(pool.pending(), 0);
+        assert_eq!(trainer.outstanding_for(0), 0);
         let mut kinds: Vec<_> = done.iter().map(|m| (m.cluster_id, m.kind)).collect();
         kinds.sort_by_key(|&(id, _)| id);
         assert_eq!(kinds, vec![(0, ModelKind::Specialized), (1, ModelKind::Lite)]);
@@ -556,43 +400,45 @@ mod tests {
     }
 
     #[test]
+    fn inline_submit_hands_the_model_straight_back() {
+        let (teacher, frames) = fixture();
+        let trainer = Trainer::new(TrainingMode::Inline, quick_specializer(), teacher);
+        let t = tel();
+        let done = trainer.submit(3, job(5, ModelKind::Lite, &frames), &t).expect("trained inline");
+        assert_eq!((done.cluster_id, done.kind), (5, ModelKind::Lite));
+        assert_eq!(trainer.outstanding_for(3), 0);
+        assert!(trainer.drain(3).is_empty() && trainer.drain_barrier(3).is_empty());
+        // The span landed in the caller's telemetry, as a worker's would.
+        assert!(t.flight_record().spans.iter().any(|s| s.name == "train" && s.cluster == 5));
+    }
+
+    #[test]
     fn background_model_matches_inline_training() {
         let (teacher, frames) = fixture();
-        let sp = quick_specializer();
-        let inline = sp.build_specialized(7, &frames);
-        let mut pool = TrainingPool::new(1, sp, teacher, tel());
-        pool.submit(TrainJob {
-            stream: 0,
-            cluster_id: 0,
-            seed: 7,
-            kind: ModelKind::Specialized,
-            frames,
-            ctx: ctx(),
-        });
-        let done = pool.drain_barrier();
-        assert_eq!(done[0].detector.export_params(), inline.export_params());
+        let inline = Trainer::new(TrainingMode::Inline, quick_specializer(), Arc::clone(&teacher));
+        let j = job(7, ModelKind::Specialized, &frames);
+        let want = inline.submit(0, Arc::clone(&j), &tel()).expect("trained inline");
+        let trainer = background(1, teacher);
+        trainer.submit(0, j, &tel());
+        let done = trainer.drain_barrier(0);
+        assert_eq!(done[0].detector.export_params(), want.detector.export_params());
     }
 
     #[test]
     fn worker_span_continues_the_submitted_trace() {
         let (teacher, frames) = fixture();
         let telemetry = tel();
-        let mut pool = TrainingPool::new(1, quick_specializer(), teacher, telemetry.clone());
+        let trainer = background(1, teacher);
         let submitted = SpanCtx { trace: 42, parent: 7 };
-        pool.submit(TrainJob {
-            stream: 0,
-            cluster_id: 5,
-            seed: 1,
-            kind: ModelKind::Lite,
-            frames,
-            ctx: submitted,
-        });
-        let done = pool.drain_barrier();
+        let j = TrainJob { cluster_id: 5, seed: 1, kind: ModelKind::Lite, frames, ctx: submitted };
+        trainer.submit(0, Arc::new(j), &telemetry);
+        let done = trainer.drain_barrier(0);
         assert_eq!(done.len(), 1);
         // The model's install context continues the submitter's trace...
         assert_eq!(done[0].ctx.trace, 42);
         // ...parented on the worker-side train span, which itself
-        // parents onto the submitted context.
+        // parents onto the submitted context — in the submitter's
+        // telemetry, not one owned by the trainer.
         let rec = telemetry.flight_record();
         let train =
             rec.spans.iter().find(|s| s.name == "train").expect("worker recorded a train span");
@@ -605,105 +451,68 @@ mod tests {
     #[test]
     fn counters_settle_after_barrier() {
         let (teacher, frames) = fixture();
-        let mut pool = TrainingPool::new(1, quick_specializer(), teacher, tel());
-        pool.submit(TrainJob {
-            stream: 0,
-            cluster_id: 3,
-            seed: 1,
-            kind: ModelKind::Lite,
-            frames,
-            ctx: ctx(),
-        });
-        assert_eq!(pool.pending(), 1);
-        let _ = pool.drain_barrier();
-        assert_eq!(pool.pending(), 0);
-        assert_eq!(pool.queue_depth(), 0);
-        assert_eq!(pool.in_flight(), 0);
+        let trainer = background(1, teacher);
+        trainer.submit(0, job(3, ModelKind::Lite, &frames), &tel());
+        assert_eq!(trainer.outstanding_for(0), 1);
+        let _ = trainer.drain_barrier(0);
+        assert_eq!(trainer.outstanding_for(0), 0);
+        assert_eq!(trainer.queue_depth(), 0);
+        assert_eq!(trainer.in_flight(), 0);
     }
 
     #[test]
     fn cancelled_job_is_discarded_and_counted() {
         let (teacher, frames) = fixture();
         let telemetry = tel();
-        let mut pool = TrainingPool::new(1, quick_specializer(), teacher, telemetry.clone());
+        let trainer = background(1, teacher);
         // Tombstone first, then submit: the worker is guaranteed to see
         // the cancellation at dequeue (cluster ids are never reused, so
         // an early tombstone is exactly as valid as a late one).
-        pool.cancel(0, 9);
-        pool.submit(TrainJob {
-            stream: 0,
-            cluster_id: 9,
-            seed: 1,
-            kind: ModelKind::Lite,
-            frames,
-            ctx: ctx(),
-        });
-        let done = pool.drain_barrier();
+        trainer.cancel(0, 9);
+        trainer.submit(0, job(9, ModelKind::Lite, &frames), &telemetry);
+        let done = trainer.drain_barrier(0);
         assert!(done.is_empty(), "cancelled job must not produce a model");
-        assert_eq!(pool.pending(), 0, "cancellation settles the submitted/collected accounting");
-        assert_eq!(pool.queue_depth(), 0);
-        assert_eq!(pool.in_flight(), 0);
+        assert_eq!(trainer.outstanding_for(0), 0, "cancellation settles the stream's accounting");
+        assert_eq!(trainer.queue_depth(), 0);
+        assert_eq!(trainer.in_flight(), 0);
+        // Counted where the submitter's /metrics will show it.
         assert_eq!(telemetry.train_cancelled.get(), 1);
-    }
-
-    #[test]
-    fn router_settles_outstanding_for_cancelled_jobs() {
-        let (teacher, frames) = fixture();
-        let router = TrainRouter::new(1, quick_specializer(), teacher, tel());
-        let handle = TrainHandle::new(Arc::clone(&router), 0);
-        handle.cancel(4);
-        handle.submit(TrainJob {
-            stream: 0,
-            cluster_id: 4,
-            seed: 1,
-            kind: ModelKind::Lite,
-            frames,
-            ctx: ctx(),
-        });
-        assert!(handle.drain_barrier().is_empty());
-        assert_eq!(router.outstanding_for(0), 0, "cancelled job settles its stream's accounting");
     }
 
     #[test]
     fn drain_without_jobs_is_empty() {
         let (teacher, _) = fixture();
-        let mut pool = TrainingPool::new(1, quick_specializer(), teacher, tel());
-        assert!(pool.drain().is_empty());
-        assert!(pool.drain_barrier().is_empty());
+        let trainer = background(1, teacher);
+        assert!(trainer.drain(0).is_empty());
+        assert!(trainer.drain_barrier(0).is_empty());
     }
 
     #[test]
-    fn router_hands_each_stream_only_its_own_models() {
+    fn each_stream_gets_only_its_own_models() {
         let (teacher, frames) = fixture();
-        let router = TrainRouter::new(2, quick_specializer(), teacher, tel());
-        let a = TrainHandle::new(Arc::clone(&router), 0);
-        let b = TrainHandle::new(Arc::clone(&router), 1);
-        for (handle, cluster) in [(&a, 0), (&b, 1), (&a, 2)] {
-            handle.submit(TrainJob {
-                stream: 99, // overridden by the handle
-                cluster_id: cluster,
-                seed: cluster as u64,
-                kind: ModelKind::Lite,
-                frames: frames.clone(),
-                ctx: ctx(),
-            });
+        let trainer = background(2, teacher);
+        let (ta, tb) = (tel(), tel());
+        for (stream, t, cluster) in [(0, &ta, 0), (1, &tb, 1), (0, &ta, 2)] {
+            trainer.submit(stream, job(cluster, ModelKind::Lite, &frames), t);
         }
         // Stream 0's barrier returns exactly its two models and banks
         // stream 1's if it finished meanwhile.
-        let got_a = a.drain_barrier();
+        let got_a = trainer.drain_barrier(0);
         let mut ids: Vec<_> = got_a.iter().map(|m| m.cluster_id).collect();
         ids.sort_unstable();
         assert_eq!(ids, vec![0, 2]);
-        assert!(got_a.iter().all(|m| m.stream == 0));
-        assert_eq!(router.outstanding_for(0), 0);
+        assert_eq!(trainer.outstanding_for(0), 0);
 
-        let got_b = b.drain_barrier();
+        let got_b = trainer.drain_barrier(1);
         assert_eq!(got_b.len(), 1);
         assert_eq!(got_b[0].cluster_id, 1);
-        assert_eq!(got_b[0].stream, 1);
-        assert_eq!(router.outstanding_for(1), 0);
+        assert_eq!(trainer.outstanding_for(1), 0);
+        // Each stream's spans went to its own telemetry.
+        let trains =
+            |t: &Telemetry| t.flight_record().spans.iter().filter(|s| s.name == "train").count();
+        assert_eq!((trains(&ta), trains(&tb)), (2, 1));
         // Nothing left for either stream.
-        assert!(a.drain().is_empty());
-        assert!(b.drain().is_empty());
+        assert!(trainer.drain(0).is_empty());
+        assert!(trainer.drain(1).is_empty());
     }
 }

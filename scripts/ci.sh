@@ -4,6 +4,28 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# start_server LOG WHAT CMD...: runs CMD in the background with its
+# stdout in LOG and waits (30 s) for the line
+# "serving WHAT at http://ADDR ..." to appear there. Leaves the
+# address in SERVER_ADDR and the job's pid in SERVER_PID (`wait` on it
+# once the scrapes are done); on timeout prints the log and fails.
+start_server() {
+    local log=$1 what=$2
+    shift 2
+    : >"$log" # exists before the first poll, whichever process runs first
+    "$@" >"$log" &
+    SERVER_PID=$!
+    for _ in $(seq 1 150); do
+        SERVER_ADDR=$(sed -n "s|^serving $what at http://\([0-9.:]*\) .*|\1|p" "$log")
+        [ -n "$SERVER_ADDR" ] && return 0
+        sleep 0.2
+    done
+    echo "error: $what server never came up" >&2
+    cat "$log" >&2
+    kill "$SERVER_PID" 2>/dev/null || true
+    exit 1
+}
+
 echo "==> cargo fmt --all -- --check"
 cargo fmt --all -- --check
 
@@ -44,10 +66,12 @@ ODIN_NO_SIMD=1 cargo test -q -p odin-tensor -p odin-detect
 # is reported through the CRC/version checks and (b) a cold bootstrap
 # still comes up clean. The warm_restart example then drives the full
 # checkpoint -> crash -> restore -> bit-identical-serving path in a
-# real process.
+# real process. The crash-window test cuts the WAL between a Drift
+# record and its Install and requires the restored cluster to retrain.
 echo "==> crash-recovery smoke (ODIN_THREADS=2)"
 ODIN_THREADS=2 cargo test -q -p odin-core --test checkpoint -- \
-    truncated_checkpoint_falls_back_to_cold_bootstrap bit_flip_is_detected
+    truncated_checkpoint_falls_back_to_cold_bootstrap bit_flip_is_detected \
+    crash_between_drift_and_install_retrains_the_cluster
 ODIN_THREADS=2 cargo run --release -p odin-core --example warm_restart >/dev/null
 
 # Telemetry + exposition smoke: the stage-latency table must run
@@ -59,28 +83,16 @@ echo "==> telemetry + exposition smoke (table_telemetry --scale 0.05)"
 SMOKE_DIR=/tmp/odin-ci-telemetry
 rm -rf "$SMOKE_DIR"
 mkdir -p "$SMOKE_DIR"
-ODIN_SERVE_MS=15000 cargo run --release -p odin-bench --bin table_telemetry -- \
-    --scale 0.05 --out "$SMOKE_DIR" >"$SMOKE_DIR/run.log" &
-SERVE_PID=$!
-ADDR=""
-for _ in $(seq 1 150); do
-    ADDR=$(sed -n 's|^serving telemetry at http://\([0-9.:]*\) .*|\1|p' "$SMOKE_DIR/run.log")
-    [ -n "$ADDR" ] && break
-    sleep 0.2
-done
-if [ -z "$ADDR" ]; then
-    echo "error: telemetry server never came up" >&2
-    cat "$SMOKE_DIR/run.log" >&2
-    kill "$SERVE_PID" 2>/dev/null || true
-    exit 1
-fi
+start_server "$SMOKE_DIR/run.log" telemetry env ODIN_SERVE_MS=15000 \
+    cargo run --release -p odin-bench --bin table_telemetry -- --scale 0.05 --out "$SMOKE_DIR"
+ADDR=$SERVER_ADDR
 # grep -c (not -q): -q exits at the first match, racing curl's
 # remaining writes (EPIPE -> curl exit 23 under pipefail); -c drains
 # the whole stream and still fails when there is no match.
 curl -fsS "http://$ADDR/metrics" | grep -c '^odin_frames_total' >/dev/null
 curl -fsS "http://$ADDR/healthz" | jq -e '.status == "ok"' >/dev/null
 curl -fsS "http://$ADDR/trace" | jq -e '.traceEvents | length > 0' >/dev/null
-wait "$SERVE_PID"
+wait "$SERVER_PID"
 grep -q "store errors: 0" "$SMOKE_DIR/run.log"
 jq -e '.traceEvents | length > 0' "$SMOKE_DIR/table_telemetry_trace.json" >/dev/null
 
@@ -98,22 +110,10 @@ ODIN_BIN=target/release/odin
 MS_DIR=/tmp/odin-ci-multistream
 rm -rf "$MS_DIR"
 mkdir -p "$MS_DIR"
-ODIN_SERVE_MS=15000 ODIN_STORE_DIR="$MS_DIR/store" \
-    cargo run --release -p odin-core --example multistream_server \
-    >"$MS_DIR/run.log" &
-MS_PID=$!
-MS_ADDR=""
-for _ in $(seq 1 150); do
-    MS_ADDR=$(sed -n 's|^serving multistream at http://\([0-9.:]*\) .*|\1|p' "$MS_DIR/run.log")
-    [ -n "$MS_ADDR" ] && break
-    sleep 0.2
-done
-if [ -z "$MS_ADDR" ]; then
-    echo "error: multistream server never came up" >&2
-    cat "$MS_DIR/run.log" >&2
-    kill "$MS_PID" 2>/dev/null || true
-    exit 1
-fi
+start_server "$MS_DIR/run.log" multistream \
+    env ODIN_SERVE_MS=15000 ODIN_STORE_DIR="$MS_DIR/store" \
+    cargo run --release -p odin-core --example multistream_server
+MS_ADDR=$SERVER_ADDR
 # Wait for the in-process HTTP clients to finish feeding the streams.
 for _ in $(seq 1 150); do
     grep -q '^http ingest: ' "$MS_DIR/run.log" && break
@@ -150,7 +150,7 @@ jq -s -e 'length > 0' "$MS_DIR/tail_follow.json" >/dev/null
 grep -q 'status: ok' "$MS_DIR/top.log"
 "$ODIN_BIN" flight --addr "$MS_ADDR" --out "$MS_DIR/flight.json" >/dev/null
 jq -e '.traceEvents | length > 0' "$MS_DIR/flight.json" >/dev/null
-wait "$MS_PID"
+wait "$SERVER_PID"
 
 # Event-log + ops-CLI smoke: run a drift stream with the log enabled at
 # two tensor thread counts and require byte-identical events.odlg (the
@@ -182,25 +182,12 @@ grep -q 'drift detected' "$EL_DIR/explain.log"
 grep -q 'train queued' "$EL_DIR/explain.log"
 grep -q 'model installed' "$EL_DIR/explain.log"
 # `odin status` against the telemetry exposition window.
-ODIN_SERVE_MS=15000 cargo run --release -p odin-bench --bin table_telemetry -- \
-    --scale 0.05 --out "$EL_DIR" >"$EL_DIR/serve.log" &
-EL_PID=$!
-EL_ADDR=""
-for _ in $(seq 1 150); do
-    EL_ADDR=$(sed -n 's|^serving telemetry at http://\([0-9.:]*\) .*|\1|p' "$EL_DIR/serve.log")
-    [ -n "$EL_ADDR" ] && break
-    sleep 0.2
-done
-if [ -z "$EL_ADDR" ]; then
-    echo "error: exposition endpoint for odin status never came up" >&2
-    cat "$EL_DIR/serve.log" >&2
-    kill "$EL_PID" 2>/dev/null || true
-    exit 1
-fi
-"$ODIN_BIN" status --addr "$EL_ADDR" >"$EL_DIR/status.log"
+start_server "$EL_DIR/serve.log" telemetry env ODIN_SERVE_MS=15000 \
+    cargo run --release -p odin-bench --bin table_telemetry -- --scale 0.05 --out "$EL_DIR"
+"$ODIN_BIN" status --addr "$SERVER_ADDR" >"$EL_DIR/status.log"
 grep -q '"status":"ok"' "$EL_DIR/status.log"
 grep -q '^odin_frames_total' "$EL_DIR/status.log"
-wait "$EL_PID"
+wait "$SERVER_PID"
 cargo run --release -p odin-bench --bin log_throughput -- \
     --scale 0.1 --out /tmp/odin-ci-bench >/dev/null
 

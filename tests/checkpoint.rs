@@ -389,6 +389,56 @@ fn crash_between_archive_and_evict_keeps_the_model() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A crash *between* a Drift append and its Install append — the whole
+/// training window — must not strand the cluster: replaying the Drift
+/// reopens the cluster's recovery episode (empty: frames are not in the
+/// WAL), so the restored pipeline collects the regime's next frames and
+/// trains the model the crashed process never finished.
+#[test]
+fn crash_between_drift_and_install_retrains_the_cluster() {
+    let dir = scratch("drift-crash");
+    let (night, _) = night_then_day(60);
+
+    let mut live = new_odin(TrainingMode::Inline);
+    live.enable_store(&dir, CheckpointPolicy::Manual).expect("enable store");
+    live.checkpoint(&dir.join(SNAPSHOT_FILE)).expect("empty snapshot");
+    live.process_stream(&night);
+    live.flush_store();
+    assert!(live.model_count() > 0, "fixture trained no model");
+    drop(live);
+
+    // Chop the WAL immediately after the first Drift record (tag 1):
+    // the crash happened before the matching Install (tag 3) landed.
+    let wal_path = dir.join(WAL_FILE);
+    let all = odin_store::read_wal(&wal_path).expect("read wal").records;
+    let cut = all.iter().position(|r| r.payload[0] == 1).expect("no drift record") + 1;
+    assert_eq!(all[cut].payload[0], 3, "fixture: the drift's install must follow it");
+    std::fs::remove_file(&wal_path).expect("drop wal");
+    let mut w = odin_store::WalWriter::open(&wal_path).expect("rewrite wal");
+    for r in &all[..cut] {
+        w.append(&r.payload).expect("append prefix");
+    }
+    w.sync().expect("sync");
+    drop(w);
+
+    let mut recovered = Odin::restore_from_dir(&dir).expect("restore across crash");
+    let cluster = recovered.manager().clusters()[0].id();
+    assert_eq!(recovered.model_count(), 0, "the install never became durable");
+    let submitted = recovered.stats().jobs_submitted;
+
+    // The same regime keeps streaming: within 2 x min_train_frames the
+    // restored cluster has collected enough, trained, and installed.
+    let gen = SceneGen::new(48);
+    let more = gen.subset_frames(&mut StdRng::seed_from_u64(9), Subset::Night, 40);
+    recovered.process_stream(&more);
+    assert!(recovered.stats().jobs_submitted > submitted, "no training job after the restart");
+    assert!(
+        recovered.model_kind(cluster).is_some(),
+        "cluster {cluster} was restored without a model and never got one"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// A crash halfway through a snapshot write must leave the *previous*
 /// snapshot intact: writes go to a tmp file and rename in.
 #[test]

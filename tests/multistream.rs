@@ -229,6 +229,82 @@ fn shared_training_pool_routes_models_to_their_shard() {
     }
 }
 
+/// A shared background trainer records each job into the *submitting*
+/// shard's telemetry: the `train` span sits in that shard's own flight
+/// record (so `/flight` shows it), parented on the shard's
+/// `train_job_queued` marker with ids from the shard's own namespace,
+/// and the `install` marker parents onto it — one unbroken recovery
+/// trace per stream, whichever worker thread trained.
+#[test]
+fn background_train_spans_land_in_the_submitting_shards_flight_record() {
+    let frames = vec![stream_frames(Subset::Night, 7, 60), stream_frames(Subset::Day, 8, 60)];
+    let server = new_server(server_cfg(2, TrainingMode::Background { workers: 2 }));
+    serve_interleaved(&server, &frames);
+    server.finish_training();
+
+    for stream in 0..2u64 {
+        let rec = server.with_shard(stream as usize, |o| o.telemetry().flight_record());
+        let queued = rec
+            .spans
+            .iter()
+            .find(|s| s.name == "train_job_queued")
+            .unwrap_or_else(|| panic!("stream {stream} queued no training job"));
+        let train =
+            rec.spans.iter().find(|s| s.name == "train" && s.parent == queued.id).unwrap_or_else(
+                || panic!("stream {stream}: no train span under its queued marker"),
+            );
+        assert_eq!(train.trace, queued.trace, "train span left the recovery trace");
+        let namespace = (stream << 40) + 1..(stream + 1) << 40;
+        assert!(
+            namespace.contains(&train.id),
+            "train span id {} is not stream {stream}'s",
+            train.id
+        );
+        assert!(
+            rec.spans.iter().any(|s| s.name == "install" && s.parent == train.id),
+            "stream {stream}: install marker is not parented on the shard's train span"
+        );
+    }
+}
+
+/// `/healthz` of a sharded server reports `"degraded"` (with the error
+/// total) once any shard's store has failed — what `odin status` and
+/// `odin top` turn into a non-zero exit — and the other shards, and the
+/// failing shard's serving path, carry on.
+#[test]
+fn healthz_degrades_when_one_shards_store_fails() {
+    let dir = scratch("broken-store");
+    let server = new_server(server_cfg(2, TrainingMode::Inline));
+    server.enable_store(&dir, odin_core::CheckpointPolicy::EveryNFrames(4)).expect("enable_store");
+    let frames = stream_frames(Subset::Day, 8, 16);
+    for f in &frames[..8] {
+        server.process(1, f.clone()).expect("admitted");
+    }
+    server.with_shard(1, |o| o.flush_store());
+    let health = server.render_healthz();
+    assert!(health.contains("\"status\":\"ok\""), "{health}");
+    assert!(health.contains("\"store_errors\":0"), "{health}");
+
+    // Replace stream 1's store directory with a regular file: its WAL
+    // survives through the open handle, but every snapshot write now
+    // fails with ENOTDIR.
+    let sdir = dir.join("streams").join("1");
+    std::fs::remove_dir_all(&sdir).expect("remove shard store dir");
+    std::fs::write(&sdir, b"not a directory").expect("plant blocking file");
+    for f in &frames[8..] {
+        server.process(1, f.clone()).expect("a failing store must not stop serving");
+        server.process(0, f.clone()).expect("the healthy shard serves");
+    }
+    for i in 0..2 {
+        server.with_shard(i, |o| o.flush_store());
+    }
+    let health = server.render_healthz();
+    assert!(health.contains("\"status\":\"degraded\""), "{health}");
+    assert!(!health.contains("\"store_errors\":0"), "{health}");
+    assert!(health.contains("\"streams\":2"), "{health}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// `checkpoint_all` + `restore_from_dir`: every shard of a 4-stream
 /// server restores bit-identically (models, memory, inference), with
 /// the encoder/teacher deduped into one `shared.odst`.
