@@ -1,7 +1,9 @@
 //! Tensor-backend micro-benchmark: GFLOP/s of the matmul kernels (AVX2
 //! default and forced-scalar), the im2col convolution forward/backward
 //! (batched, and at the batch-1 shapes the server runs per frame), the
-//! int8 serving kernels, and end-to-end DA-GAN encoding throughput.
+//! int8 serving kernels (one interior shape, the four layers of the
+//! Small detector at batch 1, and a whole frame through
+//! `QDetector::detect`), and end-to-end DA-GAN encoding throughput.
 //! Used to record before/after numbers for the deterministic parallel
 //! backend (see README "Performance"). For int8 rows the "GFLOP/s"
 //! column reports integer giga-ops/s on the same 2·m·k·n count.
@@ -9,11 +11,13 @@
 use std::time::Instant;
 
 use odin_bench::report::{Args, Table};
-use odin_data::Image;
+use odin_data::{Condition, Image, SceneGen, TimeOfDay, Weather};
+use odin_detect::model::SMALL_CONVS;
+use odin_detect::{Detector, QDetector};
 use odin_gan::{DaGan, DaGanConfig};
 use odin_tensor::layers::{Conv2d, Dense};
 use odin_tensor::ops::{matmul, matmul_nt, matmul_tn};
-use odin_tensor::qtensor::{dot_i8, quantize_activations, QConv2d};
+use odin_tensor::qtensor::{dot_i8, quantize_activations, QConv2d, QConvScratch};
 use odin_tensor::simd;
 use odin_tensor::{Layer, Tensor};
 use rand::rngs::StdRng;
@@ -211,14 +215,50 @@ fn main() {
     let (oh, ow) = qconv.out_hw(qh, qh);
     let qconv_flops = (2 * oh * ow * qout * fan_in) as f64;
     let mut qout_buf = Vec::new();
+    let mut qscratch = QConvScratch::default();
     let secs = time_per_call(|| {
-        black_box(qconv.forward_nhwc(black_box(&qx), 0.01, qh, qh, &mut qout_buf));
+        black_box(qconv.forward_nhwc(black_box(&qx), 0.01, qh, qh, &mut qscratch, &mut qout_buf));
     });
     t.row(vec![
         "conv2d_int8".into(),
         format!("{qh}x{qh}x{qin} k3->{qout}"),
         format!("{:.2}", qconv_flops / secs / 1e9),
         format!("{:.3}", secs * 1e3),
+    ]);
+
+    // The int8 path a recovered stream serves every frame with: the
+    // four layers of the Small detector at a 48-pixel frame, one image
+    // each, and the whole frame (quantize, stack, decode, NMS).
+    let mut hw = 48usize;
+    for (i, &(cin, cout, k, stride, pad, _)) in SMALL_CONVS.iter().enumerate() {
+        let fan_in = cin * k * k;
+        let w: Vec<f32> = (0..cout * fan_in).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
+        let b: Vec<f32> = (0..cout).map(|_| rng.gen_range(-0.5f32..0.5)).collect();
+        let conv = QConv2d::new(&w, &b, cin, cout, k, stride, pad, Some(0.2));
+        let x: Vec<i8> = (0..hw * hw * cin).map(|_| rng.gen_range(-127i32..=127) as i8).collect();
+        let (oh, ow) = conv.out_hw(hw, hw);
+        let secs = time_per_call(|| {
+            black_box(conv.forward_nhwc(black_box(&x), 0.01, hw, hw, &mut qscratch, &mut qout_buf));
+        });
+        t.row(vec![
+            format!("qconv_small{i}"),
+            format!("1x{hw}x{hw}x{cin} k{k}s{stride}->{cout}"),
+            format!("{:.2}", (2 * oh * ow * cout * fan_in) as f64 / secs / 1e9),
+            format!("{:.4}", secs * 1e3),
+        ]);
+        hw = oh;
+    }
+    let small = QDetector::quantize(&Detector::small(48, &mut rng)).expect("small quantizes");
+    let day = Condition::new(Weather::Clear, TimeOfDay::Day);
+    let frame = SceneGen::new(48).frame(&mut rng, day).image;
+    let secs = time_per_call(|| {
+        black_box(small.detect(black_box(&frame)));
+    });
+    t.row(vec![
+        "detect_small_int8".into(),
+        "1x3x48x48".into(),
+        "-".into(),
+        format!("{:.4}", secs * 1e3),
     ]);
 
     let dn = 65536usize;

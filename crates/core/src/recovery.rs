@@ -548,9 +548,13 @@ impl Odin {
         match event {
             WalEvent::Drift { event, cluster } => {
                 self.manager.apply_promotion(cluster, event.at);
+                // As live `on_drift` does: the snapshot's temporary-
+                // cluster frames are this regime's first. Left behind
+                // they would seed the next promotion — another regime.
+                let seed_frames = std::mem::take(&mut self.temp_frames);
                 self.episodes.insert(
                     event.cluster_id,
-                    Episode { ctx: None, stage: Stage::Collecting(Vec::new()) },
+                    Episode { ctx: None, stage: Stage::Collecting(seed_frames) },
                 );
             }
             WalEvent::Evict { cluster_id } => {
@@ -780,6 +784,20 @@ mod tests {
             background.check();
             prop_assert_eq!(inline.summary(), background.summary());
         }
+    }
+
+    /// A `Drift` replayed over a snapshot taken while the regime's first
+    /// frames sat in the temporary cluster hands them to the episode it
+    /// opens, as the live promotion did.
+    #[test]
+    fn replayed_drift_seeds_its_episode_with_the_restored_temp_frames() {
+        let mut h = Harness::new(TrainingMode::Inline);
+        h.odin.temp_frames = vec![h.frame.clone(); 3];
+        let cluster = Cluster::from_points(0, vec![vec![0.0; 4]], 0.75, 8);
+        let event = DriftEvent { cluster_id: 0, at: h.odin.manager.seen() };
+        h.odin.apply_wal_event(WalEvent::Drift { event, cluster });
+        assert!(h.odin.temp_frames.is_empty(), "replay stranded the temporary-cluster frames");
+        assert_eq!(h.odin.episodes[&0].frames().len(), 3);
     }
 
     /// The FRAMES tail written before there was an `Episode` type: three

@@ -38,7 +38,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{unbounded, Receiver, Sender};
+use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
 use odin_data::{Condition, Frame, GtBox, Image, ObjectClass, TimeOfDay, Weather};
 use odin_detect::Detector;
 use odin_log::{read_after, Cursor, LogRecord, RecordKind, EVENT_LOG_FILE};
@@ -244,7 +244,8 @@ impl ServerInner {
             h.admitted.inc();
             h.queue_gauge.set(depth as i64);
         }
-        let (tx, rx) = unbounded();
+        // Carries exactly one `FrameResult`.
+        let (tx, rx) = bounded(1);
         let job = Job { stream, frame, submitted: Instant::now(), reply: tx };
         let tx = &self.worker_txs[stream % self.worker_txs.len()];
         if tx.send(Msg::Job(job)).is_err() {

@@ -55,8 +55,9 @@ pub(crate) const LEAKY_SLOPE: f32 = 0.2;
 /// The Small backbone's conv stack: `(in_c, out_c, kernel, stride, pad,
 /// fused leaky-ReLU)` per layer. [`Detector::small`] builds the f32 net
 /// from this table and `QDetector::quantize` uses it to slice the flat
-/// [`Detector::export_params`] buffer, so the two can never drift apart.
-pub(crate) const SMALL_CONVS: [(usize, usize, usize, usize, usize, bool); 4] = [
+/// [`Detector::export_params`] buffer, so the two can never drift apart
+/// (and the kernel bench times these shapes, whatever they become).
+pub const SMALL_CONVS: [(usize, usize, usize, usize, usize, bool); 4] = [
     (3, 16, 3, 2, 1, true),
     (16, 32, 3, 2, 1, true),
     (32, 40, 3, 2, 1, true),

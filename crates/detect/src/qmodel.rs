@@ -5,12 +5,14 @@
 //! per-channel symmetric int8 weights (see [`odin_tensor::qtensor`] for
 //! the scheme) — done once at model-install time. Serving then runs a
 //! direct NHWC int8 convolution stack: no im2col gather, ~4× smaller
-//! weight traffic, 16-lane integer dot products. Outputs are
+//! weight traffic, output channels in the SIMD lanes. Outputs are
 //! *approximately* equal to the f32 detector's (quantization noise),
 //! which is why installs gate the swap on an mAP-delta check.
 
 use odin_data::{Frame, Image};
-use odin_tensor::qtensor::{max_abs, quantize_activations, quantize_into, QConv2d};
+use odin_tensor::qtensor::{
+    max_abs, quantize_activations, quantize_planes_into_nhwc, QConv2d, QConvScratch,
+};
 use odin_tensor::Tensor;
 
 use crate::head::{decode, Detection, HEAD_CHANNELS};
@@ -81,30 +83,21 @@ impl QDetector {
     /// Runs the int8 conv stack on one image's `[3, s, s]` f32 data,
     /// appending the head output into `pred` in NCHW order.
     ///
-    /// `scratch` holds the three reusable buffers (quantized input,
-    /// f32 activations) so batch serving does not allocate per frame.
+    /// `scratch` holds the reusable buffers (quantized input, f32
+    /// activations, the conv kernels' own) so batch serving does not
+    /// allocate per frame.
     fn forward_one(&self, data: &[f32], scratch: &mut QScratch, pred: &mut Vec<f32>) {
         let s = self.size;
-        // NCHW → NHWC int8 with a per-frame dynamic scale: quantize the
-        // whole NCHW buffer vectorized, then interleave bytes.
+        // NCHW → NHWC int8 with a per-frame dynamic scale.
         let max = max_abs(data);
         let mut scale = if max > 0.0 { max / 127.0 } else { 1.0 };
-        let plane = s * s;
-        scratch.plane.clear();
-        scratch.plane.resize(data.len(), 0);
-        quantize_into(data, 1.0 / scale, &mut scratch.plane);
-        scratch.q.clear();
         scratch.q.resize(data.len(), 0);
-        for c in 0..3 {
-            let chan = &scratch.plane[c * plane..(c + 1) * plane];
-            for (p, &v) in chan.iter().enumerate() {
-                scratch.q[p * 3 + c] = v;
-            }
-        }
+        quantize_planes_into_nhwc(data, 3, 1.0 / scale, &mut scratch.q);
         let (mut h, mut w) = (s, s);
         let last = self.convs.len() - 1;
         for (i, conv) in self.convs.iter().enumerate() {
-            let (oh, ow) = conv.forward_nhwc(&scratch.q, scale, h, w, &mut scratch.f);
+            let (oh, ow) =
+                conv.forward_nhwc(&scratch.q, scale, h, w, &mut scratch.conv, &mut scratch.f);
             (h, w) = (oh, ow);
             if i < last {
                 scale = quantize_activations(&scratch.f, &mut scratch.q);
@@ -191,8 +184,7 @@ impl QDetector {
 struct QScratch {
     q: Vec<i8>,
     f: Vec<f32>,
-    /// NCHW-order quantized input, before NHWC interleave.
-    plane: Vec<i8>,
+    conv: QConvScratch,
 }
 
 #[cfg(test)]
@@ -277,5 +269,34 @@ mod tests {
         let q = QDetector::quantize(&d).expect("small quantizes");
         let img = Image::new(3, 64, 64);
         let _ = q.detect(&img); // must not panic
+    }
+
+    /// FNV-1a over the little-endian bit patterns of `values`.
+    fn fnv1a(values: &[f32]) -> u64 {
+        values
+            .iter()
+            .flat_map(|v| v.to_bits().to_le_bytes())
+            .fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+                (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+            })
+    }
+
+    /// The head output's bits for a fixed seed, recorded from the
+    /// kernel this one replaced (four output channels per pass, a
+    /// horizontal sum per channel): a change of layout or tiling must
+    /// not move a single bit, on either dispatch path or thread count.
+    #[test]
+    fn forward_bits_are_pinned() {
+        let mut rng = StdRng::seed_from_u64(7);
+        let gen = SceneGen::new(48);
+        let frames = gen.subset_frames(&mut rng, Subset::Day, 40);
+        let mut d = Detector::small(48, &mut rng);
+        d.train_oracle(&mut rng, &frames, 40, 8);
+        let q = QDetector::quantize(&d).expect("small quantizes");
+        let images: Vec<Image> = frames[..3].iter().map(|f| f.image.clone()).collect();
+        let one = q.forward(&Image::batch(&images[..1]));
+        let three = q.forward(&Image::batch(&images));
+        assert_eq!(fnv1a(one.data()), 0xa366_89f3_94c3_ce29, "batch 1");
+        assert_eq!(fnv1a(three.data()), 0xc5fb_9648_9a96_8f1b, "batch 3");
     }
 }

@@ -12,24 +12,26 @@
 //! on it.
 //!
 //! The server is deliberately minimal: `std::net::TcpListener` and
-//! `Connection: close` on every response. Each accepted connection is
-//! handled on its own short-lived thread (bounded by
-//! [`MAX_CONNECTION_THREADS`]; excess connections are handled inline on
-//! the accept thread), so a slow `/metrics` scrape never blocks frame
-//! ingest. Bind to port 0 for an ephemeral port (CI does this) and read
-//! it back via [`MetricsServer::addr`].
+//! `Connection: close` on every response. [`serve`] starts
+//! [`MAX_CONNECTION_THREADS`] handler threads that live as long as the
+//! server; each blocks in `accept()` on the shared listener (the kernel
+//! wakes one of them per connection) and answers the connection it
+//! accepted, so a request costs no thread spawn and a slow `/metrics`
+//! scrape never blocks frame ingest. When every handler is busy, new
+//! connections wait in the listen backlog. Bind to port 0 for an
+//! ephemeral port (CI does this) and read it back via
+//! [`MetricsServer::addr`].
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-/// Cap on concurrently spawned per-connection handler threads. Beyond
-/// it, connections are served inline on the accept thread — the server
-/// degrades to the old serial behaviour instead of spawning unbounded
-/// threads under a connection flood.
+/// Number of resident handler threads, hence of requests in flight at
+/// once. A connection flood queues in the listen backlog instead of
+/// growing the thread count.
 pub const MAX_CONNECTION_THREADS: usize = 8;
 
 /// Cap on the request line plus all headers, in bytes. A request whose
@@ -117,11 +119,11 @@ pub struct HttpHandlers {
 }
 
 /// A running exposition server. Dropping it shuts the listener down and
-/// joins the serving thread.
+/// joins the handler threads.
 pub struct MetricsServer {
     addr: SocketAddr,
     stop: Arc<AtomicBool>,
-    handle: Option<JoinHandle<()>>,
+    handlers: Vec<JoinHandle<()>>,
 }
 
 impl std::fmt::Debug for MetricsServer {
@@ -136,14 +138,22 @@ impl MetricsServer {
         self.addr
     }
 
-    /// Stops the accept loop and joins the serving thread. Idempotent.
-    /// In-flight per-connection handler threads finish on their own
-    /// (every response is `Connection: close`, so they are short-lived).
+    /// Stops the handler threads and joins them, so a request in flight
+    /// is answered before this returns and the port is free after it.
+    /// Idempotent.
     pub fn shutdown(&mut self) {
-        if let Some(handle) = self.handle.take() {
-            self.stop.store(true, Ordering::SeqCst);
-            // Unblock the accept() call with a throwaway connection.
+        if self.handlers.is_empty() {
+            return;
+        }
+        self.stop.store(true, Ordering::SeqCst);
+        // Each handler exits on the first accept() that returns after
+        // `stop` is set, so one throwaway connection per handler wakes
+        // them all — an idle one by accepting it, a busy one by finding
+        // it (or the flag) when its request is done.
+        for _ in &self.handlers {
             let _ = TcpStream::connect(self.addr);
+        }
+        for handle in self.handlers.drain(..) {
             let _ = handle.join();
         }
     }
@@ -155,49 +165,46 @@ impl Drop for MetricsServer {
     }
 }
 
-/// Binds `addr` and serves `handlers` on a background thread until the
-/// returned [`MetricsServer`] is shut down or dropped. Connections are
-/// dispatched to per-connection threads (at most
-/// [`MAX_CONNECTION_THREADS`] at once; the rest are served inline).
+/// Binds `addr` and serves `handlers` on [`MAX_CONNECTION_THREADS`]
+/// background threads until the returned [`MetricsServer`] is shut down
+/// or dropped. Every thread accepts on the one listener and answers the
+/// connections it accepts.
 pub fn serve<A: ToSocketAddrs>(addr: A, handlers: HttpHandlers) -> std::io::Result<MetricsServer> {
-    let listener = TcpListener::bind(addr)?;
+    let listener = Arc::new(TcpListener::bind(addr)?);
     let addr = listener.local_addr()?;
-    let stop = Arc::new(AtomicBool::new(false));
-    let stop_flag = stop.clone();
-    let handle =
-        std::thread::Builder::new().name("odin-http-accept".to_string()).spawn(move || {
-            let active = Arc::new(AtomicUsize::new(0));
-            for stream in listener.incoming() {
-                if stop_flag.load(Ordering::SeqCst) {
-                    break;
-                }
-                let Ok(stream) = stream else { continue };
-                // A misbehaving client must not wedge a handler.
-                let _ = stream.set_read_timeout(Some(Duration::from_secs(5)));
-                let _ = stream.set_write_timeout(Some(Duration::from_secs(5)));
-                if active.load(Ordering::SeqCst) < MAX_CONNECTION_THREADS {
-                    active.fetch_add(1, Ordering::SeqCst);
-                    let handlers = handlers.clone();
-                    let thread_active = Arc::clone(&active);
-                    let spawned = std::thread::Builder::new()
-                        .name("odin-http-conn".to_string())
-                        .spawn(move || {
-                            let _ = handle_connection(stream, &handlers);
-                            thread_active.fetch_sub(1, Ordering::SeqCst);
-                        });
-                    if let Err(_e) = spawned {
-                        // Thread spawn failed (resource exhaustion):
-                        // the connection was moved into the closure and
-                        // dropped with it; the client sees a reset and
-                        // retries. Undo the reservation.
-                        active.fetch_sub(1, Ordering::SeqCst);
-                    }
-                } else {
-                    let _ = handle_connection(stream, &handlers);
-                }
-            }
-        })?;
-    Ok(MetricsServer { addr, stop, handle: Some(handle) })
+    let handlers = Arc::new(handlers);
+    let mut server =
+        MetricsServer { addr, stop: Arc::new(AtomicBool::new(false)), handlers: Vec::new() };
+    for _ in 0..MAX_CONNECTION_THREADS {
+        let (listener, handlers, stop) = (listener.clone(), handlers.clone(), server.stop.clone());
+        // On a failed spawn `?` drops `server`, which stops and joins
+        // the handlers already running.
+        let handle = std::thread::Builder::new()
+            .name("odin-http-conn".to_string())
+            .spawn(move || accept_loop(&listener, &handlers, &stop))?;
+        server.handlers.push(handle);
+    }
+    Ok(server)
+}
+
+/// One handler thread: accept, answer, repeat until `stop`.
+fn accept_loop(listener: &TcpListener, handlers: &HttpHandlers, stop: &AtomicBool) {
+    loop {
+        let accepted = listener.accept();
+        if stop.load(Ordering::SeqCst) {
+            return;
+        }
+        let Ok((stream, _)) = accepted else { continue };
+        // A misbehaving client must not wedge a handler.
+        let _ = stream.set_read_timeout(Some(Duration::from_secs(5)));
+        let _ = stream.set_write_timeout(Some(Duration::from_secs(5)));
+        // The thread outlives the request: a panicking render or route
+        // closure costs its own connection (dropped in the unwind, the
+        // client sees it close), not an eighth of the server.
+        let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            handle_connection(stream, handlers)
+        }));
+    }
 }
 
 /// Reads one request off the wire, or the rejection to answer it with.
@@ -564,5 +571,100 @@ mod tests {
         release_tx.send(()).expect("slow handler alive");
         let (status, _) = slow.join().expect("join").expect("slow response");
         assert!(status.contains("200"), "{status}");
+    }
+
+    /// A route that reports each request entering it on `entered` and
+    /// parks it until `release` fires or is dropped (bounded, so a
+    /// regression fails instead of hanging).
+    fn parking_route(
+        entered: std::sync::mpsc::Sender<()>,
+        release: std::sync::mpsc::Receiver<()>,
+    ) -> RouteHandler {
+        let entered = std::sync::Mutex::new(entered);
+        let release = std::sync::Mutex::new(release);
+        Arc::new(move |req: &Request| {
+            (req.path == "/park").then(|| {
+                let _ = entered.lock().unwrap().send(());
+                let _ = release.lock().unwrap().recv_timeout(Duration::from_secs(10));
+                Response::text("200 OK", "released\n")
+            })
+        })
+    }
+
+    #[test]
+    fn requests_beyond_the_handler_count_wait_in_the_backlog_and_are_all_answered() {
+        use std::sync::mpsc;
+        let (entered_tx, entered_rx) = mpsc::channel();
+        let (release_tx, release_rx) = mpsc::channel();
+        let mut h = handlers();
+        h.route = Some(parking_route(entered_tx, release_rx));
+        let server = serve("127.0.0.1:0", h).expect("bind");
+        let addr = server.addr();
+        let clients: Vec<_> = (0..3 * MAX_CONNECTION_THREADS)
+            .map(|_| std::thread::spawn(move || get(addr, "/park")))
+            .collect();
+        // Every handler is parked in the route; the other requests have
+        // nobody to accept them yet.
+        for _ in 0..MAX_CONNECTION_THREADS {
+            entered_rx.recv_timeout(Duration::from_secs(5)).expect("a handler per request");
+        }
+        // Dropping the sender releases the parked requests and every
+        // later one.
+        drop(release_tx);
+        for client in clients {
+            let (status, body) = client.join().expect("join").expect("response");
+            assert!(status.contains("200"), "{status}");
+            assert_eq!(body, "released\n");
+        }
+        assert_still_serving(addr);
+    }
+
+    #[test]
+    fn a_panicking_route_costs_its_connection_not_a_handler() {
+        let mut h = handlers();
+        h.route = Some(Arc::new(|req: &Request| {
+            assert!(req.path != "/boom", "route panics on purpose");
+            None
+        }));
+        let server = serve("127.0.0.1:0", h).expect("bind");
+        // More panics than there are handlers.
+        for _ in 0..2 * MAX_CONNECTION_THREADS {
+            // Closed without a response: end of stream or a reset.
+            if let Ok((status, _)) = get(server.addr(), "/boom") {
+                assert_eq!(status, "");
+            }
+        }
+        assert_still_serving(server.addr());
+    }
+
+    #[test]
+    fn shutdown_waits_for_the_request_in_flight() {
+        use std::sync::mpsc;
+        let (entered_tx, entered_rx) = mpsc::channel();
+        let (release_tx, release_rx) = mpsc::channel();
+        let mut h = handlers();
+        h.route = Some(parking_route(entered_tx, release_rx));
+        let mut server = serve("127.0.0.1:0", h).expect("bind");
+        let addr = server.addr();
+        let client = std::thread::spawn(move || get(addr, "/park"));
+        entered_rx.recv_timeout(Duration::from_secs(5)).expect("request in flight");
+        let (down_tx, down_rx) = mpsc::channel();
+        let stopper = std::thread::spawn(move || {
+            server.shutdown();
+            let _ = down_tx.send(());
+        });
+        // shutdown() joins the parked handler, so it cannot have
+        // returned; a server that detached it would report here.
+        assert!(
+            down_rx.recv_timeout(Duration::from_millis(200)).is_err(),
+            "shutdown returned with a request unanswered"
+        );
+        release_tx.send(()).expect("handler parked");
+        let (status, body) = client.join().expect("join").expect("response");
+        assert!(status.contains("200"), "{status}");
+        assert_eq!(body, "released\n");
+        down_rx.recv_timeout(Duration::from_secs(5)).expect("shutdown returns once answered");
+        stopper.join().expect("join");
+        serve(addr, handlers()).expect("port is free after shutdown");
     }
 }

@@ -22,10 +22,22 @@
 //!
 //! [`QConv2d`] deliberately does **not** use im2col: activations are
 //! kept in NHWC (channels-last) layout, where a `k×k` patch row is
-//! `k * C` *contiguous* bytes, so direct convolution is a handful of
-//! long int8 dot products per output position and the im2col
-//! gather/copy pass — over half the f32 serving cost — disappears
-//! entirely.
+//! `k * C` *contiguous* bytes, so gathering one output position's
+//! window is `k` short copies.
+//!
+//! Weights are packed once, at [`QConv2d::new`], into int8 panels
+//! `[ceil(out_c / 8)][ceil(l / 2)][8][2]`: eight output channels side
+//! by side, and under each channel two consecutive patch elements (a
+//! *k-pair*). The ragged last group and an odd `l` are zero-padded.
+//! The AVX2 body puts the **output channels in the SIMD lanes**: one
+//! `vpmovsxbw` widens a 16-byte panel row to eight `(w[k], w[k+1])`
+//! i16 pairs, the activation pair `(a[k], a[k+1])` is broadcast to
+//! every lane, and `vpmaddwd` yields `a[k]·w[k] + a[k+1]·w[k+1]` per
+//! channel as an i32 — so the eight lanes of an accumulator *are*
+//! eight finished outputs and there is no horizontal sum. A tile of 4
+//! output positions × 16 channels shares each widened panel row. The
+//! panels stay one byte per weight and are the only weight copy: the
+//! scalar body indexes them too.
 
 use crate::simd;
 
@@ -91,31 +103,41 @@ pub fn quantize_into(src: &[f32], inv_scale: f32, dst: &mut [i8]) {
     }
 }
 
+/// Eight floats at `src`, scaled, rounded to nearest-even and clamped
+/// to `[-127, 127]`, as i32 lanes: [`q8`] on eight lanes.
+///
+/// # Safety
+///
+/// Requires AVX2 and eight readable floats at `src`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+#[inline]
+unsafe fn quant8_avx2(
+    src: *const f32,
+    inv_scale: std::arch::x86_64::__m256,
+) -> std::arch::x86_64::__m256i {
+    use std::arch::x86_64::*;
+    const NEAREST: i32 = _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC;
+    let t = _mm256_mul_ps(_mm256_loadu_ps(src), inv_scale);
+    let t = _mm256_round_ps::<NEAREST>(t);
+    let t = _mm256_min_ps(_mm256_max_ps(t, _mm256_set1_ps(-127.0)), _mm256_set1_ps(127.0));
+    _mm256_cvtps_epi32(t)
+}
+
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 unsafe fn quantize_into_avx2(src: &[f32], inv_scale: f32, dst: &mut [i8]) {
     use std::arch::x86_64::*;
-    const NEAREST: i32 = _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC;
     let n = src.len();
     let sp = src.as_ptr();
     let dp = dst.as_mut_ptr();
     let invv = _mm256_set1_ps(inv_scale);
-    let lov = _mm256_set1_ps(-127.0);
-    let hiv = _mm256_set1_ps(127.0);
-    macro_rules! quant8 {
-        ($off:expr) => {{
-            let t = _mm256_mul_ps(_mm256_loadu_ps(sp.add($off)), invv);
-            let t = _mm256_round_ps::<NEAREST>(t);
-            let t = _mm256_min_ps(_mm256_max_ps(t, lov), hiv);
-            _mm256_cvtps_epi32(t)
-        }};
-    }
     let mut i = 0;
     while i + 32 <= n {
-        let q0 = quant8!(i);
-        let q1 = quant8!(i + 8);
-        let q2 = quant8!(i + 16);
-        let q3 = quant8!(i + 24);
+        let q0 = quant8_avx2(sp.add(i), invv);
+        let q1 = quant8_avx2(sp.add(i + 8), invv);
+        let q2 = quant8_avx2(sp.add(i + 16), invv);
+        let q3 = quant8_avx2(sp.add(i + 24), invv);
         // packs interleaves 128-bit lanes; the permute restores source
         // order (dword j of the packed result holds elements 4j..4j+3).
         let p01 = _mm256_packs_epi32(q0, q1);
@@ -143,6 +165,68 @@ pub fn quantize_activations(src: &[f32], dst: &mut Vec<i8>) -> f32 {
     scale
 }
 
+/// Quantizes a planar `[channels][pixels]` f32 image into channels-last
+/// `[pixels][channels]` i8: `dst[p * channels + c] =
+/// clamp(round(src[c * pixels + p] * inv_scale))`, the bytes
+/// [`quantize_into`] followed by an interleave would produce. Three
+/// channels (a frame entering the detector) take the AVX2 path.
+pub fn quantize_planes_into_nhwc(src: &[f32], channels: usize, inv_scale: f32, dst: &mut [i8]) {
+    assert_eq!(src.len(), dst.len(), "quantize_planes_into_nhwc length mismatch");
+    assert!(channels > 0 && src.len().is_multiple_of(channels), "planes do not divide the input");
+    let pixels = src.len() / channels;
+    let mut done = 0;
+    #[cfg(target_arch = "x86_64")]
+    if channels == 3 && simd::simd_enabled() {
+        // Safety: simd_enabled() is true only when AVX2 was detected.
+        done = unsafe { quantize_rgb_into_nhwc_avx2(src, inv_scale, dst) };
+    }
+    for p in done..pixels {
+        for c in 0..channels {
+            dst[p * channels + c] = q8(src[c * pixels + p], inv_scale);
+        }
+    }
+}
+
+/// The three-plane body of [`quantize_planes_into_nhwc`]; returns how
+/// many leading pixels it wrote (the caller finishes the rest).
+///
+/// # Safety
+///
+/// Requires AVX2; `src` and `dst` must have the same length, a
+/// multiple of 3.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn quantize_rgb_into_nhwc_avx2(src: &[f32], inv_scale: f32, dst: &mut [i8]) -> usize {
+    use std::arch::x86_64::*;
+    let pixels = src.len() / 3;
+    let (r, g, b) = (src.as_ptr(), src.as_ptr().add(pixels), src.as_ptr().add(2 * pixels));
+    let dp = dst.as_mut_ptr();
+    let invv = _mm256_set1_ps(inv_scale);
+    let byte = _mm256_set1_epi32(0xff);
+    // Per 128-bit lane: four [r g b 0] dwords → twelve packed bytes.
+    let pack = _mm256_setr_epi8(
+        0, 1, 2, 4, 5, 6, 8, 9, 10, 12, 13, 14, -1, -1, -1, -1, //
+        0, 1, 2, 4, 5, 6, 8, 9, 10, 12, 13, 14, -1, -1, -1, -1,
+    );
+    let mut p = 0;
+    // Each step stores 28 bytes for 8 pixels (24): stop while the four
+    // spilled bytes still land inside `dst`; later steps overwrite them.
+    while p + 10 <= pixels {
+        let qr = _mm256_and_si256(quant8_avx2(r.add(p), invv), byte);
+        let qg = _mm256_and_si256(quant8_avx2(g.add(p), invv), byte);
+        let qb = _mm256_and_si256(quant8_avx2(b.add(p), invv), byte);
+        let rgb = _mm256_or_si256(
+            qr,
+            _mm256_or_si256(_mm256_slli_epi32::<8>(qg), _mm256_slli_epi32::<16>(qb)),
+        );
+        let packed = _mm256_shuffle_epi8(rgb, pack);
+        _mm_storeu_si128(dp.add(3 * p).cast(), _mm256_castsi256_si128(packed));
+        _mm_storeu_si128(dp.add(3 * p + 12).cast(), _mm256_extracti128_si256::<1>(packed));
+        p += 8;
+    }
+    p
+}
+
 /// Int8 dot product with an i32 accumulator. Dispatches to the AVX2
 /// `madd` kernel when enabled; the scalar reduction computes the exact
 /// same integer, so the paths are interchangeable.
@@ -158,65 +242,24 @@ pub fn dot_i8(a: &[i8], b: &[i8]) -> i32 {
     a.iter().zip(b.iter()).map(|(&x, &y)| i32::from(x) * i32::from(y)).sum()
 }
 
-/// Quantizes an `[rows, cols]` f32 weight matrix per row (= per output
-/// channel). Returns the i8 matrix and one scale per row.
-fn quantize_rows(w: &[f32], rows: usize, cols: usize) -> (Vec<i8>, Vec<f32>) {
-    assert_eq!(w.len(), rows * cols, "weight matrix shape mismatch");
-    let mut q = Vec::with_capacity(rows * cols);
-    let mut scales = Vec::with_capacity(rows);
-    for r in 0..rows {
-        let row = &w[r * cols..(r + 1) * cols];
-        let max_abs = row.iter().fold(0.0f32, |m, &v| m.max(v.abs()));
-        let scale = if max_abs > 0.0 { max_abs / 127.0 } else { 1.0 };
-        let inv = 1.0 / scale;
-        q.extend(row.iter().map(|&v| q8(v, inv)));
-        scales.push(scale);
-    }
-    (q, scales)
-}
+/// Output channels per weight panel group: the i32 lanes of one AVX2
+/// accumulator.
+const GROUP: usize = 8;
 
-/// An int8 fully-connected layer: per-row quantized weights, f32 bias.
-pub struct QDense {
-    in_f: usize,
-    out_f: usize,
-    w: Vec<i8>,
-    w_scale: Vec<f32>,
-    bias: Vec<f32>,
-}
+/// Output positions per AVX2 tile.
+const TILE: usize = 4;
 
-impl QDense {
-    /// Quantizes an f32 dense layer given its `[out_f, in_f]` row-major
-    /// weights and `out_f` biases.
-    pub fn new(w: &[f32], bias: &[f32], in_f: usize, out_f: usize) -> Self {
-        assert_eq!(bias.len(), out_f, "bias length mismatch");
-        let (w, w_scale) = quantize_rows(w, out_f, in_f);
-        QDense { in_f, out_f, w, w_scale, bias: bias.to_vec() }
-    }
-
-    /// Forward for a batch of rows: quantizes `x` (`[rows, in_f]`),
-    /// runs the int8 matmul, requantizes into `out` (`[rows, out_f]`).
-    pub fn forward(&self, x: &[f32], out: &mut Vec<f32>) {
-        assert_eq!(x.len() % self.in_f, 0, "input is not a multiple of in_f");
-        let rows = x.len() / self.in_f;
-        let mut xq = Vec::new();
-        let x_scale = quantize_activations(x, &mut xq);
-        out.clear();
-        out.reserve(rows * self.out_f);
-        for r in 0..rows {
-            let xr = &xq[r * self.in_f..(r + 1) * self.in_f];
-            for o in 0..self.out_f {
-                let wr = &self.w[o * self.in_f..(o + 1) * self.in_f];
-                let acc = dot_i8(xr, wr);
-                out.push(acc as f32 * (x_scale * self.w_scale[o]) + self.bias[o]);
-            }
-        }
-    }
-
-    /// Bytes of the served representation: i8 weights + f32 scales +
-    /// f32 biases.
-    pub fn param_bytes(&self) -> usize {
-        self.w.len() + 4 * (self.w_scale.len() + self.bias.len())
-    }
+/// Reusable buffers for [`QConv2d::forward_nhwc`], so a serving thread
+/// allocates nothing per layer or per frame once they have grown.
+#[derive(Default)]
+pub struct QConvScratch {
+    /// Per-channel requantization multipliers for the current input
+    /// scale, padded to whole groups.
+    m: Vec<f32>,
+    /// `TILE` gathered i8 patches, `patch_stride` apart.
+    patch: Vec<i8>,
+    /// The same patches widened to i16 (AVX2 body only).
+    wide: Vec<i16>,
 }
 
 /// An int8 2-D convolution over NHWC activations: direct (no im2col),
@@ -224,10 +267,9 @@ impl QDense {
 /// leaky-ReLU.
 ///
 /// Per output position the kernel window is gathered once into a
-/// contiguous zero-padded patch buffer (`k` short memcpys of int8 —
-/// this is all that remains of im2col), and every output channel is
-/// then one unbroken int8 dot over the padded length, so the AVX2
-/// `madd` pipeline never sees a ragged tail or an edge case.
+/// contiguous patch buffer (`k` short memcpys of int8 — this is all
+/// that remains of im2col); the module docs describe the weight panels
+/// and the channels-in-lanes kernel that consumes it.
 pub struct QConv2d {
     in_c: usize,
     out_c: usize,
@@ -236,12 +278,13 @@ pub struct QConv2d {
     pad: usize,
     /// Patch length `in_c * k * k`.
     l: usize,
-    /// `l` rounded up to a multiple of 16 (one `madd` step); weight
-    /// rows and the patch buffer are zero-padded to this length.
-    l_pad: usize,
-    /// `[out_c][l_pad]`, patch order `[ky][kx][ic]` (channels-last).
-    w: Vec<i8>,
+    /// `ceil(l / 2)`: k-pairs per panel group.
+    pairs: usize,
+    /// `[ceil(out_c / GROUP)][pairs][GROUP][2]`, patch order
+    /// `[ky][kx][ic]` (channels-last); padding is zero.
+    panels: Vec<i8>,
     w_scale: Vec<f32>,
+    /// Padded with zeros to whole groups.
     bias: Vec<f32>,
     /// Fused activation negative slope (`Some(0.0)` = ReLU, `None` =
     /// linear), matching `Conv2d`'s fused activation.
@@ -252,7 +295,8 @@ impl QConv2d {
     /// Quantizes an f32 convolution given its `[out_c, in_c * k * k]`
     /// row-major weights in im2col patch order (`[ic][ky][kx]`, the
     /// `Conv2d` storage layout) and `out_c` biases. Weights are
-    /// reordered to channels-last `[ky][kx][ic]` for the NHWC kernel.
+    /// reordered to channels-last `[ky][kx][ic]` and packed into the
+    /// panels the kernels read.
     #[allow(clippy::too_many_arguments)]
     pub fn new(
         w: &[f32],
@@ -264,52 +308,54 @@ impl QConv2d {
         pad: usize,
         act: Option<f32>,
     ) -> Self {
-        let fan_in = in_c * kernel * kernel;
-        assert_eq!(w.len(), out_c * fan_in, "conv weight shape mismatch");
+        let l = in_c * kernel * kernel;
+        assert_eq!(w.len(), out_c * l, "conv weight shape mismatch");
         assert_eq!(bias.len(), out_c, "bias length mismatch");
         if let Some(a) = act {
             assert!(a >= 0.0, "fused activation slope must be non-negative");
         }
-        // [ic][ky][kx] → [ky][kx][ic], per output channel.
-        let mut nhwc = vec![0.0f32; w.len()];
-        for o in 0..out_c {
-            for ic in 0..in_c {
-                for ky in 0..kernel {
-                    for kx in 0..kernel {
-                        let src = o * fan_in + (ic * kernel + ky) * kernel + kx;
-                        let dst = o * fan_in + (ky * kernel + kx) * in_c + ic;
-                        nhwc[dst] = w[src];
-                    }
-                }
-            }
-        }
-        let l = fan_in;
-        let l_pad = l.div_ceil(16) * 16;
-        let mut wq = vec![0i8; out_c * l_pad];
-        let mut w_scale = Vec::with_capacity(out_c);
-        for o in 0..out_c {
-            let row = &nhwc[o * l..(o + 1) * l];
-            let max_abs = row.iter().fold(0.0f32, |m, &v| m.max(v.abs()));
-            let scale = if max_abs > 0.0 { max_abs / 127.0 } else { 1.0 };
-            let inv = 1.0 / scale;
-            for (i, &v) in row.iter().enumerate() {
-                wq[o * l_pad + i] = q8(v, inv);
-            }
-            w_scale.push(scale);
-        }
-        QConv2d {
+        let pairs = l.div_ceil(2);
+        let groups = out_c.div_ceil(GROUP);
+        let mut conv = QConv2d {
             in_c,
             out_c,
             kernel,
             stride,
             pad,
             l,
-            l_pad,
-            w: wq,
-            w_scale,
+            pairs,
+            panels: vec![0i8; groups * pairs * GROUP * 2],
+            w_scale: Vec::with_capacity(out_c),
             bias: bias.to_vec(),
             act,
+        };
+        conv.bias.resize(groups * GROUP, 0.0);
+        for o in 0..out_c {
+            let row = &w[o * l..(o + 1) * l];
+            let max = max_abs(row);
+            let scale = if max > 0.0 { max / 127.0 } else { 1.0 };
+            let inv = 1.0 / scale;
+            // [ic][ky][kx] → [ky][kx][ic].
+            for ic in 0..in_c {
+                for ky in 0..kernel {
+                    for kx in 0..kernel {
+                        let src = (ic * kernel + ky) * kernel + kx;
+                        let dst = (ky * kernel + kx) * in_c + ic;
+                        let at = conv.panel_index(o, dst);
+                        conv.panels[at] = q8(row[src], inv);
+                    }
+                }
+            }
+            conv.w_scale.push(scale);
         }
+        conv
+    }
+
+    /// Where output channel `o`'s weight for patch element `i` lives in
+    /// `panels`.
+    #[inline(always)]
+    fn panel_index(&self, o: usize, i: usize) -> usize {
+        (((o / GROUP) * self.pairs + i / 2) * GROUP + o % GROUP) * 2 + i % 2
     }
 
     /// Output channels.
@@ -324,10 +370,18 @@ impl QConv2d {
         (oh, ow)
     }
 
-    /// Copies the kernel window at `(oy, ox)` into `patch`
-    /// (`l_pad` long, tail already zero): `k` contiguous NHWC row runs,
-    /// with out-of-bounds (zero-padding) regions cleared. Zero terms
-    /// contribute nothing to the integer dot, so this is exact.
+    /// Length of one gathered patch buffer: `l` rounded up to 16, so
+    /// the AVX2 body widens it in whole registers. The tail past `l`
+    /// is never written; the one element of it a kernel reads (odd
+    /// `l`) meets a zero weight.
+    fn patch_stride(&self) -> usize {
+        self.l.div_ceil(16) * 16
+    }
+
+    /// Copies the kernel window at `(oy, ox)` into `patch[..l]`: `k`
+    /// contiguous NHWC row runs, with out-of-bounds (zero-padding)
+    /// regions cleared. Zero terms contribute nothing to the integer
+    /// dot, so this is exact.
     #[inline(always)]
     fn gather_patch(&self, x: &[i8], h: usize, w: usize, oy: usize, ox: usize, patch: &mut [i8]) {
         let (k, c) = (self.kernel, self.in_c);
@@ -350,20 +404,17 @@ impl QConv2d {
         }
     }
 
-    /// Requantize + bias + fused activation for one accumulator.
+    /// Requantize + bias + fused activation for one accumulator. The
+    /// AVX2 body runs this arithmetic on eight lanes: `cvtdq2ps`,
+    /// `mulps`, `addps` (never an FMA) and a compare + blend.
     #[inline(always)]
     fn finish(&self, acc: i32, m: f32, bias: f32) -> f32 {
         let s = acc as f32 * m + bias;
         match self.act {
             None => s,
-            Some(a) if a > 0.0 => {
-                if s > 0.0 {
-                    s
-                } else {
-                    a * s
-                }
-            }
-            Some(_) => s.max(0.0),
+            Some(_) if s > 0.0 => s,
+            Some(a) if a > 0.0 => a * s,
+            Some(_) => 0.0,
         }
     }
 
@@ -379,29 +430,30 @@ impl QConv2d {
         w: usize,
         m: &[f32],
         out: &mut [f32],
-        oh: usize,
         ow: usize,
         patch: &mut [i8],
     ) {
-        for oy in 0..oh {
-            for ox in 0..ow {
-                self.gather_patch(x, h, w, oy, ox, patch);
-                let dst = &mut out[(oy * ow + ox) * self.out_c..(oy * ow + ox + 1) * self.out_c];
-                for (o, d) in dst.iter_mut().enumerate() {
-                    let wrow = &self.w[o * self.l_pad..o * self.l_pad + self.l];
-                    let acc: i32 = patch[..self.l]
-                        .iter()
-                        .zip(wrow.iter())
-                        .map(|(&a, &b)| i32::from(a) * i32::from(b))
-                        .sum();
-                    *d = self.finish(acc, m[o], self.bias[o]);
+        for (pos, dst) in out.chunks_exact_mut(self.out_c).enumerate() {
+            self.gather_patch(x, h, w, pos / ow, pos % ow, patch);
+            for (g, dst) in dst.chunks_mut(GROUP).enumerate() {
+                let panel = &self.panels[g * self.pairs * GROUP * 2..][..self.pairs * GROUP * 2];
+                let mut acc = [0i32; GROUP];
+                for (i, &a) in patch[..self.l].iter().enumerate() {
+                    let row = &panel[(i / 2) * GROUP * 2..][..GROUP * 2];
+                    for (lane, acc) in acc.iter_mut().enumerate() {
+                        *acc += i32::from(a) * i32::from(row[lane * 2 + i % 2]);
+                    }
+                }
+                for (lane, d) in dst.iter_mut().enumerate() {
+                    let o = g * GROUP + lane;
+                    *d = self.finish(acc[lane], m[o], self.bias[o]);
                 }
             }
         }
     }
 
-    /// AVX2 conv body: one compilation unit so the gather, the `madd`
-    /// dot, and requantization all inline together.
+    /// AVX2 conv body: tiles of [`TILE`] output positions × 16 output
+    /// channels (8 for an odd last group), channels in the lanes.
     ///
     /// # Safety
     ///
@@ -416,73 +468,108 @@ impl QConv2d {
         w: usize,
         m: &[f32],
         out: &mut [f32],
-        oh: usize,
         ow: usize,
         patch: &mut [i8],
+        wide: &mut [i16],
     ) {
         use std::arch::x86_64::*;
-        let oc4 = self.out_c / 4 * 4;
-        for oy in 0..oh {
-            for ox in 0..ow {
-                self.gather_patch(x, h, w, oy, ox, patch);
-                let pp = patch.as_ptr();
-                let dst = &mut out[(oy * ow + ox) * self.out_c..(oy * ow + ox + 1) * self.out_c];
-                // Four output channels per pass share each patch load.
-                let mut o = 0;
-                while o < oc4 {
-                    let w0 = self.w.as_ptr().add(o * self.l_pad);
-                    let w1 = w0.add(self.l_pad);
-                    let w2 = w1.add(self.l_pad);
-                    let w3 = w2.add(self.l_pad);
-                    let mut a0 = _mm256_setzero_si256();
-                    let mut a1 = _mm256_setzero_si256();
-                    let mut a2 = _mm256_setzero_si256();
-                    let mut a3 = _mm256_setzero_si256();
-                    let mut i = 0;
-                    while i < self.l_pad {
-                        let av = _mm256_cvtepi8_epi16(_mm_loadu_si128(pp.add(i).cast()));
-                        let b0 = _mm256_cvtepi8_epi16(_mm_loadu_si128(w0.add(i).cast()));
-                        a0 = _mm256_add_epi32(a0, _mm256_madd_epi16(av, b0));
-                        let b1 = _mm256_cvtepi8_epi16(_mm_loadu_si128(w1.add(i).cast()));
-                        a1 = _mm256_add_epi32(a1, _mm256_madd_epi16(av, b1));
-                        let b2 = _mm256_cvtepi8_epi16(_mm_loadu_si128(w2.add(i).cast()));
-                        a2 = _mm256_add_epi32(a2, _mm256_madd_epi16(av, b2));
-                        let b3 = _mm256_cvtepi8_epi16(_mm_loadu_si128(w3.add(i).cast()));
-                        a3 = _mm256_add_epi32(a3, _mm256_madd_epi16(av, b3));
-                        i += 16;
-                    }
-                    // Horizontal-sum all four accumulators at once:
-                    // after two hadd rounds dword j of each lane is one
-                    // channel's partial sum; adding the lanes finishes.
-                    let s01 = _mm256_hadd_epi32(a0, a1);
-                    let s23 = _mm256_hadd_epi32(a2, a3);
-                    let s = _mm256_hadd_epi32(s01, s23);
-                    let acc4 =
-                        _mm_add_epi32(_mm256_castsi256_si128(s), _mm256_extracti128_si256(s, 1));
-                    let mut accs = [0i32; 4];
-                    _mm_storeu_si128(accs.as_mut_ptr().cast(), acc4);
-                    for j in 0..4 {
-                        dst[o + j] = self.finish(accs[j], m[o + j], self.bias[o + j]);
-                    }
-                    o += 4;
+        let stride = self.patch_stride();
+        let groups = self.out_c.div_ceil(GROUP);
+        let positions = out.len() / self.out_c;
+        // What the tile kernel's raw reads rely on.
+        assert!(m.len() >= groups * GROUP && self.bias.len() >= groups * GROUP);
+        assert!(patch.len() >= TILE * stride && wide.len() >= TILE * stride);
+        let mut pos = 0;
+        while pos < positions {
+            // A ragged last tile computes on stale patches in the
+            // unused slots and stores only the live ones.
+            let live = (positions - pos).min(TILE);
+            for t in 0..live {
+                let p = &mut patch[t * stride..(t + 1) * stride];
+                self.gather_patch(x, h, w, (pos + t) / ow, (pos + t) % ow, p);
+                for i in (0..stride).step_by(16) {
+                    let v = _mm256_cvtepi8_epi16(_mm_loadu_si128(p.as_ptr().add(i).cast()));
+                    _mm256_storeu_si256(wide.as_mut_ptr().add(t * stride + i).cast(), v);
                 }
-                // Remaining channels (out_c not a multiple of 4).
-                for o in oc4..self.out_c {
-                    let wp = self.w.as_ptr().add(o * self.l_pad);
-                    let mut acc = _mm256_setzero_si256();
-                    let mut i = 0;
-                    while i < self.l_pad {
-                        let av = _mm256_cvtepi8_epi16(_mm_loadu_si128(pp.add(i).cast()));
-                        let bv = _mm256_cvtepi8_epi16(_mm_loadu_si128(wp.add(i).cast()));
-                        acc = _mm256_add_epi32(acc, _mm256_madd_epi16(av, bv));
-                        i += 16;
+            }
+            let dst = &mut out[pos * self.out_c..(pos + live) * self.out_c];
+            // SAFETY (both calls): `wide` holds TILE patches `stride`
+            // apart with `stride >= 2 * pairs`, the group range is
+            // inside `groups`, and `m` was checked above.
+            let mut g = 0;
+            while g + 2 <= groups {
+                self.tile_avx2::<2>(g, wide.as_ptr(), stride, m, dst);
+                g += 2;
+            }
+            if g < groups {
+                self.tile_avx2::<1>(g, wide.as_ptr(), stride, m, dst);
+            }
+            pos += live;
+        }
+    }
+
+    /// One tile: [`TILE`] widened patches (`stride` apart at `wide`)
+    /// against panel groups `g .. g + NG`, finished and stored into
+    /// `dst` — the `[positions][out_c]` rows of the tile's live
+    /// positions.
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX2; `wide` must be readable for `TILE * stride` i16
+    /// with `stride >= 2 * pairs`, `g + NG <= groups`, and `m` must
+    /// cover `groups * GROUP` lanes.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    unsafe fn tile_avx2<const NG: usize>(
+        &self,
+        g: usize,
+        wide: *const i16,
+        stride: usize,
+        m: &[f32],
+        dst: &mut [f32],
+    ) {
+        use std::arch::x86_64::*;
+        let group_bytes = self.pairs * GROUP * 2;
+        let wp = self.panels.as_ptr().add(g * group_bytes);
+        let mut acc = [[_mm256_setzero_si256(); NG]; TILE];
+        for p in 0..self.pairs {
+            let mut wv = [_mm256_setzero_si256(); NG];
+            for (n, wv) in wv.iter_mut().enumerate() {
+                let row = wp.add(n * group_bytes + p * GROUP * 2);
+                *wv = _mm256_cvtepi8_epi16(_mm_loadu_si128(row.cast()));
+            }
+            for (t, acc) in acc.iter_mut().enumerate() {
+                // The activation pair (a[2p], a[2p+1]) in every lane.
+                let av =
+                    _mm256_set1_epi32(wide.add(t * stride + 2 * p).cast::<i32>().read_unaligned());
+                for (acc, &wv) in acc.iter_mut().zip(&wv) {
+                    *acc = _mm256_add_epi32(*acc, _mm256_madd_epi16(wv, av));
+                }
+            }
+        }
+        let zero = _mm256_setzero_ps();
+        for (row, acc) in dst.chunks_exact_mut(self.out_c).zip(&acc) {
+            for (n, &acc) in acc.iter().enumerate() {
+                let o = (g + n) * GROUP;
+                let s = _mm256_add_ps(
+                    _mm256_mul_ps(_mm256_cvtepi32_ps(acc), _mm256_loadu_ps(m.as_ptr().add(o))),
+                    _mm256_loadu_ps(self.bias.as_ptr().add(o)),
+                );
+                let s = match self.act {
+                    None => s,
+                    Some(a) => {
+                        let neg = if a > 0.0 { _mm256_mul_ps(_mm256_set1_ps(a), s) } else { zero };
+                        _mm256_blendv_ps(neg, s, _mm256_cmp_ps::<_CMP_GT_OQ>(s, zero))
                     }
-                    let lo = _mm256_castsi256_si128(acc);
-                    let hi = _mm256_extracti128_si256(acc, 1);
-                    let s = _mm_add_epi32(lo, hi);
-                    let s = _mm_add_epi32(s, _mm_unpackhi_epi64(s, s));
-                    let s = _mm_add_epi32(s, _mm_shuffle_epi32(s, 1));
-                    dst[o] = self.finish(_mm_cvtsi128_si32(s), m[o], self.bias[o]);
+                };
+                if o + GROUP <= self.out_c {
+                    _mm256_storeu_ps(row.as_mut_ptr().add(o), s);
+                } else {
+                    // Ragged last group: the pad lanes are dropped.
+                    let mut lanes = [0.0f32; GROUP];
+                    _mm256_storeu_ps(lanes.as_mut_ptr(), s);
+                    row[o..].copy_from_slice(&lanes[..self.out_c - o]);
                 }
             }
         }
@@ -498,29 +585,44 @@ impl QConv2d {
         x_scale: f32,
         h: usize,
         w: usize,
+        scratch: &mut QConvScratch,
         out: &mut Vec<f32>,
     ) -> (usize, usize) {
         assert_eq!(x.len(), h * w * self.in_c, "input shape mismatch");
         let (oh, ow) = self.out_hw(h, w);
-        out.clear();
+        // No clear first: both bodies write every element.
         out.resize(oh * ow * self.out_c, 0.0);
         // Per-channel requantization multipliers for this input scale.
-        let m: Vec<f32> = self.w_scale.iter().map(|&s| s * x_scale).collect();
-        let mut patch = vec![0i8; self.l_pad];
+        scratch.m.clear();
+        scratch.m.extend(self.w_scale.iter().map(|&s| s * x_scale));
+        scratch.m.resize(self.bias.len(), 0.0);
+        scratch.patch.resize(TILE * self.patch_stride(), 0);
         #[cfg(target_arch = "x86_64")]
         if simd::simd_enabled() {
+            scratch.wide.resize(scratch.patch.len(), 0);
             // Safety: simd_enabled() is true only when AVX2 was detected.
-            unsafe { self.forward_body_avx2(x, h, w, &m, out, oh, ow, &mut patch) };
+            unsafe {
+                self.forward_body_avx2(
+                    x,
+                    h,
+                    w,
+                    &scratch.m,
+                    out,
+                    ow,
+                    &mut scratch.patch,
+                    &mut scratch.wide,
+                )
+            };
             return (oh, ow);
         }
-        self.forward_body_scalar(x, h, w, &m, out, oh, ow, &mut patch);
+        self.forward_body_scalar(x, h, w, &scratch.m, out, ow, &mut scratch.patch);
         (oh, ow)
     }
 
     /// Bytes of the served representation: i8 weights (unpadded) +
     /// f32 scales + f32 biases.
     pub fn param_bytes(&self) -> usize {
-        self.out_c * self.l + 4 * (self.w_scale.len() + self.bias.len())
+        self.out_c * self.l + 4 * (self.w_scale.len() + self.out_c)
     }
 }
 
@@ -558,27 +660,6 @@ mod tests {
     }
 
     #[test]
-    fn qdense_approximates_f32_matmul() {
-        let (inf, outf) = (16, 4);
-        let w: Vec<f32> = (0..inf * outf).map(|i| ((i as f32) * 0.13).sin() * 0.5).collect();
-        let bias = vec![0.1, -0.2, 0.3, 0.0];
-        let x: Vec<f32> = (0..inf * 2).map(|i| ((i as f32) * 0.7).cos()).collect();
-        let qd = QDense::new(&w, &bias, inf, outf);
-        let mut got = Vec::new();
-        qd.forward(&x, &mut got);
-        for r in 0..2 {
-            for o in 0..outf {
-                let mut acc = bias[o];
-                for i in 0..inf {
-                    acc += x[r * inf + i] * w[o * inf + i];
-                }
-                let g = got[r * outf + o];
-                assert!((g - acc).abs() < 0.05, "row {r} out {o}: {g} vs {acc}");
-            }
-        }
-    }
-
-    #[test]
     fn qconv_1x1_identity_passes_through_with_quant_noise() {
         // 1x1 kernel, identity weight on 1 channel: y ≈ x.
         let qc = QConv2d::new(&[1.0], &[0.0], 1, 1, 1, 1, 0, None);
@@ -586,7 +667,7 @@ mod tests {
         let mut xq = Vec::new();
         let s = quantize_activations(&x_f, &mut xq);
         let mut out = Vec::new();
-        let (oh, ow) = qc.forward_nhwc(&xq, s, 2, 2, &mut out);
+        let (oh, ow) = qc.forward_nhwc(&xq, s, 2, 2, &mut QConvScratch::default(), &mut out);
         assert_eq!((oh, ow), (2, 2));
         for (a, b) in out.iter().zip(x_f.iter()) {
             assert!((a - b).abs() < 0.01, "{a} vs {b}");

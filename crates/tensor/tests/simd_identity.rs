@@ -12,7 +12,9 @@
 
 use odin_tensor::layers::{Conv2d, Dense};
 use odin_tensor::ops::{matmul, matmul_nt, matmul_tn};
-use odin_tensor::qtensor::{dot_i8, quantize_activations, QConv2d};
+use odin_tensor::qtensor::{
+    dot_i8, quantize_activations, quantize_into, quantize_planes_into_nhwc, QConv2d, QConvScratch,
+};
 use odin_tensor::simd;
 use odin_tensor::{Layer, Tensor};
 use proptest::prelude::*;
@@ -171,19 +173,39 @@ proptest! {
         }
     }
 
-    /// The int8 dot product and the direct NHWC quantized convolution
-    /// produce identical results on both dispatch paths — integer
-    /// accumulation has no rounding, so this is exact equality of the
-    /// i32 sums and of the f32 requantized outputs.
+    /// Quantizing planar f32 straight into channels-last i8 writes the
+    /// bytes the planar quantizer followed by an interleave would, on
+    /// both dispatch paths — pixel counts on both sides of the 8-pixel
+    /// AVX2 step and its two-pixel store slack, three channels (the
+    /// vector path) and others (scalar on either setting).
     #[test]
-    fn int8_kernels_are_simd_invariant(
-        len in 1usize..100,
-        in_c in 1usize..4,
-        out_c in 1usize..6,
-        hw in 3usize..8,
-        stride in 1usize..3,
+    fn planar_to_nhwc_quantizer_matches_quantize_then_interleave(
+        pixels in 1usize..70,
+        channels in 1usize..5,
+        scale_mag in 0.01f32..8.0,
         seed in 0u64..1000,
     ) {
+        let _g = SimdGuard::acquire();
+        let mut rng = StdRng::seed_from_u64(seed);
+        let src: Vec<f32> =
+            (0..pixels * channels).map(|_| rng.gen_range(-scale_mag..scale_mag)).collect();
+        let inv = 127.0 / scale_mag;
+        simd::set_simd_enabled(false);
+        let mut planar = vec![0i8; src.len()];
+        quantize_into(&src, inv, &mut planar);
+        let want: Vec<i8> =
+            (0..src.len()).map(|i| planar[(i % channels) * pixels + i / channels]).collect();
+        for on in [false, true] {
+            simd::set_simd_enabled(on);
+            let mut got = vec![0i8; src.len()];
+            quantize_planes_into_nhwc(&src, channels, inv, &mut got);
+            prop_assert_eq!(&got, &want, "nhwc quantizer diverges (simd={})", on);
+        }
+    }
+
+    /// The int8 dot product is the same integer on both dispatch paths.
+    #[test]
+    fn int8_dot_is_simd_invariant(len in 1usize..100, seed in 0u64..1000) {
         let _g = SimdGuard::acquire();
         let mut rng = StdRng::seed_from_u64(seed);
         let a: Vec<i8> = (0..len).map(|_| rng.gen_range(-127i32..=127) as i8).collect();
@@ -192,16 +214,49 @@ proptest! {
         let dot_scalar = dot_i8(&a, &b);
         simd::set_simd_enabled(true);
         prop_assert_eq!(dot_scalar, dot_i8(&a, &b), "int8 dot diverges");
+    }
+}
 
-        let fan_in = in_c * 9;
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// The direct NHWC quantized convolution is bit-identical on both
+    /// dispatch paths — integer accumulation has no rounding and the
+    /// requantization is the same mul, add and select per lane — over
+    /// every way a shape can be ragged for the channels-in-lanes
+    /// kernel: `out_c` short of a whole 8-lane group and of the
+    /// 16-channel tile, an odd patch length (a padded k-pair),
+    /// position counts that are not a multiple of the 4-position tile,
+    /// 1×1 and 3×3 kernels with and without padding and stride, and
+    /// all three fused activations. One scratch serves every layer
+    /// shape in turn, as it does in the detector.
+    #[test]
+    fn int8_conv_is_simd_invariant(
+        in_c in 1usize..=33,
+        out_c in 1usize..=41,
+        hw in 3usize..=13,
+        kernel in (0usize..2).prop_map(|i| [1usize, 3][i]),
+        pad in 0usize..=1,
+        stride in 1usize..=2,
+        act in (0usize..3).prop_map(|i| [None, Some(0.0f32), Some(0.1)][i]),
+        seed in 0u64..1000,
+    ) {
+        let _g = SimdGuard::acquire();
+        let mut rng = StdRng::seed_from_u64(seed);
+        let fan_in = in_c * kernel * kernel;
         let w: Vec<f32> = (0..out_c * fan_in).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
         let bias: Vec<f32> = (0..out_c).map(|_| rng.gen_range(-0.5f32..0.5)).collect();
-        let conv = QConv2d::new(&w, &bias, in_c, out_c, 3, stride, 1, Some(0.1));
+        let conv = QConv2d::new(&w, &bias, in_c, out_c, kernel, stride, pad, act);
         let x: Vec<i8> = (0..hw * hw * in_c).map(|_| rng.gen_range(-127i32..=127) as i8).collect();
+        // A wider layer first, so the scratch arrives used.
+        let warm = QConv2d::new(&vec![0.5; 2 * 50 * 9], &[0.0; 2], 50, 2, 3, 1, 1, None);
         let run = |on: bool| {
             simd::set_simd_enabled(on);
+            let mut scratch = QConvScratch::default();
             let mut out = Vec::new();
-            conv.forward_nhwc(&x, 0.02, hw, hw, &mut out);
+            warm.forward_nhwc(&[127; 3 * 3 * 50], 0.02, 3, 3, &mut scratch, &mut out);
+            let dims = conv.forward_nhwc(&x, 0.02, hw, hw, &mut scratch, &mut out);
+            assert_eq!(out.len(), dims.0 * dims.1 * out_c);
             out
         };
         let scalar = run(false);

@@ -391,9 +391,11 @@ fn crash_between_archive_and_evict_keeps_the_model() {
 
 /// A crash *between* a Drift append and its Install append — the whole
 /// training window — must not strand the cluster: replaying the Drift
-/// reopens the cluster's recovery episode (empty: frames are not in the
-/// WAL), so the restored pipeline collects the regime's next frames and
-/// trains the model the crashed process never finished.
+/// reopens the cluster's recovery episode, so the restored pipeline
+/// collects the regime's next frames and trains the model the crashed
+/// process never finished. Frames are not in the WAL, but the ones the
+/// snapshot caught in the temporary cluster are this regime's: the
+/// replayed episode starts from them, as the live one did.
 #[test]
 fn crash_between_drift_and_install_retrains_the_cluster() {
     let dir = scratch("drift-crash");
@@ -401,8 +403,13 @@ fn crash_between_drift_and_install_retrains_the_cluster() {
 
     let mut live = new_odin(TrainingMode::Inline);
     live.enable_store(&dir, CheckpointPolicy::Manual).expect("enable store");
-    live.checkpoint(&dir.join(SNAPSHOT_FILE)).expect("empty snapshot");
-    live.process_stream(&night);
+    // Snapshot with the regime's first frames buffered and no cluster
+    // promoted yet.
+    const BUFFERED: usize = 8;
+    live.process_stream(&night[..BUFFERED]);
+    assert!(live.manager().clusters().is_empty(), "fixture: promoted before the snapshot");
+    live.checkpoint(&dir.join(SNAPSHOT_FILE)).expect("snapshot");
+    live.process_stream(&night[BUFFERED..]);
     live.flush_store();
     assert!(live.model_count() > 0, "fixture trained no model");
     drop(live);
@@ -430,8 +437,20 @@ fn crash_between_drift_and_install_retrains_the_cluster() {
     // restored cluster has collected enough, trained, and installed.
     let gen = SceneGen::new(48);
     let more = gen.subset_frames(&mut StdRng::seed_from_u64(9), Subset::Night, 40);
-    recovered.process_stream(&more);
-    assert!(recovered.stats().jobs_submitted > submitted, "no training job after the restart");
+    let needed = more.iter().position(|f| {
+        recovered.process(f);
+        recovered.stats().jobs_submitted > submitted
+    });
+    let needed = needed.expect("no training job after the restart") + 1;
+    // The episode was seeded with the snapshot's buffered frames, so it
+    // fills before min_train_frames new ones arrive. (Stranded, they
+    // would instead have seeded the next regime's training set.)
+    let min_train_frames = quick_cfg(TrainingMode::Inline).min_train_frames;
+    assert!(
+        needed < min_train_frames,
+        "training took {needed} new frames: the replayed episode started empty"
+    );
+    recovered.process_stream(&more[needed..]);
     assert!(
         recovered.model_kind(cluster).is_some(),
         "cluster {cluster} was restored without a model and never got one"
