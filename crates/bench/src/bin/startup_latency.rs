@@ -144,5 +144,5 @@ fn main() {
         format!("{archived} archived models ({:.1} KiB) survive", attic_bytes as f64 / 1024.0),
     ]);
     table.print();
-    table.save(&args.out_dir).expect("write results");
+    table.save(&args).expect("write results");
 }

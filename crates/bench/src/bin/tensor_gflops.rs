@@ -1,6 +1,7 @@
 //! Tensor-backend micro-benchmark: GFLOP/s of the matmul kernels (AVX2
 //! default and forced-scalar), the im2col convolution forward/backward
 //! (batched, and at the batch-1 shapes the server runs per frame), the
+//! retrain's own kernels and a whole `Detector::train_step`, the
 //! int8 serving kernels (one interior shape, the four layers of the
 //! Small detector at batch 1, and a whole frame through
 //! `QDetector::detect`), and end-to-end DA-GAN encoding throughput.
@@ -11,12 +12,12 @@
 use std::time::Instant;
 
 use odin_bench::report::{Args, Table};
-use odin_data::{Condition, Image, SceneGen, TimeOfDay, Weather};
+use odin_data::{Condition, Frame, GtBox, Image, SceneGen, Subset, TimeOfDay, Weather};
 use odin_detect::model::SMALL_CONVS;
 use odin_detect::{Detector, QDetector};
 use odin_gan::{DaGan, DaGanConfig};
 use odin_tensor::layers::{Conv2d, Dense};
-use odin_tensor::ops::{matmul, matmul_nt, matmul_tn};
+use odin_tensor::ops::{col2im, matmul, matmul_nt, matmul_tn, ConvGeom};
 use odin_tensor::qtensor::{dot_i8, quantize_activations, QConv2d, QConvScratch};
 use odin_tensor::simd;
 use odin_tensor::{Layer, Tensor};
@@ -164,6 +165,59 @@ fn main() {
         format!("{bsz}x{cin}x{hw}x{hw} k3->{cout}"),
         format!("{:.2}", 3.0 * conv_flops / secs / 1e9),
         format!("{:.3}", secs * 1e3),
+    ]);
+
+    // The retrain (`build_specialized`): the Small detector's three 3×3
+    // layers at the trainer's batch of 8. `dW = Gᵀ · cols` has a tiny
+    // output and a tall reduction (k = B·OH·OW), nothing like the
+    // im2col-typical shape above; `col2im` is the input gradient's
+    // scatter; and a whole `train_step` is what 300 of make a recovery.
+    let tb = 8usize;
+    let mut hw = 48usize;
+    for (i, &(cin, cout, k, stride, pad, _)) in SMALL_CONVS.iter().enumerate() {
+        if k != 3 {
+            continue;
+        }
+        let geom = ConvGeom { in_c: cin, in_h: hw, in_w: hw, kernel: k, stride, pad };
+        let rows = tb * geom.out_h() * geom.out_w();
+        let patch = cin * k * k;
+        let g = rand_tensor(&mut rng, &[rows, cout]);
+        let cols = rand_tensor(&mut rng, &[rows, patch]);
+        let secs = time_per_call(|| {
+            black_box(matmul_tn(black_box(&g), black_box(&cols)));
+        });
+        t.row(vec![
+            format!("matmul_tn_small{i}"),
+            format!("{cout}x{rows}x{patch}"),
+            format!("{:.2}", (2 * cout * rows * patch) as f64 / secs / 1e9),
+            format!("{:.4}", secs * 1e3),
+        ]);
+        if i == 1 {
+            let secs = time_per_call(|| {
+                black_box(col2im(black_box(&cols), &geom, tb));
+            });
+            t.row(vec![
+                "col2im_small1".into(),
+                format!("{rows}x{patch} -> {tb}x{cin}x{hw}x{hw}"),
+                "-".into(),
+                format!("{:.4}", secs * 1e3),
+            ]);
+        }
+        hw = geom.out_h();
+    }
+    let mut student = Detector::small(48, &mut rng);
+    let train_frames: Vec<Frame> = SceneGen::new(48).subset_frames(&mut rng, Subset::Day, tb);
+    let train_images: Vec<&Image> = train_frames.iter().map(|f| &f.image).collect();
+    let train_batch = Image::batch_resized(&train_images, 48, 48);
+    let train_boxes: Vec<&[GtBox]> = train_frames.iter().map(|f| f.boxes.as_slice()).collect();
+    let secs = time_per_call(|| {
+        black_box(student.train_step(black_box(&train_batch), &train_boxes));
+    });
+    t.row(vec![
+        "train_step_small_b8".into(),
+        format!("{tb}x3x48x48"),
+        "-".into(),
+        format!("{:.4}", secs * 1e3),
     ]);
 
     // Batch-1 inference at the shapes a served frame actually runs: the

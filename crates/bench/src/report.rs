@@ -117,9 +117,25 @@ impl Table {
     /// The table's value space is strings only, so the writer is a
     /// small hand-rolled escaper rather than a serde pipeline.
     pub fn to_json(&self) -> String {
+        self.render_json(None)
+    }
+
+    /// [`Table::to_json`], with how the run was recorded — scale, seed
+    /// and the commit it ran on — between the title and the headers
+    /// when `recorded` is given: a number without its scale cannot be
+    /// compared with anything.
+    fn render_json(&self, recorded: Option<&Args>) -> String {
         let mut out = String::from("{\n");
         out.push_str(&format!("  \"id\": {},\n", json_str(&self.id)));
         out.push_str(&format!("  \"title\": {},\n", json_str(&self.title)));
+        if let Some(args) = recorded {
+            out.push_str(&format!(
+                "  \"recorded\": {{\"scale\": {}, \"seed\": {}, \"git_commit\": {}}},\n",
+                args.scale,
+                args.seed,
+                json_str(&git_commit())
+            ));
+        }
         out.push_str(&format!("  \"headers\": {},\n", json_str_array(&self.headers)));
         out.push_str("  \"rows\": [\n");
         for (i, row) in self.rows.iter().enumerate() {
@@ -130,21 +146,34 @@ impl Table {
         out
     }
 
-    /// Writes the table as JSON under `dir/<id>.json`.
-    pub fn save(&self, dir: &PathBuf) -> std::io::Result<()> {
-        fs::create_dir_all(dir)?;
-        let path = dir.join(format!("{}.json", self.id));
-        fs::write(path, self.to_json())
+    /// Writes the table as JSON, with its recording header, under
+    /// `<args.out_dir>/<id>.json`.
+    pub fn save(&self, args: &Args) -> std::io::Result<()> {
+        fs::create_dir_all(&args.out_dir)?;
+        let path = args.out_dir.join(format!("{}.json", self.id));
+        fs::write(path, self.render_json(Some(args)))
     }
 
     /// Prints and saves in one call (errors on save are reported, not
     /// fatal — the printed table is the primary artifact).
     pub fn finish(&self, args: &Args) {
         self.print();
-        if let Err(e) = self.save(&args.out_dir) {
+        if let Err(e) = self.save(args) {
             eprintln!("warning: could not save {}: {e}", self.id);
         }
     }
+}
+
+/// `git describe --always --dirty` of the working directory, or
+/// `"unknown"` outside a checkout.
+fn git_commit() -> String {
+    std::process::Command::new("git")
+        .args(["describe", "--always", "--dirty", "--abbrev=7"])
+        .output()
+        .ok()
+        .filter(|out| out.status.success())
+        .and_then(|out| String::from_utf8(out.stdout).ok())
+        .map_or_else(|| "unknown".to_string(), |s| s.trim().to_string())
 }
 
 /// Escapes a string as a JSON string literal.
@@ -242,6 +271,17 @@ mod tests {
         assert!(j.contains("quote \\\" and \\\\ back"));
         assert!(j.contains("[\"a\\nb\", \"c\"]"));
         assert!(j.ends_with('}'));
+    }
+
+    #[test]
+    fn saved_json_carries_its_recording_header_and_still_gates() {
+        let mut t = Table::new("t2", "a table", &["k", "v"]);
+        t.row(vec!["row".into(), "1.5".into()]);
+        let args = Args { scale: 0.3, seed: 9, ..Args::default() };
+        let j = t.render_json(Some(&args));
+        assert!(j.contains("\"recorded\": {\"scale\": 0.3, \"seed\": 9, \"git_commit\": \""));
+        assert_eq!(crate::gate::parse_rows(&j).expect("rows"), t.rows);
+        assert!(!t.to_json().contains("recorded"));
     }
 
     #[test]

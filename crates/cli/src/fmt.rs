@@ -1,6 +1,7 @@
 //! Shared parsing and rendering helpers for the CLI.
 
 use odin_log::{LogRecord, RecordKind, ServedLabel};
+use odin_telemetry::HistogramSnapshot;
 
 /// Parses a time argument into microseconds. Accepts `120us`, `250ms`,
 /// `1.5s`, or a bare integer (treated as microseconds).
@@ -161,6 +162,57 @@ pub fn healthz_alarm(health: &str) -> Option<String> {
     None
 }
 
+/// One histogram read back out of a Prometheus text exposition — the
+/// `stream`'s series of a grouped exposition, or the unlabeled series
+/// of a single pipeline's. `None` when the exposition has no such
+/// series (an older server).
+pub fn histogram_from_metrics(
+    text: &str,
+    name: &str,
+    stream: Option<u32>,
+) -> Option<HistogramSnapshot> {
+    let prefix = format!("{name}_bucket{{");
+    let stream_label = stream.map(|id| format!("stream=\"{id}\","));
+    let (mut bounds, mut buckets, mut seen) = (Vec::new(), Vec::new(), 0u64);
+    for line in text.lines() {
+        let Some(rest) = line.strip_prefix(&prefix) else { continue };
+        let rest = match &stream_label {
+            Some(label) => match rest.strip_prefix(label.as_str()) {
+                Some(rest) => rest,
+                None => continue,
+            },
+            None => rest,
+        };
+        let (le, cumulative) = rest.strip_prefix("le=\"")?.split_once("\"} ")?;
+        let cumulative: u64 = cumulative.trim().parse().ok()?;
+        buckets.push(cumulative.checked_sub(seen)?);
+        seen = cumulative;
+        if le != "+Inf" {
+            bounds.push(le.parse().ok()?);
+        }
+    }
+    (buckets.len() == bounds.len() + 1 && !bounds.is_empty()).then(|| HistogramSnapshot {
+        name: name.to_string(),
+        bounds,
+        buckets,
+        count: seen,
+        sum_ns: 0,
+    })
+}
+
+/// `odin_recovery_ms` as `status` and `top` show it: the interpolated
+/// median drift-detected → model-installed time and how many recoveries
+/// it is the median of; `-` before the first one completes.
+pub fn recovery_p50(metrics: &str, stream: Option<u32>) -> String {
+    match histogram_from_metrics(metrics, "odin_recovery_ms", stream) {
+        Some(h) if h.count > 0 => {
+            let us = (h.quantile_interp_ms(0.5) * 1_000.0).round() as u64;
+            format!("{} (n={})", human_us(us), h.count)
+        }
+        _ => "-".to_string(),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -224,6 +276,22 @@ mod tests {
             parse_events_body("{\"cursor\":\"0:8\",\"count\":0,\"records\":[]}").expect("empty");
         assert_eq!(cursor, "0:8");
         assert!(records.is_empty());
+    }
+
+    #[test]
+    fn recovery_p50_reads_both_exposition_shapes() {
+        let plain = "odin_recovery_ms_bucket{le=\"1000\"} 0\n\
+                     odin_recovery_ms_bucket{le=\"2000\"} 4\n\
+                     odin_recovery_ms_bucket{le=\"+Inf\"} 4\n\
+                     odin_recovery_ms_sum 6100\nodin_recovery_ms_count 4\n";
+        assert_eq!(recovery_p50(plain, None), "1.500s (n=4)");
+        let grouped = "odin_recovery_ms_bucket{stream=\"0\",le=\"1000\"} 0\n\
+                       odin_recovery_ms_bucket{stream=\"0\",le=\"+Inf\"} 0\n\
+                       odin_recovery_ms_bucket{stream=\"1\",le=\"1000\"} 2\n\
+                       odin_recovery_ms_bucket{stream=\"1\",le=\"+Inf\"} 2\n";
+        assert_eq!(recovery_p50(grouped, Some(0)), "-", "no recovery completed yet");
+        assert_eq!(recovery_p50(grouped, Some(1)), "500.0ms (n=2)");
+        assert_eq!(recovery_p50("odin_frames_total 7\n", None), "-", "older server");
     }
 
     #[test]

@@ -4,7 +4,7 @@
 
 use std::net::{SocketAddr, ToSocketAddrs};
 
-use crate::fmt::healthz_alarm;
+use crate::fmt::{healthz_alarm, recovery_p50};
 use crate::take_value;
 
 pub fn run(args: &[String]) -> Result<(), String> {
@@ -68,6 +68,20 @@ pub fn run(args: &[String]) -> Result<(), String> {
         if INTERESTING.contains(&name) {
             println!("{line}");
         }
+    }
+    // How long a drifted stream waits for its model: one line per
+    // stream of a server, one for a single pipeline.
+    let streams: std::collections::BTreeSet<u32> = metrics
+        .lines()
+        .filter_map(|l| {
+            l.strip_prefix("odin_recovery_ms_count{stream=\"")?.split('"').next()?.parse().ok()
+        })
+        .collect();
+    if streams.is_empty() {
+        println!("odin_recovery_ms p50 {}", recovery_p50(&metrics, None));
+    }
+    for id in streams {
+        println!("odin_recovery_ms{{stream=\"{id}\"}} p50 {}", recovery_p50(&metrics, Some(id)));
     }
     match healthz_alarm(&health) {
         Some(reason) => Err(format!("unhealthy: {reason}")),

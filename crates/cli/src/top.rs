@@ -1,6 +1,6 @@
 //! `odin top` — one-screen live view of a serving front end: per-stream
-//! throughput, queue depths, serving precision, and drift/attic
-//! counters, refreshed from `/metrics` + `/healthz`.
+//! throughput, queue depths, serving precision, drift/attic counters
+//! and median recovery time, refreshed from `/metrics` + `/healthz`.
 //!
 //! Exits nonzero (after rendering) when the deployment is unhealthy:
 //! `/healthz` reports a degraded status, or any stream's admission
@@ -57,7 +57,7 @@ pub fn run(args: &[String]) -> Result<(), String> {
             // Clear screen + home, like top(1).
             print!("\x1b[2J\x1b[H");
         }
-        render(&addr, &health, &parsed, prev.as_ref().map(|(t, m)| (now - *t, m)));
+        render(&addr, &health, &metrics, &parsed, prev.as_ref().map(|(t, m)| (now - *t, m)));
         if let Some(reason) = healthz_alarm(&health) {
             return Err(format!("unhealthy: {reason}"));
         }
@@ -118,7 +118,13 @@ impl Metrics {
     }
 }
 
-fn render(addr: &str, health: &str, m: &Metrics, prev: Option<(Duration, &Metrics)>) {
+fn render(
+    addr: &str,
+    health: &str,
+    exposition: &str,
+    m: &Metrics,
+    prev: Option<(Duration, &Metrics)>,
+) {
     let status =
         health.split("\"status\":\"").nth(1).and_then(|s| s.split('"').next()).unwrap_or("?");
     let queue_depths = json_u64_array(health, "queue_depths").unwrap_or_default();
@@ -130,7 +136,7 @@ fn render(addr: &str, health: &str, m: &Metrics, prev: Option<(Duration, &Metric
     let cap = queue_cap.map(|c| c.to_string()).unwrap_or_else(|| "-".to_string());
     println!("odin top — {addr}   status: {status}   queue cap: {cap}");
     println!(
-        "{:<7} {:>9} {:>8} {:>6} {:>5} {:>10} {:>6} {:>9} {:>10} {:>9}",
+        "{:<7} {:>9} {:>8} {:>6} {:>5} {:>10} {:>6} {:>9} {:>10} {:>9}  {:<12}",
         "STREAM",
         "FRAMES",
         "FPS",
@@ -140,7 +146,8 @@ fn render(addr: &str, health: &str, m: &Metrics, prev: Option<(Duration, &Metric
         "DRIFT",
         "INSTALLS",
         "ATTIC(h/m)",
-        "REJECTED"
+        "REJECTED",
+        "RECOVERY p50"
     );
     let streams = m.streams();
     let rows: Vec<Option<u32>> =
@@ -161,7 +168,7 @@ fn render(addr: &str, health: &str, m: &Metrics, prev: Option<(Duration, &Metric
             + m.get("odin_models_installed_specialized_total", s);
         let precision = if m.get("odin_serve_precision", s) >= 1.0 { "int8" } else { "f32" };
         println!(
-            "{:<7} {:>9} {:>8} {:>6} {:>5} {:>10} {:>6} {:>9} {:>10} {:>9}",
+            "{:<7} {:>9} {:>8} {:>6} {:>5} {:>10} {:>6} {:>9} {:>10} {:>9}  {}",
             s.map(|id| id.to_string()).unwrap_or_else(|| "-".to_string()),
             frames as u64,
             fps,
@@ -176,6 +183,7 @@ fn render(addr: &str, health: &str, m: &Metrics, prev: Option<(Duration, &Metric
                 m.get("odin_attic_misses_total", s) as u64
             ),
             m.get("odin_server_rejected_total", s) as u64,
+            fmt::recovery_p50(exposition, s),
         );
     }
 }

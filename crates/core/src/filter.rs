@@ -100,7 +100,7 @@ impl BinaryFilter {
                     );
                 let logits = self.net.forward(&batch, true);
                 let (l, grad) = loss::bce_with_logits(&logits, &targets);
-                self.net.backward(&grad);
+                self.net.backward_params(&grad);
                 self.opt.step(&mut self.net.params_grads());
                 self.net.zero_grad();
                 l

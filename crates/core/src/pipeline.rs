@@ -808,7 +808,8 @@ impl Odin {
     /// fall back to a cold bootstrap ([`Odin::restore_or_else`]).
     pub fn restore(path: &Path) -> Result<Self, StoreError> {
         let cp = Checkpoint::read(path)?;
-        let (odin, _) = Self::from_checkpoint(&cp)?;
+        let (mut odin, _) = Self::from_checkpoint_with(&cp, None)?;
+        odin.resubmit_training();
         Ok(odin)
     }
 
@@ -862,6 +863,11 @@ impl Odin {
             odin.apply_wal_event(event);
             replayed += 1;
         }
+        // Only now: a job the snapshot caught training may have its
+        // `Install` (or its cluster's `Evict`) in the WAL, and replay
+        // closed that episode. What is still training is what the
+        // crashed process never finished.
+        odin.resubmit_training();
         // Mark the warm restart on the timeline and refresh the gauges,
         // so a scrape right after restore already reflects the replayed
         // state. (Plain `Odin::restore` stays marker-free: it must stay
@@ -874,10 +880,6 @@ impl Odin {
         );
         odin.update_gauges();
         Ok(odin)
-    }
-
-    fn from_checkpoint(cp: &Checkpoint) -> Result<(Self, u64), StoreError> {
-        Self::from_checkpoint_with(cp, None)
     }
 
     /// A checkpoint section, falling back to the shared-section
@@ -895,6 +897,11 @@ impl Odin {
         }
     }
 
+    /// The pipeline a checkpoint describes and the last WAL sequence
+    /// number it covers. Episodes the snapshot caught in their training
+    /// stage come back holding their jobs, not yet resubmitted: the
+    /// caller does that ([`Odin::resubmit_training`]) once it has
+    /// replayed whatever WAL it has.
     fn from_checkpoint_with(
         cp: &Checkpoint,
         shared: Option<&Checkpoint>,
@@ -968,7 +975,6 @@ impl Odin {
             odin.telemetry.registry().recorder().load(&flight);
             odin.telemetry.registry().tracer().load_state(next_span, next_trace);
         }
-        odin.resubmit_training();
         Ok((odin, last_wal_seq))
     }
 

@@ -71,10 +71,21 @@ pub(crate) struct Episode {
     /// WAL replay (the marker died with the crashed process) — training
     /// then starts a fresh trace.
     pub ctx: Option<SpanCtx>,
+    /// When the drift was detected, on this process's telemetry clock;
+    /// closes into `odin_recovery_ms` at install. `None` for an episode
+    /// this process did not see open (restored from a checkpoint, or
+    /// reopened by WAL replay): the clock that timed its start is gone.
+    pub opened_ms: Option<f64>,
     pub stage: Stage,
 }
 
 impl Episode {
+    /// An episode picked up from a checkpoint or the WAL rather than
+    /// opened by a live drift: no trace context yet, no start time ever.
+    pub fn restored(stage: Stage) -> Self {
+        Episode { ctx: None, opened_ms: None, stage }
+    }
+
     /// The frames collected (or being trained on) so far.
     pub fn frames(&self) -> &[Frame] {
         match &self.stage {
@@ -124,7 +135,7 @@ pub(crate) fn restore_episodes(
     dec: &mut Decoder<'_>,
 ) -> Result<BTreeMap<usize, Episode>, StoreError> {
     let mut episodes = BTreeMap::new();
-    let mut open = |id, stage| match episodes.insert(id, Episode { ctx: None, stage }) {
+    let mut open = |id, stage| match episodes.insert(id, Episode::restored(stage)) {
         None => Ok(()),
         Some(_) => Err(StoreError::Malformed { context: "cluster in two recovery stages" }),
     };
@@ -199,7 +210,11 @@ impl Odin {
         let seed_frames = std::mem::take(&mut self.temp_frames);
         self.episodes.insert(
             event.cluster_id,
-            Episode { ctx: Some(rctx), stage: Stage::Collecting(seed_frames) },
+            Episode {
+                ctx: Some(rctx),
+                opened_ms: Some(self.telemetry.registry().now_ms()),
+                stage: Stage::Collecting(seed_frames),
+            },
         );
         // Handle the cap eviction this promotion forced *before*
         // scheduling recovery for the new cluster: the evicted
@@ -212,10 +227,13 @@ impl Odin {
         if !self.try_reinstall_from_attic(event.cluster_id, rctx) {
             self.try_train(event.cluster_id);
         }
-        // Preserve the spans and events leading up to the drift:
-        // when a store is attached, dump the flight recorder next
-        // to the WAL.
-        self.telemetry.flight_autodump();
+        // Preserve the spans and events leading up to the drift: when
+        // a store is attached, dump the flight recorder next to the WAL
+        // — from the snapshot writer's thread, where rendering and
+        // writing it cost this frame nothing.
+        if let Some(store) = &self.store {
+            store.writer.submit_flight_dump();
+        }
     }
 
     /// Retires a cap-evicted cluster: its model moves to the attic (when
@@ -288,7 +306,7 @@ impl Odin {
     fn try_train(&mut self, cluster_id: usize) {
         let min_frames = self.cfg.min_train_frames.max(1);
         let (frames, marker) = match self.episodes.get_mut(&cluster_id) {
-            Some(Episode { ctx, stage: Stage::Collecting(buf) }) if buf.len() >= min_frames => {
+            Some(Episode { ctx, stage: Stage::Collecting(buf), .. }) if buf.len() >= min_frames => {
                 (std::mem::take(buf), *ctx)
             }
             _ => return,
@@ -326,8 +344,9 @@ impl Odin {
         });
         let ctx = SpanCtx { trace: rctx.trace, parent: queued };
         let job = Arc::new(TrainJob { cluster_id, seed, kind, frames, ctx });
-        self.episodes
-            .insert(cluster_id, Episode { ctx: marker, stage: Stage::Training(Arc::clone(&job)) });
+        if let Some(episode) = self.episodes.get_mut(&cluster_id) {
+            episode.stage = Stage::Training(Arc::clone(&job));
+        }
         if let Some(done) = self.trainer.submit(self.stream(), job, &self.telemetry) {
             self.install(done);
         }
@@ -464,6 +483,9 @@ impl Odin {
         });
         self.registry.write().insert(self.gid(model.cluster_id), cm);
         self.stats.models_installed += 1;
+        if let Some(opened_ms) = episode.and_then(|e| e.opened_ms) {
+            self.telemetry.recovery.observe_ms(self.telemetry.registry().now_ms() - opened_ms);
+        }
     }
 
     /// Attempts int8 quantization of a freshly trained model, gated on
@@ -516,8 +538,9 @@ impl Odin {
         }
     }
 
-    /// Re-schedules the training jobs a restored checkpoint carried.
-    /// Their original seeds are reused, so the resulting weights are
+    /// Re-schedules the training jobs a restored checkpoint carried and
+    /// WAL replay did not close — the last step of a restore. Their
+    /// original seeds are reused, so the resulting weights are
     /// bit-identical to what the checkpointed process would have
     /// produced; `jobs_submitted` is *not* re-incremented (the original
     /// submission already counted).
@@ -552,10 +575,8 @@ impl Odin {
                 // cluster frames are this regime's first. Left behind
                 // they would seed the next promotion — another regime.
                 let seed_frames = std::mem::take(&mut self.temp_frames);
-                self.episodes.insert(
-                    event.cluster_id,
-                    Episode { ctx: None, stage: Stage::Collecting(seed_frames) },
-                );
+                self.episodes
+                    .insert(event.cluster_id, Episode::restored(Stage::Collecting(seed_frames)));
             }
             WalEvent::Evict { cluster_id } => {
                 self.manager.apply_eviction(cluster_id);

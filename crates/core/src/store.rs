@@ -812,13 +812,21 @@ pub(crate) fn restore_registry_models(
 // ---------------------------------------------------------------------
 
 enum WriteReq {
-    Write { path: PathBuf, bytes: Vec<u8> },
+    Write {
+        path: PathBuf,
+        bytes: Vec<u8>,
+    },
+    /// Render the flight recorder and write it to the telemetry's dump
+    /// path (see [`Telemetry::flight_autodump`]).
+    FlightDump,
     Barrier(Sender<()>),
 }
 
 /// Owns a thread that writes snapshot bytes atomically off the serving
 /// path. Snapshot *bytes* are built synchronously at the frame boundary
-/// (that part must be consistent); only the file I/O is deferred.
+/// (that part must be consistent); only the file I/O is deferred. The
+/// drift alarm's flight-record dump — a diagnostic, with no consistency
+/// to keep — is rendered here as well as written.
 pub(crate) struct SnapshotWriter {
     tx: Option<Sender<WriteReq>>,
     handle: Option<JoinHandle<()>>,
@@ -849,6 +857,7 @@ impl SnapshotWriter {
                                 );
                             }
                         }
+                        WriteReq::FlightDump => telemetry.flight_autodump(),
                         WriteReq::Barrier(done) => {
                             let _ = done.send(());
                         }
@@ -863,6 +872,15 @@ impl SnapshotWriter {
     pub fn submit(&self, path: PathBuf, bytes: Vec<u8>) {
         if let Some(tx) = &self.tx {
             let _ = tx.send(WriteReq::Write { path, bytes });
+        }
+    }
+
+    /// Queues a dump of the flight recorder as it stands when the
+    /// writer gets to it: the spans up to the request, and whatever the
+    /// serving thread has recorded since.
+    pub fn submit_flight_dump(&self) {
+        if let Some(tx) = &self.tx {
+            let _ = tx.send(WriteReq::FlightDump);
         }
     }
 

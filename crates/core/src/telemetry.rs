@@ -30,6 +30,7 @@ use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 
 use odin_log::EVENT_LOG_FILE;
+use odin_store::checkpoint::write_atomic;
 use odin_telemetry::render::{render_json, render_prometheus};
 use odin_telemetry::{
     chrome_trace, log_bounds, serve, unpoison, Clock, Counter, EventSink, FlightRecord, Gauge,
@@ -44,8 +45,9 @@ fn stage_bounds() -> Vec<f64> {
     log_bounds(0.005, 5_000.0, 14)
 }
 
-/// Bucket bounds (ms) for SPECIALIZER training runs, which live on a
-/// much slower scale (milliseconds to minutes).
+/// Bucket bounds (ms) for SPECIALIZER training runs and whole
+/// recoveries, which live on a much slower scale (milliseconds to
+/// minutes).
 fn train_bounds() -> Vec<f64> {
     log_bounds(1.0, 600_000.0, 14)
 }
@@ -113,6 +115,11 @@ pub struct Telemetry {
     pub(crate) stage_snapshot_build: Histogram,
     pub(crate) stage_snapshot_write: Histogram,
     pub(crate) stage_wal_append: Histogram,
+    /// Drift detected → model installed, per recovery episode that this
+    /// process saw from its first frame to its last (trained or
+    /// reinstalled from the attic): how long the cluster was served
+    /// without a model of its own.
+    pub(crate) recovery: Histogram,
     /// Wall time per sealed event-log segment write (background
     /// thread; live only when the event log is enabled).
     pub(crate) event_log_flush: Histogram,
@@ -168,6 +175,7 @@ impl Telemetry {
             stage_snapshot_build: registry.histogram("odin_stage_snapshot_build_ms", &stage),
             stage_snapshot_write: registry.histogram("odin_stage_snapshot_write_ms", &stage),
             stage_wal_append: registry.histogram("odin_stage_wal_append_ms", &stage),
+            recovery: registry.histogram("odin_recovery_ms", &train_bounds()),
             event_log_flush: registry.histogram("odin_event_log_flush_ms", &stage),
             registry,
             last_error: Arc::new(Mutex::new(None)),
@@ -342,15 +350,15 @@ impl Telemetry {
         self.flight_dump_path().and_then(|p| p.parent().map(|d| d.join(EVENT_LOG_FILE)))
     }
 
-    /// Dumps the flight record to the configured path, if one is set.
-    /// A failed dump emits a warn event and nothing else — in
-    /// particular it must NOT count as a store error, or a broken store
-    /// directory would recurse through [`Telemetry::record_store_error`]
-    /// forever.
+    /// Dumps the flight record to the configured path, if one is set —
+    /// atomically, so a crash mid-dump keeps the previous one. A failed
+    /// dump emits a warn event and nothing else — in particular it must
+    /// NOT count as a store error, or a broken store directory would
+    /// recurse through [`Telemetry::record_store_error`] forever.
     pub(crate) fn flight_autodump(&self) {
         let path = self.flight_dump_path();
         if let Some(path) = path {
-            if let Err(e) = self.dump_flight(&path) {
+            if let Err(e) = write_atomic(&path, self.render_chrome_trace().as_bytes()) {
                 self.registry.event(
                     Level::Warn,
                     "telemetry",

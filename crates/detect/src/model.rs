@@ -189,7 +189,7 @@ impl Detector {
         let targets = build_targets(boxes, self.grid, self.size);
         let pred = self.net.forward(batch, true);
         let (loss, grad) = detector_loss(&pred, &targets, &self.weights);
-        self.net.backward(&grad);
+        self.net.backward_params(&grad);
         self.opt.step(&mut self.net.params_grads());
         self.net.zero_grad();
         loss
@@ -209,8 +209,8 @@ impl Detector {
             .map(|_| {
                 let picks: Vec<&Frame> =
                     (0..batch_size).map(|_| &frames[rng.gen_range(0..frames.len())]).collect();
-                let images: Vec<Image> = picks.iter().map(|f| f.image.clone()).collect();
-                let batch = Image::batch(&images);
+                let images: Vec<&Image> = picks.iter().map(|f| &f.image).collect();
+                let batch = Image::batch_resized(&images, self.size, self.size);
                 let boxes: Vec<&[GtBox]> = picks.iter().map(|f| f.boxes.as_slice()).collect();
                 self.train_step(&batch, &boxes)
             })
@@ -240,8 +240,7 @@ impl Detector {
                     .into_iter()
                     .map(|dets| dets.into_iter().map(|d| d.bbox).collect())
                     .collect();
-                let owned: Vec<Image> = picks.iter().map(|f| f.image.clone()).collect();
-                let batch = Image::batch(&owned);
+                let batch = Image::batch_resized(&images, self.size, self.size);
                 let boxes: Vec<&[GtBox]> = pseudo.iter().map(|v| v.as_slice()).collect();
                 self.train_step(&batch, &boxes)
             })

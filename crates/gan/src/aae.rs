@@ -107,7 +107,7 @@ impl AdversarialAe {
         let logits = self.decoder.forward(&z, true);
         let (recon, grad) = loss::bce_with_logits(&logits, &flat_targets);
         let gz = self.decoder.backward(&grad);
-        self.encoder.backward(&gz);
+        self.encoder.backward_params(&gz);
         self.opt_dec.step(&mut self.decoder.params_grads());
         self.opt_enc.step(&mut self.encoder.params_grads());
         self.decoder.zero_grad();
@@ -118,10 +118,10 @@ impl AdversarialAe {
         let z_fake = self.encoder.forward(batch, false);
         let d_real = self.latent_disc.forward(&z_prior, true);
         let (l_real, g_real) = loss::bce_with_logits(&d_real, &ones);
-        self.latent_disc.backward(&g_real);
+        self.latent_disc.backward_params(&g_real);
         let d_fake = self.latent_disc.forward(&z_fake, true);
         let (l_fake, g_fake) = loss::bce_with_logits(&d_fake, &zeros);
-        self.latent_disc.backward(&g_fake);
+        self.latent_disc.backward_params(&g_fake);
         self.opt_disc.step(&mut self.latent_disc.params_grads());
         self.latent_disc.zero_grad();
         let disc = l_real + l_fake;
@@ -131,7 +131,7 @@ impl AdversarialAe {
         let d_adv = self.latent_disc.forward(&z_adv, true);
         let (adv, g_adv) = loss::bce_with_logits(&d_adv, &ones);
         let gz_adv = self.latent_disc.backward(&g_adv);
-        self.encoder.backward(&gz_adv);
+        self.encoder.backward_params(&gz_adv);
         self.opt_enc.step(&mut self.encoder.params_grads());
         self.encoder.zero_grad();
         self.latent_disc.zero_grad(); // gradients flowed through; discard

@@ -104,7 +104,7 @@ impl Autoencoder {
         let logits = self.decoder.forward(&z, true);
         let (l, grad) = loss::bce_with_logits(&logits, &flat_targets);
         let gz = self.decoder.backward(&grad);
-        self.encoder.backward(&gz);
+        self.encoder.backward_params(&gz);
         self.opt_dec.step(&mut self.decoder.params_grads());
         self.opt_enc.step(&mut self.encoder.params_grads());
         self.decoder.zero_grad();

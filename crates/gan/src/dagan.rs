@@ -271,10 +271,10 @@ impl DaGan {
         // Update the image discriminator (lines 5-7).
         let di_real = self.image_disc.forward(batch, true);
         let (l_real, g_real) = loss::bce_with_logits(&di_real, &ones);
-        self.image_disc.backward(&g_real);
+        self.image_disc.backward_params(&g_real);
         let di_fake = self.image_disc.forward(&x_fake, true);
         let (l_fake, g_fake) = loss::bce_with_logits(&di_fake, &zeros);
-        self.image_disc.backward(&g_fake);
+        self.image_disc.backward_params(&g_fake);
         self.opt_idisc.step(&mut self.image_disc.params_grads());
         self.image_disc.zero_grad();
         let image_disc = l_real + l_fake;
@@ -287,7 +287,7 @@ impl DaGan {
         let g_img = self.image_disc.backward(&g_adv);
         // Chain through the sigmoid between decoder logits and D_I input.
         let g_logits = g_img.zip(&x_gen, |g, s| g * s * (1.0 - s));
-        self.decoder.backward(&g_logits);
+        self.decoder.backward_params(&g_logits);
         self.opt_dec.step(&mut self.decoder.params_grads());
         self.decoder.zero_grad();
         self.image_disc.zero_grad();
@@ -296,10 +296,10 @@ impl DaGan {
         let z_enc = self.encoder.forward(batch, false);
         let dz_real = self.latent_disc.forward(&z_prior, true);
         let (lz_real, gz_real) = loss::bce_with_logits(&dz_real, &ones);
-        self.latent_disc.backward(&gz_real);
+        self.latent_disc.backward_params(&gz_real);
         let dz_fake = self.latent_disc.forward(&z_enc, true);
         let (lz_fake, gz_fake) = loss::bce_with_logits(&dz_fake, &zeros);
-        self.latent_disc.backward(&gz_fake);
+        self.latent_disc.backward_params(&gz_fake);
         self.opt_zdisc.step(&mut self.latent_disc.params_grads());
         self.latent_disc.zero_grad();
         let latent_disc = lz_real + lz_fake;
@@ -309,7 +309,7 @@ impl DaGan {
         let dz_enc = self.latent_disc.forward(&z_enc2, true);
         let (encoder_adv, g_enc) = loss::bce_with_logits(&dz_enc, &ones);
         let gz = self.latent_disc.backward(&g_enc);
-        self.encoder.backward(&gz);
+        self.encoder.backward_params(&gz);
         self.opt_enc.step(&mut self.encoder.params_grads());
         self.encoder.zero_grad();
         self.latent_disc.zero_grad();
@@ -328,7 +328,7 @@ impl DaGan {
         let (l_rec, g_rec) = loss::bce_with_logits(&rec_logits, batch);
         let g_rec = g_rec.scale(self.cfg.lambda_r);
         let gz_rec = self.decoder.backward(&g_rec);
-        self.encoder.backward(&gz_rec);
+        self.encoder.backward_params(&gz_rec);
         self.opt_dec.step(&mut self.decoder.params_grads());
         self.opt_enc.step(&mut self.encoder.params_grads());
         self.decoder.zero_grad();

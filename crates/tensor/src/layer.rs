@@ -34,6 +34,15 @@ pub trait Layer: Send + Sync {
     /// Must be preceded by a `forward(.., train=true)` call.
     fn backward(&mut self, grad_out: &Tensor) -> Tensor;
 
+    /// [`Layer::backward`] for a caller that does not read the input
+    /// gradient — the first layer of a network whose input is data.
+    /// Leaves exactly the parameter gradients `backward` leaves;
+    /// `Conv2d` and `Dense` override it to stop once those are
+    /// accumulated, which skips the `G · W` product (and `col2im`).
+    fn backward_params(&mut self, grad_out: &Tensor) {
+        let _ = self.backward(grad_out);
+    }
+
     /// Immutable access to trainable parameters (for counting/serialization).
     fn params(&self) -> Vec<&Tensor> {
         Vec::new()
@@ -168,27 +177,30 @@ impl Sequential {
 
 impl Layer for Sequential {
     fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
-        let mut x = input.clone();
-        for l in &mut self.layers {
-            x = l.forward(&x, train);
-        }
-        x
+        let Some((first, rest)) = self.layers.split_first_mut() else { return input.clone() };
+        rest.iter_mut().fold(first.forward(input, train), |x, l| l.forward(&x, train))
     }
 
     fn infer(&self, input: &Tensor) -> Tensor {
-        let mut x = input.clone();
-        for l in &self.layers {
-            x = l.infer(&x);
-        }
-        x
+        let Some((first, rest)) = self.layers.split_first() else { return input.clone() };
+        rest.iter().fold(first.infer(input), |x, l| l.infer(&x))
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let mut g = grad_out.clone();
-        for l in self.layers.iter_mut().rev() {
-            g = l.backward(&g);
+        let Some((last, rest)) = self.layers.split_last_mut() else { return grad_out.clone() };
+        rest.iter_mut().rev().fold(last.backward(grad_out), |g, l| l.backward(&g))
+    }
+
+    fn backward_params(&mut self, grad_out: &Tensor) {
+        match self.layers.as_mut_slice() {
+            [] => {}
+            [only] => only.backward_params(grad_out),
+            [first, middle @ .., last] => {
+                let g =
+                    middle.iter_mut().rev().fold(last.backward(grad_out), |g, l| l.backward(&g));
+                first.backward_params(&g);
+            }
         }
-        g
     }
 
     fn params(&self) -> Vec<&Tensor> {

@@ -1,10 +1,22 @@
 //! 2-D convolution via im2col.
+//!
+//! Forward: `im2col` → `cols × Wᵀ` (packed panels) → one output sweep
+//! (bias, fused activation, positions → NCHW). Backward: one gradient
+//! sweep (fused activation's gradient, NCHW → positions) → `db` as row
+//! sums, `dW = Gᵀ · cols`, and — only for a caller that reads it
+//! ([`Layer::backward`], not [`Layer::backward_params`]) — `dX =
+//! col2im(G · W)`. The column buffer and the activation mask live in
+//! the layer between steps, so a steady-state training step allocates
+//! nothing.
 
 use rand::rngs::StdRng;
 
 use crate::init;
 use crate::layer::Layer;
-use crate::ops::{col2im, im2col, im2col_into, matmul, matmul_tn, ConvGeom, WeightPanels};
+use crate::ops::{
+    col2im, im2col, im2col_into, matmul, matmul_tn, transpose_sweep, ConvGeom, SweepOp,
+    WeightPanels,
+};
 use crate::scratch;
 use crate::tensor::Tensor;
 
@@ -46,8 +58,10 @@ struct ConvCache {
     /// during the training forward pass so backward can apply the
     /// activation gradient before the convolution gradients. For
     /// slope ≥ 0, `out > 0 ⇔ pre-activation > 0`, the same mask the
-    /// standalone activation layers compute from their input.
-    act_mask: Option<Vec<bool>>,
+    /// standalone activation layers compute from their input. Empty
+    /// without a fused activation; like `cols`, the allocation is
+    /// carried from one training forward pass to the next.
+    act_mask: Vec<bool>,
 }
 
 impl Conv2d {
@@ -127,7 +141,7 @@ impl Conv2d {
 
 /// Converts a `[B*OH*OW, C]` row-per-position matrix into `[B, C, OH, OW]`.
 /// The forward path fuses this repack into [`Conv2d::apply`]; kept as the
-/// reference implementation for the roundtrip test.
+/// reference implementation for the roundtrip test of the backward repack.
 #[cfg(test)]
 fn positions_to_nchw(m: &Tensor, batch: usize, c: usize, oh: usize, ow: usize) -> Tensor {
     debug_assert_eq!(m.shape(), &[batch * oh * ow, c]);
@@ -145,24 +159,6 @@ fn positions_to_nchw(m: &Tensor, batch: usize, c: usize, oh: usize, ow: usize) -
     Tensor::from_vec(out, &[batch, c, oh, ow])
 }
 
-/// Inverse of [`positions_to_nchw`].
-fn nchw_to_positions(t: &Tensor) -> Tensor {
-    debug_assert_eq!(t.ndim(), 4);
-    let (batch, c, oh, ow) = (t.shape()[0], t.shape()[1], t.shape()[2], t.shape()[3]);
-    let plane = oh * ow;
-    let td = t.data();
-    let mut out = scratch::take_zeroed(batch * plane * c);
-    for bi in 0..batch {
-        for ch in 0..c {
-            let src = &td[bi * c * plane + ch * plane..bi * c * plane + (ch + 1) * plane];
-            for (p, &v) in src.iter().enumerate() {
-                out[(bi * plane + p) * c + ch] = v;
-            }
-        }
-    }
-    Tensor::from_vec(out, &[batch * plane, c])
-}
-
 impl Conv2d {
     /// The im2col matmul shared by the training and inference forward
     /// paths. Bias add, the fused activation (if any), and the
@@ -170,40 +166,50 @@ impl Conv2d {
     fn apply(&self, cols: &Tensor, geom: &ConvGeom, batch: usize) -> Tensor {
         let (oh, ow) = (geom.out_h(), geom.out_w());
         let pos = self.panels.matmul_nt(cols, &self.w); // [B*OH*OW, out_c]
-        let md = pos.data();
-        let bias = self.b.data();
-        let oc = self.out_c;
-        let plane = oh * ow;
-        let mut out = scratch::take_raw(batch * oc * plane);
-        out.resize(batch * oc * plane, 0.0);
-        for bi in 0..batch {
-            let img = &mut out[bi * oc * plane..(bi + 1) * oc * plane];
-            for p in 0..plane {
-                let src = &md[(bi * plane + p) * oc..(bi * plane + p + 1) * oc];
-                match self.fused_act {
-                    None => {
-                        for (ch, &v) in src.iter().enumerate() {
-                            img[ch * plane + p] = v + bias[ch];
-                        }
-                    }
-                    // ReLU as max keeps +0.0 for negative inputs, exactly
-                    // like the standalone Relu layer (slope * v would
-                    // yield -0.0).
-                    Some(a) if a > 0.0 => {
-                        for (ch, &v) in src.iter().enumerate() {
-                            let s = v + bias[ch];
-                            img[ch * plane + p] = if s > 0.0 { s } else { a * s };
-                        }
-                    }
-                    Some(_) => {
-                        for (ch, &v) in src.iter().enumerate() {
-                            img[ch * plane + p] = (v + bias[ch]).max(0.0);
-                        }
-                    }
-                }
-            }
+        let (oc, plane) = (self.out_c, oh * ow);
+        let op = SweepOp::BiasAct { bias: self.b.data(), slope: self.fused_act };
+        let mut out = scratch::take_dirty(batch * oc * plane);
+        for (src, img) in pos.data().chunks_exact(plane * oc).zip(out.chunks_exact_mut(oc * plane))
+        {
+            transpose_sweep(src, plane, oc, img, op);
         }
         Tensor::from_vec(out, &[batch, oc, oh, ow])
+    }
+
+    /// The half of the backward pass every caller needs: `dW += Gᵀ ·
+    /// cols` and `db +=` column sums of `G`. Returns `G` — the output
+    /// gradient through the fused activation, `[B*OH*OW, out_c]` — for
+    /// [`Layer::backward`] to carry on to the input gradient.
+    fn accumulate_param_grads(&mut self, grad_out: &Tensor) -> Tensor {
+        let cache =
+            self.cache.as_ref().expect("Conv2d::backward called without a training forward pass");
+        let oc = self.out_c;
+        let plane = cache.geom.out_h() * cache.geom.out_w();
+        assert_eq!(grad_out.shape(), &[cache.batch, oc, cache.geom.out_h(), cache.geom.out_w()]);
+        // G: the output gradient, a row per position, through the fused
+        // activation's gradient — elementwise, exactly what the
+        // standalone Relu/LeakyRelu backward computes.
+        let mut g = scratch::take_dirty(cache.batch * plane * oc);
+        for (bi, dst) in g.chunks_exact_mut(plane * oc).enumerate() {
+            let image = bi * oc * plane..(bi + 1) * oc * plane;
+            let op = match self.fused_act {
+                Some(slope) => SweepOp::ActGrad { mask: &cache.act_mask[image.clone()], slope },
+                None => SweepOp::Copy,
+            };
+            transpose_sweep(&grad_out.data()[image], oc, plane, dst, op);
+        }
+        let g_pos = Tensor::from_vec(g, &[cache.batch * plane, oc]);
+        let dw = matmul_tn(&g_pos, &cache.cols);
+        self.dw.add_scaled(&dw, 1.0);
+        // Row by row: each channel takes its terms in ascending position
+        // order, one accumulator per channel.
+        let dbd = self.db.data_mut();
+        for row in g_pos.data().chunks_exact(oc) {
+            for (d, &v) in dbd.iter_mut().zip(row.iter()) {
+                *d += v;
+            }
+        }
+        g_pos
     }
 }
 
@@ -215,16 +221,19 @@ impl Layer for Conv2d {
         // with a stable batch shape this makes forward allocation-free
         // (im2col_into resizes only when the geometry changed).
         let patch = geom.in_c * geom.kernel * geom.kernel;
-        let mut cols_buf = match self.cache.take() {
-            Some(prev) => prev.cols.into_vec(),
-            None => scratch::take_raw(batch * geom.out_h() * geom.out_w() * patch),
+        let (mut cols_buf, mut act_mask) = match self.cache.take() {
+            Some(prev) => (prev.cols.into_vec(), prev.act_mask),
+            None => (scratch::take_raw(batch * geom.out_h() * geom.out_w() * patch), Vec::new()),
         };
         im2col_into(input, &geom, &mut cols_buf);
         let cols = Tensor::from_vec(cols_buf, &[batch * geom.out_h() * geom.out_w(), patch]);
         self.panels.refresh(&self.w);
         let out = self.apply(&cols, &geom, batch);
         if train {
-            let act_mask = self.fused_act.map(|_| out.data().iter().map(|&v| v > 0.0).collect());
+            act_mask.clear();
+            if self.fused_act.is_some() {
+                act_mask.extend(out.data().iter().map(|&v| v > 0.0));
+            }
             self.cache = Some(ConvCache { cols, geom, batch, act_mask });
         }
         out
@@ -238,39 +247,15 @@ impl Layer for Conv2d {
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let cache =
-            self.cache.as_ref().expect("Conv2d::backward called without a training forward pass");
-        // Apply the fused activation's gradient first — elementwise,
-        // exactly what the standalone Relu/LeakyRelu backward computes.
-        let masked;
-        let grad_out = if let (Some(a), Some(mask)) = (self.fused_act, cache.act_mask.as_ref()) {
-            let mut g = scratch::copy_of(grad_out.data());
-            for (gv, &m) in g.iter_mut().zip(mask.iter()) {
-                if !m {
-                    *gv = if a == 0.0 { 0.0 } else { a * *gv };
-                }
-            }
-            masked = Tensor::from_vec(g, grad_out.shape());
-            &masked
-        } else {
-            grad_out
-        };
-        let g_pos = nchw_to_positions(grad_out); // [B*OH*OW, out_c]
-                                                 // dW += Gᵀ · cols
-        let dw = matmul_tn(&g_pos, &cache.cols);
-        self.dw.add_scaled(&dw, 1.0);
-        // db += column sums of G
-        {
-            let gd = g_pos.data();
-            let oc = self.out_c;
-            let dbd = self.db.data_mut();
-            for (i, &v) in gd.iter().enumerate() {
-                dbd[i % oc] += v;
-            }
-        }
+        let g_pos = self.accumulate_param_grads(grad_out);
+        let cache = self.cache.as_ref().expect("checked by accumulate_param_grads");
         // dX = col2im(G · W)
         let dcols = matmul(&g_pos, &self.w);
         col2im(&dcols, &cache.geom, cache.batch)
+    }
+
+    fn backward_params(&mut self, grad_out: &Tensor) {
+        let _ = self.accumulate_param_grads(grad_out);
     }
 
     fn params(&self) -> Vec<&Tensor> {
@@ -343,7 +328,11 @@ mod tests {
     #[test]
     fn nchw_roundtrip() {
         let t = Tensor::from_vec((0..24).map(|v| v as f32).collect(), &[2, 3, 2, 2]);
-        let pos = nchw_to_positions(&t);
+        let mut pos = vec![0.0; 24];
+        for (src, dst) in t.data().chunks_exact(12).zip(pos.chunks_exact_mut(12)) {
+            transpose_sweep(src, 3, 4, dst, SweepOp::Copy);
+        }
+        let pos = Tensor::from_vec(pos, &[8, 3]);
         let back = positions_to_nchw(&pos, 2, 3, 2, 2);
         assert_eq!(back.data(), t.data());
     }

@@ -76,11 +76,16 @@ impl Layer for Dense {
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
+        // dW += Gᵀ X ; db += column sums of G ; dX = G W
+        self.backward_params(grad_out);
+        matmul(grad_out, &self.w)
+    }
+
+    fn backward_params(&mut self, grad_out: &Tensor) {
         let x = self
             .cached_input
             .as_ref()
             .expect("Dense::backward called without a training forward pass");
-        // dW += Gᵀ X ; db += column sums of G ; dX = G W
         let dw = matmul_tn(grad_out, x);
         self.dw.add_scaled(&dw, 1.0);
         let out = grad_out.shape()[1];
@@ -90,7 +95,6 @@ impl Layer for Dense {
                 *d += g;
             }
         }
-        matmul(grad_out, &self.w)
     }
 
     fn params(&self) -> Vec<&Tensor> {

@@ -18,6 +18,22 @@
 //! right-hand side in packed column panels on the AVX2 path. A layer
 //! packs its weight once and keeps it (`WeightPanels`); the free
 //! [`matmul_nt`] packs per call.
+//!
+//! The TN product (`aᵀ × b`, every layer's `dW`) has a tall reduction
+//! and a tiny output in a convolution's backward pass; its AVX2 kernel
+//! walks `k` in blocks, resuming its accumulators from the output
+//! between blocks, which moves no bit (see `simd::avx2::rows8_tn`). An
+//! `n` that is not a multiple of 8 ends in a lane-masked panel on all
+//! three AVX2 kernels, never in a scalar tail.
+//!
+//! Between the matmuls a convolution moves data, and these are the
+//! movers: [`im2col`]/[`col2im`] (3×3 interior positions on a
+//! branch-free path, each bit as the general loop writes it) and
+//! `transpose_sweep`, the one pass between the row-per-position layout
+//! the matmuls work in and NCHW, with the bias/activation (forward) or
+//! the activation gradient (backward) applied on the way. Outputs come
+//! from `scratch::take_dirty`: every kernel here writes every element
+//! of its output, so nothing is cleared first.
 
 use std::sync::OnceLock;
 
@@ -123,7 +139,7 @@ pub fn matmul(a: &Tensor, b: &Tensor) -> Tensor {
     let (m, k) = (a.shape()[0], a.shape()[1]);
     let (k2, n) = (b.shape()[0], b.shape()[1]);
     assert_eq!(k, k2, "matmul inner dimension mismatch: {k} vs {k2}");
-    let mut out = scratch::take_zeroed(m * n);
+    let mut out = scratch::take_dirty(m * n);
     let (ad, bd) = (a.data(), b.data());
     run_row_blocks(&mut out, n, m, 2 * m * k * n, &|_, r0, chunk| {
         matmul_chunk(ad, bd, chunk, r0, k, n);
@@ -203,7 +219,7 @@ fn nt_dims(a: &Tensor, b: &Tensor) -> (usize, usize, usize) {
 /// `a × bᵀ` through the scalar reference kernel (the non-AVX2 path).
 fn matmul_nt_scalar(a: &Tensor, b: &Tensor) -> Tensor {
     let (m, k, n) = nt_dims(a, b);
-    let mut out = scratch::take_zeroed(m * n);
+    let mut out = scratch::take_dirty(m * n);
     let (ad, bd) = (a.data(), b.data());
     run_row_blocks(&mut out, n, m, 2 * m * k * n, &|_, r0, chunk| {
         matmul_nt_chunk_scalar(ad, bd, chunk, r0, k, n);
@@ -221,7 +237,7 @@ unsafe fn matmul_nt_packed(a: &Tensor, b: &PackedPanels) -> Tensor {
     assert_eq!(a.ndim(), 2, "matmul_nt lhs must be 2-D");
     let (m, k, n) = (a.shape()[0], a.shape()[1], b.cols());
     assert_eq!(k, b.depth(), "matmul_nt inner dimension mismatch: {k} vs {}", b.depth());
-    let mut out = scratch::take_zeroed(m * n);
+    let mut out = scratch::take_dirty(m * n);
     let ad = a.data();
     run_row_blocks(&mut out, n, m, 2 * m * k * n, &|_, r0, chunk| {
         // SAFETY: AVX2 is this function's own precondition.
@@ -358,7 +374,7 @@ pub fn matmul_tn(a: &Tensor, b: &Tensor) -> Tensor {
     let (k, m) = (a.shape()[0], a.shape()[1]);
     let (k2, n) = (b.shape()[0], b.shape()[1]);
     assert_eq!(k, k2, "matmul_tn inner dimension mismatch: {k} vs {k2}");
-    let mut out = scratch::take_zeroed(m * n);
+    let mut out = scratch::take_dirty(m * n);
     let (ad, bd) = (a.data(), b.data());
     run_row_blocks(&mut out, n, m, 2 * m * k * n, &|_, r0, chunk| {
         matmul_tn_chunk(ad, bd, chunk, r0, k, m, n);
@@ -418,13 +434,7 @@ fn im2col_rows(data: &[f32], g: &ConvGeom, r0: usize, chunk: &mut [f32]) {
     let patch = g.in_c * g.kernel * g.kernel;
     let img_stride = g.in_c * g.in_h * g.in_w;
     let chan_stride = g.in_h * g.in_w;
-    // Output columns whose 3-wide window needs no padding: those with
-    // `0 <= ox * stride - pad` and `ox * stride - pad + 3 <= in_w`.
-    let interior_x = if g.kernel == 3 && g.in_w >= 3 {
-        g.pad.div_ceil(g.stride)..((g.in_w + g.pad - 3) / g.stride + 1).min(ow)
-    } else {
-        0..0
-    };
+    let interior_x = interior_columns_k3(g);
     let mut dsts = chunk.chunks_exact_mut(patch);
     let mut row = r0;
     let end = r0 + dsts.len();
@@ -508,9 +518,20 @@ pub fn im2col(input: &Tensor, g: &ConvGeom) -> Tensor {
     let b = input.shape()[0];
     let patch = g.in_c * g.kernel * g.kernel;
     let rows = b * g.out_h() * g.out_w();
-    let mut out = scratch::take_raw(rows * patch);
+    let mut out = scratch::take_dirty(rows * patch);
     im2col_into(input, g, &mut out);
     Tensor::from_vec(out, &[rows, patch])
+}
+
+/// Output columns of one output row whose 3-wide window needs no
+/// padding: those with `0 <= ox * stride - pad` and
+/// `ox * stride - pad + 3 <= in_w`. Empty for any other kernel size.
+fn interior_columns_k3(g: &ConvGeom) -> std::ops::Range<usize> {
+    if g.kernel == 3 && g.in_w >= 3 {
+        g.pad.div_ceil(g.stride)..((g.in_w + g.pad - 3) / g.stride + 1).min(g.out_w())
+    } else {
+        0..0
+    }
 }
 
 /// Folds a column-matrix gradient back into an image gradient — the adjoint
@@ -519,47 +540,177 @@ pub fn im2col(input: &Tensor, g: &ConvGeom) -> Tensor {
 /// Parallelized over batch images: each image's overlapping-patch
 /// accumulation is done by exactly one block, in patch-row order, so the
 /// result is independent of the thread count.
+///
+/// Mirrors [`im2col_rows`]: 3×3 kernels at interior positions add their
+/// nine values per channel at fixed offsets, the interior test hoisted to
+/// one range check per output row; borders and other kernel sizes go
+/// through [`col2im_patch`]. A pixel receives at most one term per patch,
+/// and patches are visited in the same order on both paths, so each
+/// pixel's accumulation order — and every bit — is the same.
 pub fn col2im(cols: &Tensor, g: &ConvGeom, batch: usize) -> Tensor {
     let (oh, ow) = (g.out_h(), g.out_w());
     let patch = g.in_c * g.kernel * g.kernel;
     assert_eq!(cols.shape(), &[batch * oh * ow, patch], "col2im shape mismatch");
     let img_stride = g.in_c * g.in_h * g.in_w;
-    let mut out = scratch::take_raw(batch * img_stride);
-    out.resize(batch * img_stride, 0.0);
+    let mut out = scratch::take_dirty(batch * img_stride);
     let data = cols.data();
     let chan_stride = g.in_h * g.in_w;
+    let interior_x = interior_columns_k3(g);
     run_row_blocks(&mut out, img_stride, batch, cols.numel(), &|_, b0, chunk| {
         for (local, img) in chunk.chunks_exact_mut(img_stride).enumerate() {
             img.fill(0.0);
-            let bi = b0 + local;
-            let mut row = bi * oh * ow;
+            let first = (b0 + local) * oh * ow;
+            let mut srcs = data[first * patch..(first + oh * ow) * patch].chunks_exact(patch);
             for oy in 0..oh {
+                let y0 = oy * g.stride;
+                let interior_y = y0 >= g.pad && y0 - g.pad + 3 <= g.in_h;
                 for ox in 0..ow {
-                    let src = &data[row * patch..(row + 1) * patch];
-                    let mut si = 0usize;
-                    for c in 0..g.in_c {
-                        for ky in 0..g.kernel {
-                            let iy = (oy * g.stride + ky) as isize - g.pad as isize;
-                            if iy < 0 || iy >= g.in_h as isize {
-                                si += g.kernel;
-                                continue;
-                            }
-                            let row_base = c * chan_stride + iy as usize * g.in_w;
-                            for kx in 0..g.kernel {
-                                let ix = (ox * g.stride + kx) as isize - g.pad as isize;
-                                if ix >= 0 && ix < g.in_w as isize {
-                                    img[row_base + ix as usize] += src[si];
-                                }
-                                si += 1;
+                    let src = srcs.next().expect("one patch row per output position");
+                    if interior_y && interior_x.contains(&ox) {
+                        let top_left = (y0 - g.pad) * g.in_w + ox * g.stride - g.pad;
+                        for (s, chan) in src.chunks_exact(9).zip(img.chunks_exact_mut(chan_stride))
+                        {
+                            let window = &mut chan[top_left..top_left + 2 * g.in_w + 3];
+                            for (ky, s_row) in s.chunks_exact(3).enumerate() {
+                                let d_row = &mut window[ky * g.in_w..ky * g.in_w + 3];
+                                d_row[0] += s_row[0];
+                                d_row[1] += s_row[1];
+                                d_row[2] += s_row[2];
                             }
                         }
+                    } else {
+                        col2im_patch(src, g, oy, ox, img);
                     }
-                    row += 1;
                 }
             }
         }
     });
     Tensor::from_vec(out, &[batch, g.in_c, g.in_h, g.in_w])
+}
+
+/// Adds one patch row of the column matrix — output position `(oy, ox)`
+/// — into its image, any kernel and any overlap with the zero padding.
+fn col2im_patch(src: &[f32], g: &ConvGeom, oy: usize, ox: usize, img: &mut [f32]) {
+    let chan_stride = g.in_h * g.in_w;
+    let mut si = 0usize;
+    for c in 0..g.in_c {
+        for ky in 0..g.kernel {
+            let iy = (oy * g.stride + ky) as isize - g.pad as isize;
+            if iy < 0 || iy >= g.in_h as isize {
+                si += g.kernel;
+                continue;
+            }
+            let row_base = c * chan_stride + iy as usize * g.in_w;
+            for kx in 0..g.kernel {
+                let ix = (ox * g.stride + kx) as isize - g.pad as isize;
+                if ix >= 0 && ix < g.in_w as isize {
+                    img[row_base + ix as usize] += src[si];
+                }
+                si += 1;
+            }
+        }
+    }
+}
+
+/// What a [`transpose_sweep`] does to each value on its way across.
+#[derive(Clone, Copy)]
+pub(crate) enum SweepOp<'a> {
+    /// Nothing: a pure transpose.
+    Copy,
+    /// A fused activation's gradient: the value where `mask` (the
+    /// forward pass's `out > 0`, laid out like the source) is set,
+    /// `slope` times it elsewhere — `+0.0` for ReLU's slope of zero,
+    /// whatever the value's sign.
+    ActGrad { mask: &'a [bool], slope: f32 },
+    /// A convolution's output pass: add the source column's bias, then
+    /// the fused activation (`None` = linear, `Some(0.0)` = ReLU,
+    /// `Some(a)` = LeakyReLU).
+    BiasAct { bias: &'a [f32], slope: Option<f32> },
+}
+
+/// Source rows per block of the scalar [`transpose_sweep`]: a block's
+/// destination columns stay in L1 while each source row is scattered
+/// down them.
+const SWEEP_BLOCK: usize = 16;
+
+/// `dst[c][r] = op(src[r][c])` for `src` `[rows, cols]` and `dst`
+/// `[cols, rows]`, both row-major: the move between the layout the
+/// matmuls work in (a row per output position, a column per channel)
+/// and NCHW, with the elementwise work that used to be passes of its
+/// own done on the way. `Conv2d` runs it per image in both directions —
+/// forward (bias, activation, positions → channels) and backward
+/// (activation gradient, channels → positions) — and `im2col` for 1×1
+/// kernels, whose column matrix is the transposed image.
+///
+/// The AVX2 path works in 8×8 register tiles and the scalar path in
+/// cache blocks; apart from `op`'s one add or multiply per value, which
+/// both perform identically, this is data movement, so the two agree to
+/// the bit.
+pub(crate) fn transpose_sweep(src: &[f32], rows: usize, cols: usize, dst: &mut [f32], op: SweepOp) {
+    assert_eq!(src.len(), rows * cols, "transpose source size mismatch");
+    assert_eq!(dst.len(), rows * cols, "transpose destination size mismatch");
+    match op {
+        SweepOp::Copy => {}
+        SweepOp::ActGrad { mask, .. } => assert_eq!(mask.len(), src.len(), "mask size mismatch"),
+        SweepOp::BiasAct { bias, .. } => assert_eq!(bias.len(), cols, "bias size mismatch"),
+    }
+    #[cfg(target_arch = "x86_64")]
+    if simd::simd_enabled() {
+        // SAFETY: simd_enabled() is true only when AVX2 was detected;
+        // the size relations the kernel relies on are asserted above.
+        unsafe { simd::avx2::transpose_sweep(src, rows, cols, dst, op) };
+        return;
+    }
+    match op {
+        SweepOp::Copy => transpose_sweep_scalar(src, rows, cols, dst, |v, _, _| v),
+        // Selected by table, not by branch: the mask is as unpredictable
+        // as the activations' signs. `1.0 * v` is `v` to the bit.
+        SweepOp::ActGrad { mask, slope } if slope > 0.0 => {
+            transpose_sweep_scalar(src, rows, cols, dst, |v, i, _| {
+                [slope, 1.0][usize::from(mask[i])] * v
+            });
+        }
+        SweepOp::ActGrad { mask, .. } => {
+            transpose_sweep_scalar(src, rows, cols, dst, |v, i, _| [0.0, v][usize::from(mask[i])]);
+        }
+        SweepOp::BiasAct { bias, slope: None } => {
+            transpose_sweep_scalar(src, rows, cols, dst, |v, _, c| v + bias[c]);
+        }
+        SweepOp::BiasAct { bias, slope: Some(a) } if a > 0.0 => {
+            transpose_sweep_scalar(src, rows, cols, dst, |v, _, c| {
+                let s = v + bias[c];
+                if s > 0.0 {
+                    s
+                } else {
+                    a * s
+                }
+            });
+        }
+        // ReLU as max keeps +0.0 for negative inputs, exactly like the
+        // standalone Relu layer (slope * v would yield -0.0).
+        SweepOp::BiasAct { bias, .. } => {
+            transpose_sweep_scalar(src, rows, cols, dst, |v, _, c| (v + bias[c]).max(0.0));
+        }
+    }
+}
+
+/// `dst[c][r] = f(src[r][c], r * cols + c, c)`.
+fn transpose_sweep_scalar(
+    src: &[f32],
+    rows: usize,
+    cols: usize,
+    dst: &mut [f32],
+    f: impl Fn(f32, usize, usize) -> f32,
+) {
+    for r0 in (0..rows).step_by(SWEEP_BLOCK) {
+        let r1 = rows.min(r0 + SWEEP_BLOCK);
+        for (c, dst_row) in dst.chunks_exact_mut(rows).enumerate() {
+            for (r, d) in dst_row[r0..r1].iter_mut().enumerate() {
+                let i = (r0 + r) * cols + c;
+                *d = f(src[i], i, c);
+            }
+        }
+    }
 }
 
 /// Numerically stable softmax over the last axis of a 2-D tensor.

@@ -24,9 +24,10 @@ thread_local! {
     static POOL: RefCell<Vec<Vec<f32>>> = const { RefCell::new(Vec::new()) };
 }
 
-/// Takes a cleared buffer with capacity ≥ `n` (smallest fit wins, to
-/// keep big buffers available for big requests).
-pub(crate) fn take_raw(n: usize) -> Vec<f32> {
+/// Removes the smallest pooled buffer with capacity ≥ `n` (smallest
+/// fit wins, to keep big buffers available for big requests), with
+/// whatever length and contents it was recycled with.
+fn take_pooled(n: usize) -> Option<Vec<f32>> {
     POOL.with(|p| {
         let mut pool = p.borrow_mut();
         let mut best: Option<(usize, usize)> = None;
@@ -39,21 +40,32 @@ pub(crate) fn take_raw(n: usize) -> Vec<f32> {
                 }
             }
         }
-        match best {
-            Some((i, _)) => {
-                let mut v = pool.swap_remove(i);
-                v.clear();
-                v
-            }
-            None => Vec::with_capacity(n),
-        }
+        best.map(|(i, _)| pool.swap_remove(i))
     })
+}
+
+/// Takes a cleared buffer with capacity ≥ `n`.
+pub(crate) fn take_raw(n: usize) -> Vec<f32> {
+    let mut v = take_pooled(n).unwrap_or_else(|| Vec::with_capacity(n));
+    v.clear();
+    v
 }
 
 /// Takes a buffer of exactly `n` zeros.
 pub(crate) fn take_zeroed(n: usize) -> Vec<f32> {
     let mut v = take_raw(n);
     v.resize(n, 0.0);
+    v
+}
+
+/// Takes a buffer of exactly `n` elements of unspecified (but
+/// initialized) value, for a kernel that overwrites every one of them:
+/// a recycled buffer keeps what its last owner left in it, so at steady
+/// state — same shapes, same buffers — nothing is cleared at all. A
+/// full-length memset per output was a seventh of a training step.
+pub(crate) fn take_dirty(n: usize) -> Vec<f32> {
+    let mut v = take_pooled(n).unwrap_or_else(|| Vec::with_capacity(n));
+    v.resize(n, 0.0); // truncates, or zero-extends the missing tail
     v
 }
 
@@ -124,6 +136,18 @@ mod tests {
         let z = take_zeroed(64);
         assert!(z.iter().all(|&x| x == 0.0));
         assert_eq!(z.len(), 64);
+    }
+
+    #[test]
+    fn dirty_buffers_have_the_length_asked_for() {
+        let mut v = take_raw(77);
+        v.resize(50, 3.0);
+        recycle(v);
+        let longer = take_dirty(77);
+        assert_eq!(longer.len(), 77);
+        assert!(longer[50..].iter().all(|&x| x == 0.0), "the missing tail is zero-extended");
+        recycle(longer);
+        assert_eq!(take_dirty(20).len(), 20);
     }
 
     #[test]

@@ -10,6 +10,17 @@
 //! **bit-identical**, and both stay bit-identical at any `ODIN_THREADS`
 //! (`tests/par_determinism.rs` pins this).
 //!
+//! Three things the kernels do that look like they might bend the
+//! contract, and do not: a ragged last panel (`n % 8 != 0`) runs the
+//! ordinary register tile with its missing lanes masked off
+//! (`maskload`/`maskstore` — a masked lane is neither read nor
+//! written, a live lane computes what it would in a full panel); the
+//! TN kernel walks `k` in blocks and parks its accumulators in the
+//! output between blocks (an `f32` store and reload is exact, so each
+//! lane still performs one ascending-`k` chain of additions); and the
+//! layout sweeps (`transpose_sweep`) are 8×8 in-register transposes
+//! around the scalar sweep's own one add or multiply per value.
+//!
 //! Dispatch is decided once at runtime: AVX2 is used when the CPU
 //! supports it and `ODIN_NO_SIMD` is not set. Tests and benches can
 //! flip the path with [`set_simd_enabled`] / [`reset_simd`].
@@ -132,7 +143,16 @@ impl PackedPanels {
 #[cfg(target_arch = "x86_64")]
 pub(crate) mod avx2 {
     use super::{PackedPanels, PANEL};
+    use crate::ops::SweepOp;
     use std::arch::x86_64::*;
+
+    /// All-ones in the first `cols ≤ 8` lanes, zero in the rest.
+    #[target_feature(enable = "avx2")]
+    unsafe fn lane_mask(cols: usize) -> __m256i {
+        const LANES: [i32; 16] = [-1, -1, -1, -1, -1, -1, -1, -1, 0, 0, 0, 0, 0, 0, 0, 0];
+        debug_assert!(cols <= 8);
+        _mm256_loadu_si256(LANES.as_ptr().add(8 - cols).cast())
+    }
 
     /// Computes `R` output rows × 8 output columns: each lane of each
     /// accumulator register is one output element, walking `k` ascending
@@ -141,50 +161,85 @@ pub(crate) mod avx2 {
     /// `a` points at the first of `R` consecutive `k`-long rows
     /// (row stride `k`); `b` points at an 8-wide column panel with row
     /// stride `b_stride`; `out` at the first of `R` output rows (row
-    /// stride `out_stride`), of which the first `cols ≤ 8` columns are
-    /// written.
+    /// stride `out_stride`). With `FULL` all 8 lanes of `b` and `out`
+    /// are touched; without it only the lanes `mask` selects (the ragged
+    /// last panel of an `n` that is not a multiple of 8) — masked-off
+    /// lanes are neither read nor written, and what they accumulate is
+    /// discarded.
     ///
     /// # Safety
     ///
-    /// Requires AVX2 and in-bounds pointers for the strides above (all
-    /// 8 lanes of `b` are read whatever `cols` is).
+    /// Requires AVX2 and in-bounds pointers for the strides above, over
+    /// the lanes touched.
     #[target_feature(enable = "avx2")]
-    unsafe fn rows8<const R: usize>(
+    #[allow(clippy::too_many_arguments)]
+    unsafe fn rows8<const R: usize, const FULL: bool>(
         a: *const f32,
         k: usize,
         b: *const f32,
         b_stride: usize,
         out: *mut f32,
         out_stride: usize,
-        cols: usize,
+        mask: __m256i,
     ) {
         let mut acc = [_mm256_setzero_ps(); R];
         for kk in 0..k {
-            let bv = _mm256_loadu_ps(b.add(kk * b_stride));
+            let p = b.add(kk * b_stride);
+            let bv = if FULL { _mm256_loadu_ps(p) } else { _mm256_maskload_ps(p, mask) };
             for (r, accr) in acc.iter_mut().enumerate() {
                 let av = _mm256_set1_ps(*a.add(r * k + kk));
                 *accr = _mm256_add_ps(*accr, _mm256_mul_ps(av, bv));
             }
         }
         for (r, accr) in acc.iter().enumerate() {
-            if cols == 8 {
-                _mm256_storeu_ps(out.add(r * out_stride), *accr);
+            let p = out.add(r * out_stride);
+            if FULL {
+                _mm256_storeu_ps(p, *accr);
             } else {
-                let mut lanes = [0.0f32; 8];
-                _mm256_storeu_ps(lanes.as_mut_ptr(), *accr);
-                std::ptr::copy_nonoverlapping(lanes.as_ptr(), out.add(r * out_stride), cols);
+                _mm256_maskstore_ps(p, mask, *accr);
             }
+        }
+    }
+
+    /// One `ih ≤ 4` rows × `cols ≤ 8` columns tile of the NN and NT
+    /// kernels: [`rows8`] at the tile's height, masked when ragged.
+    ///
+    /// # Safety
+    ///
+    /// As [`rows8`], for `ih` rows and `cols` lanes.
+    #[target_feature(enable = "avx2")]
+    #[allow(clippy::too_many_arguments)]
+    unsafe fn tile8(
+        ih: usize,
+        cols: usize,
+        a: *const f32,
+        k: usize,
+        b: *const f32,
+        b_stride: usize,
+        out: *mut f32,
+        out_stride: usize,
+    ) {
+        let mask = lane_mask(cols);
+        match (ih, cols == PANEL) {
+            (4, true) => rows8::<4, true>(a, k, b, b_stride, out, out_stride, mask),
+            (3, true) => rows8::<3, true>(a, k, b, b_stride, out, out_stride, mask),
+            (2, true) => rows8::<2, true>(a, k, b, b_stride, out, out_stride, mask),
+            (_, true) => rows8::<1, true>(a, k, b, b_stride, out, out_stride, mask),
+            (4, false) => rows8::<4, false>(a, k, b, b_stride, out, out_stride, mask),
+            (3, false) => rows8::<3, false>(a, k, b, b_stride, out, out_stride, mask),
+            (2, false) => rows8::<2, false>(a, k, b, b_stride, out, out_stride, mask),
+            (_, false) => rows8::<1, false>(a, k, b, b_stride, out, out_stride, mask),
         }
     }
 
     /// 8-lane NN kernel: `chunk = a[r0..r0+rows] × b` with `a` `[m, k]`
     /// and `b` `[k, n]`, both row-major. Bit-identical to
-    /// `ops::matmul_chunk`.
+    /// `ops::matmul_chunk`; the ragged last panel of an `n` that is not
+    /// a multiple of 8 runs the same tile with its missing lanes masked.
     ///
     /// # Safety
     ///
-    /// Requires AVX2; slices must hold a full `[rows, k] × [k, n]`
-    /// problem as in the scalar kernel.
+    /// Requires AVX2.
     #[target_feature(enable = "avx2")]
     pub unsafe fn matmul_chunk(
         ad: &[f32],
@@ -195,34 +250,20 @@ pub(crate) mod avx2 {
         n: usize,
     ) {
         let rows = chunk.len() / n;
+        assert_eq!(chunk.len(), rows * n, "output chunk is not whole rows");
+        assert!(ad.len() >= (r0 + rows) * k, "lhs shorter than the rows it is asked for");
+        assert!(bd.len() >= k * n, "rhs shorter than [k, n]");
         let mut i = 0;
         while i < rows {
             let ih = (rows - i).min(4);
+            // SAFETY (pointer arithmetic below): rows `r0 + i ..+ ih` of
+            // `a` and `i ..+ ih` of `chunk`, and columns `j ..+ cols` of
+            // `b`'s `k` rows, are in bounds by the asserts above.
             let a = ad.as_ptr().add((r0 + i) * k);
-            let mut j = 0;
-            while j + 8 <= n {
-                let b = bd.as_ptr().add(j);
+            for j in (0..n).step_by(PANEL) {
+                let cols = (n - j).min(PANEL);
                 let out = chunk.as_mut_ptr().add(i * n + j);
-                match ih {
-                    4 => rows8::<4>(a, k, b, n, out, n, 8),
-                    3 => rows8::<3>(a, k, b, n, out, n, 8),
-                    2 => rows8::<2>(a, k, b, n, out, n, 8),
-                    _ => rows8::<1>(a, k, b, n, out, n, 8),
-                }
-                j += 8;
-            }
-            // Ragged column tail: scalar, same single-accumulator
-            // ascending-k order.
-            while j < n {
-                for r in 0..ih {
-                    let a_row = &ad[(r0 + i + r) * k..(r0 + i + r + 1) * k];
-                    let mut acc = 0.0f32;
-                    for (kk, &av) in a_row.iter().enumerate() {
-                        acc += av * bd[kk * n + j];
-                    }
-                    chunk[(i + r) * n + j] = acc;
-                }
-                j += 1;
+                tile8(ih, cols, a, k, bd.as_ptr().add(j), n, out, n);
             }
             i += ih;
         }
@@ -262,12 +303,7 @@ pub(crate) mod avx2 {
                 let ih = (rows - i).min(4);
                 let a = ad.as_ptr().add((r0 + i) * k);
                 let out = chunk.as_mut_ptr().add(i * n + j);
-                match ih {
-                    4 => rows8::<4>(a, k, panel, PANEL, out, n, cols),
-                    3 => rows8::<3>(a, k, panel, PANEL, out, n, cols),
-                    2 => rows8::<2>(a, k, panel, PANEL, out, n, cols),
-                    _ => rows8::<1>(a, k, panel, PANEL, out, n, cols),
-                }
+                tile8(ih, cols, a, k, panel, PANEL, out, n);
                 i += ih;
             }
         }
@@ -304,16 +340,155 @@ pub(crate) mod avx2 {
         sum
     }
 
-    /// Like [`rows8`] but for the TN layout: `a` element for output row
-    /// `r`, step `kk` sits at `a[kk * a_stride + r]` (`a_stride` = the
-    /// original `m`). Accumulators live in registers across the whole
-    /// `k` walk, so `out` is written exactly once per element.
+    /// Transposes an 8×8 block held as eight row registers.
+    #[target_feature(enable = "avx2")]
+    unsafe fn transpose8(r: [__m256; 8]) -> [__m256; 8] {
+        let t0 = _mm256_unpacklo_ps(r[0], r[1]);
+        let t1 = _mm256_unpackhi_ps(r[0], r[1]);
+        let t2 = _mm256_unpacklo_ps(r[2], r[3]);
+        let t3 = _mm256_unpackhi_ps(r[2], r[3]);
+        let t4 = _mm256_unpacklo_ps(r[4], r[5]);
+        let t5 = _mm256_unpackhi_ps(r[4], r[5]);
+        let t6 = _mm256_unpacklo_ps(r[6], r[7]);
+        let t7 = _mm256_unpackhi_ps(r[6], r[7]);
+        let u0 = _mm256_shuffle_ps(t0, t2, 0x44);
+        let u1 = _mm256_shuffle_ps(t0, t2, 0xEE);
+        let u2 = _mm256_shuffle_ps(t1, t3, 0x44);
+        let u3 = _mm256_shuffle_ps(t1, t3, 0xEE);
+        let u4 = _mm256_shuffle_ps(t4, t6, 0x44);
+        let u5 = _mm256_shuffle_ps(t4, t6, 0xEE);
+        let u6 = _mm256_shuffle_ps(t5, t7, 0x44);
+        let u7 = _mm256_shuffle_ps(t5, t7, 0xEE);
+        [
+            _mm256_permute2f128_ps(u0, u4, 0x20),
+            _mm256_permute2f128_ps(u1, u5, 0x20),
+            _mm256_permute2f128_ps(u2, u6, 0x20),
+            _mm256_permute2f128_ps(u3, u7, 0x20),
+            _mm256_permute2f128_ps(u0, u4, 0x31),
+            _mm256_permute2f128_ps(u1, u5, 0x31),
+            _mm256_permute2f128_ps(u2, u6, 0x31),
+            _mm256_permute2f128_ps(u3, u7, 0x31),
+        ]
+    }
+
+    /// `ops::transpose_sweep` in 8×8 register tiles: eight source rows
+    /// of eight values are loaded, passed through `op` lane-wise (the
+    /// same one add or multiply per value as the scalar sweep, its
+    /// branches turned into lane selects), transposed in registers and
+    /// stored as eight destination rows. Ragged edges in either
+    /// dimension run the same tile with the missing lanes masked off.
+    /// Bit-identical to the scalar sweep — also for ReLU, written there
+    /// as `max(s, 0.0)` and here as "`s` where `s > 0`, else `+0.0`":
+    /// the two differ only at `s = -0.0`, which a sum that started from
+    /// `+0.0` never is.
     ///
     /// # Safety
     ///
-    /// Requires AVX2 and in-bounds pointers for the strides above.
+    /// Requires AVX2, `src.len() == dst.len() == rows * cols`, an
+    /// `ActGrad` mask of that length and a `BiasAct` bias of `cols`.
     #[target_feature(enable = "avx2")]
-    unsafe fn rows8_tn<const R: usize>(
+    pub unsafe fn transpose_sweep(
+        src: &[f32],
+        rows: usize,
+        cols: usize,
+        dst: &mut [f32],
+        op: SweepOp,
+    ) {
+        let zero = _mm256_setzero_ps();
+        for c0 in (0..cols).step_by(8) {
+            let nc = (cols - c0).min(8);
+            let col_lanes = lane_mask(nc);
+            let bias = match op {
+                SweepOp::BiasAct { bias, .. } => {
+                    _mm256_maskload_ps(bias.as_ptr().add(c0), col_lanes)
+                }
+                _ => zero,
+            };
+            for r0 in (0..rows).step_by(8) {
+                let nr = (rows - r0).min(8);
+                let mut tile = [zero; 8];
+                for (r, lanes) in tile.iter_mut().enumerate().take(nr) {
+                    // SAFETY: `at ..+ nc` lies inside row `r0 + r` of
+                    // `src` (and of the mask, the same length); lanes
+                    // past `nc` are masked off / not copied.
+                    let at = (r0 + r) * cols + c0;
+                    let v = _mm256_maskload_ps(src.as_ptr().add(at), col_lanes);
+                    *lanes = match op {
+                        SweepOp::Copy => v,
+                        SweepOp::ActGrad { mask, slope } => {
+                            // The tile row's `nc` bools as the low
+                            // bytes of a u64 (a `bool` is 0 or 1).
+                            let from = mask.as_ptr().add(at).cast::<u8>();
+                            let bools = if nc == 8 {
+                                from.cast::<u64>().read_unaligned()
+                            } else {
+                                let mut bytes = [0u8; 8];
+                                std::ptr::copy_nonoverlapping(from, bytes.as_mut_ptr(), nc);
+                                u64::from_le_bytes(bytes)
+                            };
+                            let keep = _mm256_cmpgt_epi32(
+                                _mm256_cvtepu8_epi32(_mm_cvtsi64_si128(bools as i64)),
+                                _mm256_setzero_si256(),
+                            );
+                            scaled_unless(v, _mm256_castsi256_ps(keep), slope)
+                        }
+                        SweepOp::BiasAct { slope, .. } => {
+                            let s = _mm256_add_ps(v, bias);
+                            match slope {
+                                None => s,
+                                Some(a) => scaled_unless(s, _mm256_cmp_ps(s, zero, _CMP_GT_OQ), a),
+                            }
+                        }
+                    };
+                }
+                let tile = transpose8(tile);
+                let row_lanes = lane_mask(nr);
+                for (c, lanes) in tile.iter().enumerate().take(nc) {
+                    // SAFETY: `nr` lanes from column `r0` of row `c0 + c`
+                    // of `dst` (`cols × rows`) are in bounds.
+                    let to = dst.as_mut_ptr().add((c0 + c) * rows + r0);
+                    _mm256_maskstore_ps(to, row_lanes, *lanes);
+                }
+            }
+        }
+    }
+
+    /// `v` in the lanes `keep` selects, `slope * v` in the rest — or
+    /// `+0.0` there when `slope` is zero (a product would carry `v`'s
+    /// sign into the zero).
+    #[target_feature(enable = "avx2")]
+    unsafe fn scaled_unless(v: __m256, keep: __m256, slope: f32) -> __m256 {
+        let off =
+            if slope > 0.0 { _mm256_mul_ps(_mm256_set1_ps(slope), v) } else { _mm256_setzero_ps() };
+        _mm256_blendv_ps(off, v, keep)
+    }
+
+    /// Reduction steps one register tile of the TN kernel takes between
+    /// loading its accumulators from `out` and storing them back: short
+    /// enough that the `TN_K_BLOCK` rows of both operands a chunk walks
+    /// stay in L1 while every tile of the chunk passes over them.
+    pub(crate) const TN_K_BLOCK: usize = 64;
+
+    /// Like [`rows8`] but for the TN layout, and resuming: `a` element
+    /// for output row `r`, step `kk` sits at `a[kk * a_stride + r]`
+    /// (`a_stride` = the original `m`), and the accumulators start from
+    /// what `out` holds and go back there after `k` steps. An `f32`
+    /// round-trip through memory is exact, so a caller that zeroes `out`
+    /// and then walks the reduction axis block by block gives each lane
+    /// the same single ascending-`k` accumulation as one long walk.
+    ///
+    /// With `FULL` all 8 lanes of `b` and `out` are touched; without it
+    /// only the lanes `mask` selects (the ragged last panel of an `n`
+    /// that is not a multiple of 8) — masked-off lanes are neither read
+    /// nor written, and what they accumulate is discarded.
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX2 and in-bounds pointers for the strides above, over
+    /// the lanes touched.
+    #[target_feature(enable = "avx2")]
+    #[allow(clippy::too_many_arguments)]
+    unsafe fn rows8_tn<const R: usize, const FULL: bool>(
         a: *const f32,
         k: usize,
         a_stride: usize,
@@ -321,17 +496,59 @@ pub(crate) mod avx2 {
         b_stride: usize,
         out: *mut f32,
         out_stride: usize,
+        mask: __m256i,
     ) {
         let mut acc = [_mm256_setzero_ps(); R];
+        for (r, accr) in acc.iter_mut().enumerate() {
+            let p = out.add(r * out_stride);
+            *accr = if FULL { _mm256_loadu_ps(p) } else { _mm256_maskload_ps(p, mask) };
+        }
         for kk in 0..k {
-            let bv = _mm256_loadu_ps(b.add(kk * b_stride));
+            let p = b.add(kk * b_stride);
+            let bv = if FULL { _mm256_loadu_ps(p) } else { _mm256_maskload_ps(p, mask) };
             for (r, accr) in acc.iter_mut().enumerate() {
                 let av = _mm256_set1_ps(*a.add(kk * a_stride + r));
                 *accr = _mm256_add_ps(*accr, _mm256_mul_ps(av, bv));
             }
         }
         for (r, accr) in acc.iter().enumerate() {
-            _mm256_storeu_ps(out.add(r * out_stride), *accr);
+            let p = out.add(r * out_stride);
+            if FULL {
+                _mm256_storeu_ps(p, *accr);
+            } else {
+                _mm256_maskstore_ps(p, mask, *accr);
+            }
+        }
+    }
+
+    /// One `ih ≤ 4` rows × `cols ≤ 8` columns tile of the TN kernel:
+    /// [`rows8_tn`] at the tile's height, masked when ragged.
+    ///
+    /// # Safety
+    ///
+    /// As [`rows8_tn`], for `ih` rows and `cols` lanes.
+    #[target_feature(enable = "avx2")]
+    #[allow(clippy::too_many_arguments)]
+    unsafe fn tile8_tn(
+        ih: usize,
+        cols: usize,
+        a: *const f32,
+        k: usize,
+        a_stride: usize,
+        b: *const f32,
+        out: *mut f32,
+        n: usize,
+    ) {
+        let mask = lane_mask(cols);
+        match (ih, cols == PANEL) {
+            (4, true) => rows8_tn::<4, true>(a, k, a_stride, b, n, out, n, mask),
+            (3, true) => rows8_tn::<3, true>(a, k, a_stride, b, n, out, n, mask),
+            (2, true) => rows8_tn::<2, true>(a, k, a_stride, b, n, out, n, mask),
+            (_, true) => rows8_tn::<1, true>(a, k, a_stride, b, n, out, n, mask),
+            (4, false) => rows8_tn::<4, false>(a, k, a_stride, b, n, out, n, mask),
+            (3, false) => rows8_tn::<3, false>(a, k, a_stride, b, n, out, n, mask),
+            (2, false) => rows8_tn::<2, false>(a, k, a_stride, b, n, out, n, mask),
+            (_, false) => rows8_tn::<1, false>(a, k, a_stride, b, n, out, n, mask),
         }
     }
 
@@ -339,13 +556,18 @@ pub(crate) mod avx2 {
     /// and `b` `[k, n]`, both row-major. Register-blocked 4 rows × 8
     /// cols with each lane a single accumulator walking `k` ascending —
     /// the per-element order of `ops::matmul_tn_chunk`'s rank-1 updates,
-    /// so results are bit-identical; ragged edges fall back to a scalar
-    /// walk in the same order.
+    /// so results are bit-identical.
+    ///
+    /// The conv backward pass calls this with a tall reduction axis
+    /// (`k = B·OH·OW`) and a tiny output (`out_c × patch`), so `k` is
+    /// walked in blocks of [`TN_K_BLOCK`] rows, every tile of the chunk
+    /// passing over a block before the next one is touched (see
+    /// [`rows8_tn`] for why that moves no bit); the ragged last panel
+    /// runs the same tile with its missing lanes masked off.
     ///
     /// # Safety
     ///
-    /// Requires AVX2; slices must hold a full `[k, m] × [k, n]` problem
-    /// as in the scalar kernel.
+    /// Requires AVX2.
     #[target_feature(enable = "avx2")]
     pub unsafe fn matmul_tn_chunk(
         ad: &[f32],
@@ -357,41 +579,28 @@ pub(crate) mod avx2 {
         n: usize,
     ) {
         let rows = chunk.len() / n;
-        let mut i = 0;
-        while i < rows {
-            let ih = (rows - i).min(4);
-            let a = ad.as_ptr().add(r0 + i);
-            let mut j = 0;
-            while j + 8 <= n {
-                let b = bd.as_ptr().add(j);
-                let out = chunk.as_mut_ptr().add(i * n + j);
-                match ih {
-                    4 => rows8_tn::<4>(a, k, m, b, n, out, n),
-                    3 => rows8_tn::<3>(a, k, m, b, n, out, n),
-                    2 => rows8_tn::<2>(a, k, m, b, n, out, n),
-                    _ => rows8_tn::<1>(a, k, m, b, n, out, n),
-                }
-                j += 8;
-            }
-            // Ragged column tail: k-outer rank-1 updates so both inputs
-            // are walked contiguously (a per-column walk would stride by
-            // `m` for the whole reduction). Each output cell is still a
-            // single accumulator taking its k terms in ascending order.
-            if j < n {
-                for r in 0..ih {
-                    chunk[(i + r) * n + j..(i + r) * n + n].fill(0.0);
-                }
-                for kk in 0..k {
-                    let av = &ad[kk * m + r0 + i..kk * m + r0 + i + ih];
-                    let bv = &bd[kk * n + j..kk * n + n];
-                    for (r, &ar) in av.iter().enumerate() {
-                        for (c, &bc) in bv.iter().enumerate() {
-                            chunk[(i + r) * n + j + c] += ar * bc;
-                        }
-                    }
+        assert_eq!(chunk.len(), rows * n, "output chunk is not whole rows");
+        assert!(r0 + rows <= m, "chunk rows outside the lhs");
+        assert!(ad.len() >= k * m && bd.len() >= k * n, "operands shorter than [k, m] × [k, n]");
+        chunk.fill(0.0);
+        for k0 in (0..k).step_by(TN_K_BLOCK) {
+            let kb = (k - k0).min(TN_K_BLOCK);
+            for j in (0..n).step_by(PANEL) {
+                let cols = (n - j).min(PANEL);
+                // SAFETY (pointer arithmetic below): steps `k0 ..+ kb`,
+                // rows `r0 + i ..+ ih` of `a` and columns `j ..+ cols` of
+                // `b` and of `chunk` rows `i ..+ ih` are in bounds by the
+                // asserts above; lanes past `cols` are masked off.
+                let b = bd.as_ptr().add(k0 * n + j);
+                let mut i = 0;
+                while i < rows {
+                    let ih = (rows - i).min(4);
+                    let a = ad.as_ptr().add(k0 * m + r0 + i);
+                    let out = chunk.as_mut_ptr().add(i * n + j);
+                    tile8_tn(ih, cols, a, kb, m, b, out, n);
+                    i += ih;
                 }
             }
-            i += ih;
         }
     }
 }

@@ -245,3 +245,59 @@ fn gradcheck_bce_loss_gradient() {
         );
     }
 }
+
+/// Runs `build()` twice on the same input and output gradient — once
+/// through `backward`, once through `backward_params` — and requires
+/// the two to leave the same parameter-gradient bits.
+fn assert_backward_params_leaves_backwards_grads<L: Layer>(
+    build: impl Fn() -> L,
+    x: &Tensor,
+    passes: usize,
+) {
+    let grads_after = |params_only: bool| {
+        let mut layer = build();
+        // More than one pass: gradients accumulate across calls.
+        for pass in 0..passes {
+            let y = layer.forward(x, true);
+            let g = Tensor::from_vec(
+                y.data().iter().map(|v| (v + pass as f32).sin()).collect(),
+                y.shape(),
+            );
+            if params_only {
+                layer.backward_params(&g);
+            } else {
+                let _ = layer.backward(&g);
+            }
+        }
+        layer.params_grads().iter().map(|(_, g)| g.data().to_vec()).collect::<Vec<_>>()
+    };
+    let (full, params_only) = (grads_after(false), grads_after(true));
+    assert!(full.iter().flatten().any(|&v| v != 0.0), "gradients must be non-trivial");
+    assert_eq!(full, params_only);
+}
+
+#[test]
+fn backward_params_leaves_exactly_backwards_parameter_gradients() {
+    let mut rng = StdRng::seed_from_u64(30);
+    let image = rand_input(&mut rng, &[2, 3, 7, 9]);
+    let conv = || Conv2d::k3(3, 5, 2, &mut StdRng::seed_from_u64(31));
+    assert_backward_params_leaves_backwards_grads(conv, &image, 2);
+    assert_backward_params_leaves_backwards_grads(|| conv().fuse_leaky_relu(0.2), &image, 2);
+    assert_backward_params_leaves_backwards_grads(|| conv().fuse_relu(), &image, 2);
+    let flat = rand_input(&mut rng, &[3, 11]);
+    assert_backward_params_leaves_backwards_grads(
+        || Dense::new(11, 4, &mut StdRng::seed_from_u64(32)),
+        &flat,
+        2,
+    );
+    // A stack skips only its first layer's input gradient.
+    let stack = || {
+        let mut rng = StdRng::seed_from_u64(33);
+        Sequential::new()
+            .push(Conv2d::k3(3, 4, 1, &mut rng).fuse_leaky_relu(0.2))
+            .push(Conv2d::k3(4, 2, 2, &mut rng))
+            .push(Flatten::new())
+            .push(Dense::new(2 * 4 * 5, 3, &mut rng))
+    };
+    assert_backward_params_leaves_backwards_grads(stack, &image, 1);
+}

@@ -8,6 +8,64 @@ fn tensor_strategy(max_elems: usize) -> impl Strategy<Value = Vec<f32>> {
     prop::collection::vec(-10.0f32..10.0, 1..=max_elems)
 }
 
+/// `col2im` as first written: every patch row in order, every patch
+/// element tested against the image bounds. The reference the 3×3
+/// interior fast path must match bit for bit.
+fn col2im_reference(cols: &[f32], g: &ConvGeom, batch: usize) -> Vec<f32> {
+    let (oh, ow) = (g.out_h(), g.out_w());
+    let mut out = vec![0.0f32; batch * g.in_c * g.in_h * g.in_w];
+    let mut src = cols.iter();
+    for img in out.chunks_exact_mut(g.in_c * g.in_h * g.in_w) {
+        for oy in 0..oh {
+            for ox in 0..ow {
+                for c in 0..g.in_c {
+                    for ky in 0..g.kernel {
+                        for kx in 0..g.kernel {
+                            let v = *src.next().expect("one value per patch element");
+                            let iy = (oy * g.stride + ky) as isize - g.pad as isize;
+                            let ix = (ox * g.stride + kx) as isize - g.pad as isize;
+                            if (0..g.in_h as isize).contains(&iy)
+                                && (0..g.in_w as isize).contains(&ix)
+                            {
+                                img[(c * g.in_h + iy as usize) * g.in_w + ix as usize] += v;
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+    out
+}
+
+/// Every geometry class the models and the seams between `col2im`'s
+/// two paths produce: 1×1 and 3×3 kernels, both strides, with and
+/// without padding, non-square images from "no interior at all" up, one
+/// to five channels, two images.
+#[test]
+fn col2im_matches_the_naive_reference_bit_for_bit() {
+    for kernel in [1usize, 3] {
+        for stride in [1usize, 2] {
+            for pad in [0usize, 1] {
+                for in_c in 1..=5usize {
+                    for (in_h, in_w) in [(3usize, 4usize), (4, 3), (5, 8), (8, 5), (9, 12)] {
+                        let g = ConvGeom { in_c, in_h, in_w, kernel, stride, pad };
+                        let rows = 2 * g.out_h() * g.out_w();
+                        let patch = in_c * kernel * kernel;
+                        let cols = Tensor::from_vec(
+                            (0..rows * patch).map(|i| (i as f32 * 0.37).sin() * 3.0).collect(),
+                            &[rows, patch],
+                        );
+                        let got = col2im(&cols, &g, 2);
+                        assert_eq!(got.shape(), &[2, in_c, in_h, in_w]);
+                        assert_eq!(got.data(), &col2im_reference(cols.data(), &g, 2)[..], "{g:?}");
+                    }
+                }
+            }
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 

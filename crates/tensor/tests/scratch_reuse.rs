@@ -1,6 +1,7 @@
 //! Asserts the zero-allocation contract of the scratch arena: after a
-//! short warm-up, repeated `Conv2d::forward` (and forward+backward)
-//! calls with a fixed batch shape perform no heap allocations at all —
+//! short warm-up, repeated `Conv2d::forward` (and forward+backward, and
+//! a fused first layer's forward+`backward_params`) calls with a fixed
+//! batch shape perform no heap allocations at all —
 //! every buffer is drawn from and returned to the thread-local pool.
 //!
 //! A counting global allocator makes the assertion exact. The whole
@@ -87,5 +88,29 @@ fn conv_forward_is_allocation_free_at_steady_state() {
         after - before,
         0,
         "Conv2d forward+backward allocated at steady state (checksum {checksum})"
+    );
+
+    // A first layer with a fused activation, as the Small detector
+    // trains it: the activation mask is carried from step to step like
+    // the column buffer, and `backward_params` takes nothing it does
+    // not give back.
+    let mut fused = Conv2d::k3(3, 16, 2, &mut rng).fuse_leaky_relu(0.2);
+    for _ in 0..4 {
+        let y = fused.forward(&x, true);
+        fused.backward_params(&y);
+        fused.zero_grad();
+    }
+    let before = alloc_count();
+    for _ in 0..8 {
+        let y = fused.forward(&x, true);
+        checksum += y.data()[0];
+        fused.backward_params(&y);
+        fused.zero_grad();
+    }
+    let after = alloc_count();
+    assert_eq!(
+        after - before,
+        0,
+        "fused Conv2d forward+backward_params allocated at steady state (checksum {checksum})"
     );
 }

@@ -58,6 +58,40 @@ fn assert_simd_invariant(f: impl Fn() -> Tensor) {
     assert_eq!(scalar.data(), vector.data(), "SIMD result differs from scalar");
 }
 
+/// The k-blocked TN kernel and the NN kernel against their scalar
+/// references, bit for bit, over every way the output can be ragged —
+/// each row-tile height and each width of the masked last panel, up to
+/// five whole panels plus one lane — and reduction lengths on both
+/// sides of the TN kernel's 64-step block edge.
+#[test]
+fn tn_and_nn_kernels_match_scalar_on_every_ragged_tail_and_block_edge() {
+    let _g = SimdGuard::acquire();
+    let mut rng = StdRng::seed_from_u64(22);
+    for k in [1usize, 63, 64, 65, 200] {
+        let a_t = rand_tensor(&mut rng, &[k, 41]);
+        let b = rand_tensor(&mut rng, &[k, 33]);
+        for m in 1..=41 {
+            // The first `m` columns of `a_t`, and their transpose.
+            let cols = |t: &Tensor, width: usize| {
+                let w = t.shape()[1];
+                let data = t.data().chunks_exact(w).flat_map(|r| r[..width].to_vec()).collect();
+                Tensor::from_vec(data, &[t.shape()[0], width])
+            };
+            let a_tm = cols(&a_t, m);
+            let a_m = a_tm.transpose();
+            for n in 1..=33 {
+                let b_n = cols(&b, n);
+                simd::set_simd_enabled(false);
+                let (tn_scalar, nn_scalar) = (matmul_tn(&a_tm, &b_n), matmul(&a_m, &b_n));
+                simd::set_simd_enabled(true);
+                let (tn_vector, nn_vector) = (matmul_tn(&a_tm, &b_n), matmul(&a_m, &b_n));
+                assert_eq!(tn_scalar.data(), tn_vector.data(), "matmul_tn m={m} n={n} k={k}");
+                assert_eq!(nn_scalar.data(), nn_vector.data(), "matmul m={m} n={n} k={k}");
+            }
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
@@ -140,6 +174,47 @@ proptest! {
                 "fused activation diverges (simd={})", simd_on
             );
         }
+    }
+
+    /// A training step through one convolution — the forward output
+    /// sweep, the backward gradient sweep (8×8 register tiles on the
+    /// AVX2 path, ragged in channels and in positions here), `col2im`
+    /// and all three products — leaves the same output, input gradient,
+    /// `dW` and `db` bits on both dispatch paths, for a linear output
+    /// and both fused activations.
+    #[test]
+    fn conv_training_step_is_simd_invariant(
+        batch in 1usize..3,
+        in_c in 1usize..4,
+        out_c in 1usize..20,
+        h in 3usize..11,
+        extra_w in 1usize..4,
+        stride in 1usize..3,
+        act in (0usize..3).prop_map(|i| [None, Some(0.0f32), Some(0.1)][i]),
+        seed in 0u64..1000,
+    ) {
+        let _g = SimdGuard::acquire();
+        let mut rng = StdRng::seed_from_u64(seed);
+        let x = rand_tensor(&mut rng, &[batch, in_c, h, h + extra_w]);
+        let run = |on: bool| {
+            simd::set_simd_enabled(on);
+            let conv = Conv2d::k3(in_c, out_c, stride, &mut StdRng::seed_from_u64(seed ^ 0xA));
+            let mut conv = match act {
+                Some(slope) => conv.fuse_leaky_relu(slope),
+                None => conv,
+            };
+            let y = conv.forward(&x, true);
+            let g = Tensor::from_vec(y.data().iter().map(|v| v.cos()).collect(), y.shape());
+            let dx = conv.backward(&g);
+            let grads: Vec<Vec<f32>> =
+                conv.params_grads().iter().map(|(_, g)| g.data().to_vec()).collect();
+            (y, dx, grads)
+        };
+        let (y_s, dx_s, grads_s) = run(false);
+        let (y_v, dx_v, grads_v) = run(true);
+        prop_assert_eq!(y_s.data(), y_v.data(), "forward output diverges");
+        prop_assert_eq!(dx_s.data(), dx_v.data(), "input gradient diverges");
+        prop_assert_eq!(grads_s, grads_v, "parameter gradients diverge");
     }
 
     /// Quantize→dequantize round-trip error is bounded by half a

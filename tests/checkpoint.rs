@@ -477,3 +477,73 @@ fn atomic_snapshot_never_destroys_the_previous_one() {
     assert!(Odin::restore(&path).is_ok());
     std::fs::remove_dir_all(path.parent().unwrap()).ok();
 }
+
+/// The training-side counters a restore must not move: jobs submitted,
+/// models installed (stats and both exposition counters), and the
+/// number of training runs timed into `odin_stage_train_ms`.
+fn training_counts(odin: &Odin) -> (u64, u64, u64, u64, u64) {
+    let snap = odin.telemetry().snapshot();
+    let counter = |name: &str| {
+        snap.counters.iter().find(|(n, _)| n == name).map(|(_, v)| *v).expect("counter registered")
+    };
+    let train_runs = snap
+        .histograms
+        .iter()
+        .find(|h| h.name == "odin_stage_train_ms")
+        .map(|h| h.count)
+        .expect("histogram registered");
+    (
+        odin.stats().jobs_submitted,
+        odin.stats().models_installed,
+        counter("odin_train_jobs_total"),
+        counter("odin_models_installed_specialized_total"),
+        train_runs,
+    )
+}
+
+/// A snapshot taken while a job trains, then a crash after the job's
+/// `Install` reached the WAL: the replayed record *is* the model, so
+/// the restore must not train it again — let alone install the retrain
+/// and then the replayed record over it. Replay never re-counts, so the
+/// restored counters are the snapshot's, and stay there.
+#[test]
+fn restore_over_a_wal_that_holds_the_install_runs_no_training() {
+    let dir = scratch("install-in-wal");
+    let (night, _) = night_then_day(60);
+
+    let mut live = new_odin(TrainingMode::Background { workers: 1 });
+    live.enable_store(&dir, CheckpointPolicy::Manual).expect("enable store");
+    // Stop at the frame that submits the job: the model cannot install
+    // before the next frame boundary, so the snapshot holds the episode
+    // in its training stage whatever the worker has done by then.
+    let submitted_at = night
+        .iter()
+        .position(|f| {
+            live.process(f);
+            live.stats().jobs_submitted > 0
+        })
+        .expect("fixture submitted no training job");
+    assert_eq!(live.model_count(), 0, "fixture: installed before the snapshot");
+    live.checkpoint(&dir.join(SNAPSHOT_FILE)).expect("snapshot mid-training");
+    let at_snapshot = training_counts(&live);
+    live.finish_training();
+    live.flush_store();
+    assert_eq!(live.model_count(), 1, "fixture: the job never installed");
+    let want = registry_params(&live);
+    let wal = odin_store::read_wal(&dir.join(WAL_FILE)).expect("read wal").records;
+    assert_eq!(wal.last().map(|r| r.payload[0]), Some(3), "fixture: no Install at the WAL's tail");
+    drop(live);
+
+    let mut recovered = Odin::restore_from_dir(&dir).expect("restore across crash");
+    // Anything the restore wrongly resubmitted lands here.
+    recovered.finish_training();
+    assert_eq!(registry_params(&recovered), want, "the replayed model is the writer's");
+    assert_eq!(training_counts(&recovered), at_snapshot, "the restore trained or installed");
+    // ...and the cluster is out of recovery: serving on does not retrain.
+    for f in &night[submitted_at + 1..] {
+        recovered.process(f);
+    }
+    recovered.finish_training();
+    assert_eq!(training_counts(&recovered), at_snapshot, "a closed episode trained again");
+    std::fs::remove_dir_all(&dir).ok();
+}

@@ -190,3 +190,52 @@ fn store_write_failures_are_counted_and_reported() {
     assert!(odin.telemetry().render_prometheus().contains("odin_frames_total 60"));
     std::fs::remove_file(&dir).ok();
 }
+
+/// `odin_recovery_ms` is `recovery_p50_s` server-side: one sample per
+/// episode this process saw from drift to install, on the registry's
+/// clock, rendered like every other histogram — and nothing for an
+/// episode whose start a restart forgot.
+#[test]
+fn recovery_histogram_times_the_episodes_this_process_saw_open() {
+    let recovery = |odin: &Odin| {
+        let snap = odin.telemetry().snapshot();
+        snap.histograms.into_iter().find(|h| h.name == "odin_recovery_ms").expect("registered")
+    };
+    let (night, day) = night_then_day(60);
+    let mut odin = new_odin();
+    odin.process_stream(&night);
+    odin.process_stream(&day);
+    let installed = odin.stats().models_installed;
+    assert!(installed >= 2, "fixture: expected a recovery per regime");
+    assert_eq!(recovery(&odin).count, installed, "one sample per completed recovery");
+    let rendered = odin.telemetry().render_prometheus();
+    assert!(rendered.contains(&format!("odin_recovery_ms_count {installed}")));
+
+    // A snapshot taken mid-training, restored: the job is resubmitted
+    // and its model installs, but the drift that opened the episode was
+    // timed by a clock that no longer exists.
+    let path = scratch("recovery-restored").join("snap.odst");
+    let mut writer = Odin::new(
+        Box::new(HistogramEncoder::new()),
+        Detector::heavy(48, &mut StdRng::seed_from_u64(0)),
+        quick_cfg(TrainingMode::Background { workers: 1 }),
+        42,
+    );
+    writer.telemetry().clear_sinks();
+    night.iter().find(|f| {
+        writer.process(f);
+        writer.stats().jobs_submitted > 0
+    });
+    assert_eq!((writer.stats().jobs_submitted, writer.model_count()), (1, 0), "fixture");
+    writer.checkpoint(&path).expect("checkpoint mid-training");
+    let mut restored = Odin::restore(&path).expect("restore");
+    restored.telemetry().clear_sinks();
+    restored.finish_training();
+    assert_eq!(restored.stats().models_installed, 1, "the resubmitted job installs");
+    assert_eq!(recovery(&restored).count, 0, "an episode without a start time observed one");
+    writer.finish_training();
+    let h = recovery(&writer);
+    assert_eq!(h.count, 1, "the writer saw its episode open");
+    assert!(h.sum_ns > 0, "collecting and training take time on a real clock");
+    std::fs::remove_dir_all(path.parent().expect("scratch dir")).ok();
+}
