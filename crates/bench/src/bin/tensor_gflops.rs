@@ -1,10 +1,12 @@
-//! Tensor-backend micro-benchmark: GFLOP/s of the matmul kernels (AVX2
-//! default and forced-scalar), the im2col convolution forward/backward
+//! Tensor-backend micro-benchmark: GFLOP/s of the matmul kernels (the
+//! default SIMD level, named in the title, and forced-scalar), the
+//! convolution forward (implicit GEMM) and forward/backward
 //! (batched, and at the batch-1 shapes the server runs per frame), the
 //! retrain's own kernels and a whole `Detector::train_step`, the
 //! int8 serving kernels (one interior shape, the four layers of the
 //! Small detector at batch 1, and a whole frame through
-//! `QDetector::detect`), and end-to-end DA-GAN encoding throughput.
+//! `QDetector::detect`), end-to-end DA-GAN encoding throughput, and the
+//! teacher-served frame (one DA-GAN projection, one teacher detection).
 //! Used to record before/after numbers for the deterministic parallel
 //! backend (see README "Performance"). For int8 rows the "GFLOP/s"
 //! column reports integer giga-ops/s on the same 2·m·k·n count.
@@ -54,7 +56,7 @@ fn main() {
     let mut rng = StdRng::seed_from_u64(args.seed);
     let mut t = Table::new(
         "tensor_gflops",
-        "Tensor backend kernel throughput",
+        &format!("Tensor backend kernel throughput ({:?})", simd::simd_level()),
         &["Kernel", "Shape", "GFLOP/s", "ms/call"],
     );
 
@@ -353,6 +355,30 @@ fn main() {
         "16x3x48x48".into(),
         "-".into(),
         format!("{:.3}", secs * 1e3),
+    ]);
+
+    // The stale-period frame, whole: the DA-GAN projection and the
+    // teacher's detection of one frame — every layer of both on the
+    // inference path (implicit-GEMM convolutions, batch norm and
+    // activations in the output sweep).
+    let secs = time_per_call(|| {
+        black_box(dagan.encode_images(black_box(&[&frame])));
+    });
+    t.row(vec![
+        "dagan_encode_b1".into(),
+        "1x3x48x48".into(),
+        "-".into(),
+        format!("{:.4}", secs * 1e3),
+    ]);
+    let teacher = Detector::heavy(48, &mut rng);
+    let secs = time_per_call(|| {
+        black_box(teacher.detect(black_box(&frame)));
+    });
+    t.row(vec![
+        "detect_teacher_b1".into(),
+        "1x3x48x48".into(),
+        "-".into(),
+        format!("{:.4}", secs * 1e3),
     ]);
 
     t.finish(&args);

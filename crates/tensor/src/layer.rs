@@ -7,7 +7,18 @@
 //! feed-forward composition, so this is all that is needed, and it keeps
 //! memory behaviour predictable.
 
+use crate::layers::BatchNorm2d;
 use crate::tensor::Tensor;
+
+/// A per-channel elementwise layer in the form a preceding convolution
+/// can apply in its output sweep (see [`Layer::infer_fused`]).
+#[derive(Clone, Copy)]
+pub enum Epilogue<'a> {
+    /// An eval-mode batch norm.
+    Norm(&'a BatchNorm2d),
+    /// A ReLU (`0.0`) or LeakyReLU (the slope, `> 0`).
+    Act(f32),
+}
 
 /// A differentiable network layer.
 ///
@@ -26,6 +37,22 @@ pub trait Layer: Send + Sync {
     /// can never change a result and is safe to race on.
     /// Must produce exactly the same output as `forward(input, false)`.
     fn infer(&self, input: &Tensor) -> Tensor;
+
+    /// [`Layer::infer`] followed by as many of the `next` layers as this
+    /// layer can apply in its own output pass; returns the output and
+    /// how many of `next` it applied. Must equal running those layers'
+    /// `infer` in turn, bit for bit. [`Sequential::infer`] drives it; a
+    /// convolution takes a following eval-mode batch norm and
+    /// activation (see [`Layer::epilogue`]).
+    fn infer_fused(&self, input: &Tensor, _next: &[Box<dyn Layer>]) -> (Tensor, usize) {
+        (self.infer(input), 0)
+    }
+
+    /// This layer as a step a preceding convolution can apply in its
+    /// output sweep, if it is one.
+    fn epilogue(&self) -> Option<Epilogue<'_>> {
+        None
+    }
 
     /// Backpropagates `grad_out` (gradient of the loss w.r.t. this layer's
     /// output), accumulating parameter gradients internally and returning
@@ -177,13 +204,25 @@ impl Sequential {
 
 impl Layer for Sequential {
     fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
+        if !train {
+            return self.infer(input);
+        }
         let Some((first, rest)) = self.layers.split_first_mut() else { return input.clone() };
-        rest.iter_mut().fold(first.forward(input, train), |x, l| l.forward(&x, train))
+        rest.iter_mut().fold(first.forward(input, true), |x, l| l.forward(&x, true))
     }
 
+    /// Each layer in turn, a layer taking the ones after it that it can
+    /// apply in its output pass ([`Layer::infer_fused`]).
     fn infer(&self, input: &Tensor) -> Tensor {
-        let Some((first, rest)) = self.layers.split_first() else { return input.clone() };
-        rest.iter().fold(first.infer(input), |x, l| l.infer(&x))
+        let mut x: Option<Tensor> = None;
+        let mut i = 0;
+        while i < self.layers.len() {
+            let (y, absorbed) =
+                self.layers[i].infer_fused(x.as_ref().unwrap_or(input), &self.layers[i + 1..]);
+            x = Some(y);
+            i += 1 + absorbed;
+        }
+        x.unwrap_or_else(|| input.clone())
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {

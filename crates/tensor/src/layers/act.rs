@@ -1,6 +1,6 @@
 //! Activation layers.
 
-use crate::layer::Layer;
+use crate::layer::{Epilogue, Layer};
 use crate::ops::sigmoid;
 use crate::tensor::Tensor;
 
@@ -27,6 +27,10 @@ impl Layer for Relu {
 
     fn infer(&self, input: &Tensor) -> Tensor {
         input.map(|x| x.max(0.0))
+    }
+
+    fn epilogue(&self) -> Option<Epilogue<'_>> {
+        Some(Epilogue::Act(0.0))
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
@@ -77,6 +81,12 @@ impl Layer for LeakyRelu {
     fn infer(&self, input: &Tensor) -> Tensor {
         let a = self.alpha;
         input.map(|x| if x > 0.0 { x } else { a * x })
+    }
+
+    /// Only a positive slope: the output sweep treats slope `0.0` as
+    /// ReLU, which differs from `0.0 * x` in the sign of zero.
+    fn epilogue(&self) -> Option<Epilogue<'_>> {
+        (self.alpha > 0.0).then_some(Epilogue::Act(self.alpha))
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {

@@ -1,7 +1,13 @@
-//! 2-D convolution via im2col.
+//! 2-D convolution.
 //!
-//! Forward: `im2col` → `cols × Wᵀ` (packed panels) → one output sweep
-//! (bias, fused activation, positions → NCHW). Backward: one gradient
+//! Inference ([`Layer::infer`], and `forward` with `train = false`):
+//! the implicit-GEMM product — the NT kernel reads the zero-padded
+//! input in place, no `im2col` matrix — then one output sweep (bias,
+//! a following eval-mode batch norm and activation when
+//! [`Layer::infer_fused`] hands them over, positions → NCHW). Training
+//! forward: `im2col` (the backward pass needs the columns for `dW`) →
+//! `cols × Wᵀ` through the same NT kernel → the same sweep with the
+//! layer's own fused activation. Backward: one gradient
 //! sweep (fused activation's gradient, NCHW → positions) → `db` as row
 //! sums, `dW = Gᵀ · cols`, and — only for a caller that reads it
 //! ([`Layer::backward`], not [`Layer::backward_params`]) — `dX =
@@ -12,10 +18,10 @@
 use rand::rngs::StdRng;
 
 use crate::init;
-use crate::layer::Layer;
+use crate::layer::{Epilogue, Layer};
 use crate::ops::{
-    col2im, im2col, im2col_into, matmul, matmul_tn, transpose_sweep, ConvGeom, SweepOp,
-    WeightPanels,
+    col2im, conv2d_implicit, im2col_into, matmul, matmul_tn, transpose_sweep, ConvGeom, Lhs, Norm,
+    SweepOp, WeightPanels,
 };
 use crate::scratch;
 use crate::tensor::Tensor;
@@ -140,7 +146,7 @@ impl Conv2d {
 }
 
 /// Converts a `[B*OH*OW, C]` row-per-position matrix into `[B, C, OH, OW]`.
-/// The forward path fuses this repack into [`Conv2d::apply`]; kept as the
+/// The forward path fuses this repack into `Conv2d::output`; kept as the
 /// reference implementation for the roundtrip test of the backward repack.
 #[cfg(test)]
 fn positions_to_nchw(m: &Tensor, batch: usize, c: usize, oh: usize, ow: usize) -> Tensor {
@@ -160,20 +166,35 @@ fn positions_to_nchw(m: &Tensor, batch: usize, c: usize, oh: usize, ow: usize) -
 }
 
 impl Conv2d {
-    /// The im2col matmul shared by the training and inference forward
-    /// paths. Bias add, the fused activation (if any), and the
-    /// positions→NCHW repack happen in one output sweep.
-    fn apply(&self, cols: &Tensor, geom: &ConvGeom, batch: usize) -> Tensor {
+    /// The output sweep shared by the training and inference forward
+    /// paths: `pos` (`[B·OH·OW, out_c]`, a row per position) to NCHW,
+    /// with the bias, then `norm`, then the activation of negative slope
+    /// `slope` applied on the way.
+    fn output(
+        &self,
+        pos: &Tensor,
+        geom: &ConvGeom,
+        batch: usize,
+        norm: Option<Norm>,
+        slope: Option<f32>,
+    ) -> Tensor {
         let (oh, ow) = (geom.out_h(), geom.out_w());
-        let pos = self.panels.matmul_nt(cols, &self.w); // [B*OH*OW, out_c]
         let (oc, plane) = (self.out_c, oh * ow);
-        let op = SweepOp::BiasAct { bias: self.b.data(), slope: self.fused_act };
+        let op = SweepOp::Output { bias: self.b.data(), norm, slope };
         let mut out = scratch::take_dirty(batch * oc * plane);
         for (src, img) in pos.data().chunks_exact(plane * oc).zip(out.chunks_exact_mut(oc * plane))
         {
             transpose_sweep(src, plane, oc, img, op);
         }
         Tensor::from_vec(out, &[batch, oc, oh, ow])
+    }
+
+    /// The inference forward pass: the implicit-GEMM product (no
+    /// `im2col` matrix) and one output sweep.
+    fn infer_with(&self, input: &Tensor, norm: Option<Norm>, slope: Option<f32>) -> Tensor {
+        let geom = self.geom_for(input);
+        let pos = conv2d_implicit(input, &geom, &self.w, &self.panels);
+        self.output(&pos, &geom, input.shape()[0], norm, slope)
     }
 
     /// The half of the backward pass every caller needs: `dW += Gᵀ ·
@@ -215,6 +236,11 @@ impl Conv2d {
 
 impl Layer for Conv2d {
     fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
+        self.panels.refresh(&self.w);
+        if !train {
+            // The training cache stays: a backward may follow.
+            return self.infer(input);
+        }
         let geom = self.geom_for(input);
         let batch = input.shape()[0];
         // Reuse the cached column buffer from the previous forward pass;
@@ -227,23 +253,43 @@ impl Layer for Conv2d {
         };
         im2col_into(input, &geom, &mut cols_buf);
         let cols = Tensor::from_vec(cols_buf, &[batch * geom.out_h() * geom.out_w(), patch]);
-        self.panels.refresh(&self.w);
-        let out = self.apply(&cols, &geom, batch);
-        if train {
-            act_mask.clear();
-            if self.fused_act.is_some() {
-                act_mask.extend(out.data().iter().map(|&v| v > 0.0));
-            }
-            self.cache = Some(ConvCache { cols, geom, batch, act_mask });
+        let pos = self.panels.nt(&Lhs::dense(&cols), &self.w);
+        let out = self.output(&pos, &geom, batch, None, self.fused_act);
+        act_mask.clear();
+        if self.fused_act.is_some() {
+            act_mask.extend(out.data().iter().map(|&v| v > 0.0));
         }
+        self.cache = Some(ConvCache { cols, geom, batch, act_mask });
         out
     }
 
     fn infer(&self, input: &Tensor) -> Tensor {
-        let geom = self.geom_for(input);
-        let batch = input.shape()[0];
-        let cols = im2col(input, &geom);
-        self.apply(&cols, &geom, batch)
+        self.infer_with(input, None, self.fused_act)
+    }
+
+    /// Takes an eval-mode `BatchNorm2d` over this layer's channels, then
+    /// a ReLU or LeakyReLU, from `next` into the output sweep — a ReLU
+    /// only straight after the bias (see `simd::avx2::transpose_sweep`
+    /// on the sign of zero). A layer with a fused activation of its own
+    /// takes nothing.
+    fn infer_fused(&self, input: &Tensor, next: &[Box<dyn Layer>]) -> (Tensor, usize) {
+        if self.fused_act.is_some() {
+            return (self.infer(input), 0);
+        }
+        let bn = match next.first().and_then(|l| l.epilogue()) {
+            Some(Epilogue::Norm(bn)) if bn.channels() == self.out_c => Some(bn),
+            _ => None,
+        };
+        let act_at = usize::from(bn.is_some());
+        let slope = match next.get(act_at).and_then(|l| l.epilogue()) {
+            Some(Epilogue::Act(a)) if bn.is_none() || a > 0.0 => Some(a),
+            _ => None,
+        };
+        let out = match bn {
+            Some(bn) => bn.with_eval_norm(|norm| self.infer_with(input, Some(norm), slope)),
+            None => self.infer_with(input, None, slope),
+        };
+        (out, act_at + usize::from(slope.is_some()))
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
@@ -323,6 +369,29 @@ mod tests {
         assert_eq!(y.shape(), &[1, 2, 2, 2]);
         assert!(y.data()[..4].iter().all(|&v| v == 5.0));
         assert!(y.data()[4..].iter().all(|&v| v == -5.0));
+    }
+
+    #[test]
+    fn eval_pass_between_forward_and_backward_keeps_the_training_cache() {
+        let mut rng = StdRng::seed_from_u64(3);
+        let mut a = Conv2d::k3(2, 4, 1, &mut rng).fuse_leaky_relu(0.2);
+        let mut b = Conv2d::k3(2, 4, 1, &mut StdRng::seed_from_u64(3)).fuse_leaky_relu(0.2);
+        let x = Tensor::from_vec(
+            (0..2 * 2 * 5 * 4).map(|v| (v as f32 * 0.37).sin()).collect(),
+            &[2, 2, 5, 4],
+        );
+        let other =
+            Tensor::from_vec((0..2 * 6 * 6).map(|v| (v as f32).cos()).collect(), &[1, 2, 6, 6]);
+        let ya = a.forward(&x, true);
+        let yb = b.forward(&x, true);
+        let _ = b.forward(&other, false); // an eval pass of another shape
+        let _ = b.infer(&other);
+        let (da, db) = (a.backward(&ya), b.backward(&yb));
+        assert_eq!(da.data(), db.data());
+        let grads = |c: &mut Conv2d| -> Vec<f32> {
+            c.params_grads().iter().flat_map(|(_, g)| g.data().to_vec()).collect()
+        };
+        assert_eq!(grads(&mut a), grads(&mut b));
     }
 
     #[test]

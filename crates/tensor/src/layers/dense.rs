@@ -4,7 +4,7 @@ use rand::rngs::StdRng;
 
 use crate::init;
 use crate::layer::Layer;
-use crate::ops::{matmul, matmul_tn, WeightPanels};
+use crate::ops::{matmul, matmul_tn, Lhs, WeightPanels};
 use crate::tensor::Tensor;
 
 /// A fully-connected (affine) layer: `y = x Wᵀ + b`.
@@ -64,7 +64,7 @@ impl Layer for Dense {
             input.shape()[1],
             self.in_dim()
         );
-        let mut y = self.panels.matmul_nt(input, &self.w);
+        let mut y = self.panels.nt(&Lhs::dense(input), &self.w);
         let out = y.shape()[1];
         let bias = self.b.data();
         for row in y.data_mut().chunks_exact_mut(out) {

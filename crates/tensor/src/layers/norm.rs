@@ -1,6 +1,8 @@
 //! Batch normalization.
 
-use crate::layer::Layer;
+use crate::layer::{Epilogue, Layer};
+use crate::ops::Norm;
+use crate::scratch;
 use crate::tensor::Tensor;
 
 /// 2-D batch normalization: per-channel standardization over the batch
@@ -43,14 +45,36 @@ impl BatchNorm2d {
         }
     }
 
-    fn channels(&self) -> usize {
+    pub(crate) fn channels(&self) -> usize {
         self.gamma.numel()
     }
 
-    /// Normalizes `input` with the given per-channel statistics, applying
-    /// γ and β. Returns `(output, x_hat)`; `x_hat` is only needed by the
-    /// training path.
-    fn normalize(&self, input: &Tensor, means: &[f32], inv_std: &[f32]) -> (Tensor, Vec<f32>) {
+    /// Runs `f` with the eval-mode normalization (running statistics,
+    /// `inv_std = 1 / sqrt(running_var + eps)`, γ, β) — what `infer`
+    /// applies and what a preceding convolution's output sweep applies
+    /// in its place.
+    pub(crate) fn with_eval_norm<R>(&self, f: impl FnOnce(Norm) -> R) -> R {
+        let inv = self.running_var.iter().map(|&v| 1.0 / (v + self.eps).sqrt());
+        let inv_std = scratch::collect_exact(self.channels(), inv);
+        let norm = Norm {
+            mean: &self.running_mean,
+            inv_std: &inv_std,
+            gamma: self.gamma.data(),
+            beta: self.beta.data(),
+        };
+        let out = f(norm);
+        scratch::recycle(inv_std);
+        out
+    }
+
+    /// Normalizes `input` with the batch statistics, applying γ and β.
+    /// Returns `(output, x_hat)` for the backward pass.
+    fn normalize_train(
+        &self,
+        input: &Tensor,
+        means: &[f32],
+        inv_std: &[f32],
+    ) -> (Tensor, Vec<f32>) {
         let (b, c, h, w) = (input.shape()[0], input.shape()[1], input.shape()[2], input.shape()[3]);
         let plane = h * w;
         let data = input.data();
@@ -109,7 +133,7 @@ impl Layer for BatchNorm2d {
         }
 
         let inv_std: Vec<f32> = vars.iter().map(|&v| 1.0 / (v + self.eps).sqrt()).collect();
-        let (out, x_hat) = self.normalize(input, &means, &inv_std);
+        let (out, x_hat) = self.normalize_train(input, &means, &inv_std);
         self.cache = Some(BnCache { x_hat: Tensor::from_vec(x_hat, input.shape()), inv_std });
         out
     }
@@ -117,9 +141,22 @@ impl Layer for BatchNorm2d {
     fn infer(&self, input: &Tensor) -> Tensor {
         assert_eq!(input.ndim(), 4, "BatchNorm2d expects [B, C, H, W]");
         assert_eq!(input.shape()[1], self.channels(), "BatchNorm2d channel mismatch");
-        let inv_std: Vec<f32> =
-            self.running_var.iter().map(|&v| 1.0 / (v + self.eps).sqrt()).collect();
-        self.normalize(input, &self.running_mean, &inv_std).0
+        let (c, plane) = (self.channels(), input.shape()[2] * input.shape()[3]);
+        // Only the output is written: `x_hat` is the training path's.
+        let mut out = scratch::take_dirty(input.numel());
+        self.with_eval_norm(|norm| {
+            let planes = input.data().chunks_exact(plane.max(1));
+            for (i, (src, dst)) in planes.zip(out.chunks_exact_mut(plane.max(1))).enumerate() {
+                for (d, &v) in dst.iter_mut().zip(src) {
+                    *d = norm.apply(v, i % c);
+                }
+            }
+        });
+        Tensor::from_vec(out, input.shape())
+    }
+
+    fn epilogue(&self) -> Option<Epilogue<'_>> {
+        Some(Epilogue::Norm(self))
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {

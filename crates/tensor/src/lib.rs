@@ -12,8 +12,10 @@
 //!   several stacks trained in turn). A [`Layer`] trait with explicit
 //!   `forward`/`backward` keeps memory behaviour predictable and the
 //!   implementation auditable.
-//! * **im2col convolutions.** Convolutions are lowered to one big matrix
-//!   multiply, the standard CPU strategy.
+//! * **Convolutions as one matrix multiply.** Training lowers a
+//!   convolution through an `im2col` matrix (the backward pass needs
+//!   it); inference reads the padded input in place (implicit GEMM) and
+//!   applies a following batch norm and activation in its output pass.
 //! * **Determinism.** All initialization and sampling is seeded
 //!   (`StdRng`), so every experiment in the bench harness is reproducible.
 //! * **Deterministic parallelism.** Matmul and im2col/col2im kernels run
@@ -66,5 +68,5 @@ pub mod scratch;
 pub mod simd;
 mod tensor;
 
-pub use layer::{Layer, Sequential};
+pub use layer::{Epilogue, Layer, Sequential};
 pub use tensor::{Tensor, MAX_NDIM};

@@ -1,39 +1,42 @@
 //! Linear-algebra and convolution primitives.
 //!
-//! The convolution layers are built on `im2col`/`col2im`, which turn a
-//! convolution into one large matrix multiply — the standard trick for a
-//! CPU implementation with no SIMD intrinsics.
-//!
 //! All three matmul variants share the same structure: the public
 //! function is a thin dispatcher that splits the output into row blocks
 //! (a pure function of the row count — see [`crate::par`]) and runs a
-//! register-blocked micro-kernel over each block (AVX2 4×8 when
-//! enabled, scalar 4×4 otherwise), on the worker pool when the problem
-//! is big enough and serially otherwise. Every output element is
-//! produced by a single accumulator walking `k` in ascending order, so
-//! the serial and parallel, scalar and vector paths are all
+//! register-blocked micro-kernel over each block (vector tiles when a
+//! SIMD level is active, scalar 4×4 otherwise), on the worker pool when
+//! the problem is big enough and serially otherwise. Every output
+//! element is produced by a single accumulator walking `k` in ascending
+//! order, so the serial and parallel, scalar and vector paths are all
 //! bit-identical at any thread count.
 //!
-//! The NT product (`a × bᵀ`, the forward pass of every layer) reads its
-//! right-hand side in packed column panels on the AVX2 path. A layer
-//! packs its weight once and keeps it (`WeightPanels`); the free
-//! [`matmul_nt`] packs per call.
+//! The NT product (`a × bᵀ`, the forward pass of every layer) is one
+//! kernel with three callers: `Dense`, the training convolution over
+//! its `im2col` columns, and the inference convolution, which builds no
+//! column matrix at all (`Lhs`: the kernel reads the zero-padded input
+//! in place through a row base and a column offset, and a dense matrix
+//! is the identity addressing). Its right-hand side is read in packed
+//! 16-wide panels on the vector paths; a layer packs its weight once and
+//! keeps it (`WeightPanels`), the free [`matmul_nt`] packs per call.
 //!
 //! The TN product (`aᵀ × b`, every layer's `dW`) has a tall reduction
 //! and a tiny output in a convolution's backward pass; its AVX2 kernel
 //! walks `k` in blocks, resuming its accumulators from the output
 //! between blocks, which moves no bit (see `simd::avx2::rows8_tn`). An
-//! `n` that is not a multiple of 8 ends in a lane-masked panel on all
-//! three AVX2 kernels, never in a scalar tail.
+//! `n` that is not a multiple of the panel width ends in a lane-masked
+//! panel on every vector kernel, never in a scalar tail.
 //!
 //! Between the matmuls a convolution moves data, and these are the
 //! movers: [`im2col`]/[`col2im`] (3×3 interior positions on a
-//! branch-free path, each bit as the general loop writes it) and
+//! branch-free path, a 1×1 unit-stride kernel as one transpose per
+//! image, each bit as the general loop writes it) and
 //! `transpose_sweep`, the one pass between the row-per-position layout
-//! the matmuls work in and NCHW, with the bias/activation (forward) or
-//! the activation gradient (backward) applied on the way. Outputs come
-//! from `scratch::take_dirty`: every kernel here writes every element
-//! of its output, so nothing is cleared first.
+//! the matmuls work in and NCHW, with the elementwise work applied on
+//! the way — forward, the bias, an eval-mode batch norm and the
+//! activation (the layers' own arithmetic, step for step); backward,
+//! the activation gradient. Outputs come from `scratch::take_dirty`:
+//! every kernel here writes every element of its output, so nothing is
+//! cleared first.
 
 use std::sync::OnceLock;
 
@@ -147,36 +150,187 @@ pub fn matmul(a: &Tensor, b: &Tensor) -> Tensor {
     Tensor::from_vec(out, &[m, n])
 }
 
-/// Dot-product kernel for `out[r0..][..] = a[r0..] × bᵀ` where
-/// `a` is `[m, k]` and `b` is `[n, k]`, both row-major.
-fn matmul_nt_chunk_scalar(
-    ad: &[f32],
+/// Where the NT kernels find column `kk` of a left-operand row,
+/// relative to the row's base: `kk` itself for a dense matrix, a table
+/// entry for an image read in place.
+pub(crate) trait Offsets: Copy + Send + Sync {
+    /// Offset of column `kk`.
+    ///
+    /// # Safety
+    ///
+    /// `kk` must be below the depth the offsets were built for.
+    unsafe fn at(self, kk: usize) -> usize;
+}
+
+/// The offsets of a dense row: column `kk` is element `kk`.
+#[derive(Clone, Copy)]
+pub(crate) struct Contiguous;
+
+impl Offsets for Contiguous {
+    #[inline(always)]
+    unsafe fn at(self, kk: usize) -> usize {
+        kk
+    }
+}
+
+impl Offsets for &[u32] {
+    #[inline(always)]
+    unsafe fn at(self, kk: usize) -> usize {
+        // SAFETY: `kk < self.len()`, the caller's contract.
+        unsafe { *self.get_unchecked(kk) as usize }
+    }
+}
+
+/// Row bases of a left operand: row `r = (b, oy, ox)` (row-major over
+/// `[B, oh, ow]`) starts at `b·img + oy·dy + ox·dx`. A dense `[m, k]`
+/// matrix is `oh = ow = 1`, `img = k`.
+#[derive(Clone, Copy)]
+pub(crate) struct RowMap {
+    oh: usize,
+    ow: usize,
+    img: usize,
+    dy: usize,
+    dx: usize,
+}
+
+/// Walks the row bases of a [`RowMap`] from some first row on, one
+/// increment per row instead of a division.
+pub(crate) struct RowCursor {
+    map: RowMap,
+    b: usize,
+    oy: usize,
+    ox: usize,
+}
+
+impl RowCursor {
+    /// The base of the current row; moves to the next.
+    #[inline(always)]
+    pub(crate) fn next_base(&mut self) -> usize {
+        let m = self.map;
+        let base = self.b * m.img + self.oy * m.dy + self.ox * m.dx;
+        self.ox += 1;
+        if self.ox == m.ow {
+            self.ox = 0;
+            self.oy += 1;
+            if self.oy == m.oh {
+                self.oy = 0;
+                self.b += 1;
+            }
+        }
+        base
+    }
+}
+
+/// The left operand of an NT product, read in place: element `(r, kk)`
+/// is `data[base(r) + offs.at(kk)]`. A dense matrix is the identity
+/// addressing; a convolution's zero-padded input with per-row window
+/// corners and per-column `(c, ky, kx)` offsets is the implicit `im2col`
+/// matrix — the same values in the same places, so every product
+/// through it is bit-identical to one over the materialized columns.
+pub(crate) struct Lhs<'a, O> {
+    /// Invariant: every `base(r) + offs.at(kk)`, `r < rows`, `kk < k`,
+    /// indexes into `data` (checked by [`Lhs::new`]).
+    data: &'a [f32],
+    rows: usize,
+    k: usize,
+    map: RowMap,
+    offs: O,
+}
+
+impl<'a> Lhs<'a, Contiguous> {
+    /// A dense row-major `[m, k]` matrix.
+    pub(crate) fn dense(a: &'a Tensor) -> Self {
+        assert_eq!(a.ndim(), 2, "matmul_nt lhs must be 2-D");
+        let (m, k) = (a.shape()[0], a.shape()[1]);
+        let map = RowMap { oh: 1, ow: 1, img: k, dy: 0, dx: 0 };
+        Lhs::new(a.data(), m, k, map, Contiguous, k.saturating_sub(1))
+    }
+}
+
+impl<'a, O: Offsets> Lhs<'a, O> {
+    /// Checks the addressing invariant: `max_off` is the largest of the
+    /// `k` offsets, and the largest row base is the last image's last
+    /// window, each coordinate at its maximum.
+    fn new(data: &'a [f32], rows: usize, k: usize, map: RowMap, offs: O, max_off: usize) -> Self {
+        let plane = map.oh * map.ow;
+        assert!(plane > 0 && rows.is_multiple_of(plane), "lhs rows are not whole images");
+        if rows > 0 && k > 0 {
+            // In u128: the unsafe reads rely on this check, so it must not wrap.
+            let w = |v: usize| v as u128;
+            let last = w(rows / plane - 1) * w(map.img)
+                + w(map.oh - 1) * w(map.dy)
+                + w(map.ow - 1) * w(map.dx);
+            assert!(last + w(max_off) < w(data.len()), "lhs addressing runs past its data");
+        }
+        Lhs { data, rows, k, map, offs }
+    }
+
+    /// Rows (`m`) of the operand.
+    pub(crate) fn rows(&self) -> usize {
+        self.rows
+    }
+
+    /// Reduction length (`k`) of the operand.
+    pub(crate) fn depth(&self) -> usize {
+        self.k
+    }
+
+    /// The buffer the rows are read from.
+    pub(crate) fn data(&self) -> &'a [f32] {
+        self.data
+    }
+
+    /// The column offsets, valid below [`Lhs::depth`].
+    pub(crate) fn offsets(&self) -> O {
+        self.offs
+    }
+
+    /// Row bases from row `r0` on.
+    pub(crate) fn cursor(&self, r0: usize) -> RowCursor {
+        let m = self.map;
+        let (plane_r, b) = (r0 % (m.oh * m.ow), r0 / (m.oh * m.ow));
+        RowCursor { map: m, b, oy: plane_r / m.ow, ox: plane_r % m.ow }
+    }
+}
+
+/// The scalar NT kernel: `chunk = lhs[r0..r0+rows] × bᵀ` with `b`
+/// `[n, k]` row-major, in 4×4 register tiles. The semantics every
+/// vector body reproduces: each output element is one accumulator
+/// walking `k` ascending, `acc += a * b`.
+fn nt_chunk_scalar<O: Offsets>(
+    lhs: &Lhs<'_, O>,
     bd: &[f32],
     chunk: &mut [f32],
     r0: usize,
-    k: usize,
     n: usize,
 ) {
+    let (k, d, offs) = (lhs.k, lhs.data, lhs.offs);
     let rows = chunk.len() / n;
+    assert!(r0 + rows <= lhs.rows && bd.len() >= n * k, "operands shorter than the chunk");
+    // SAFETY (every `get_unchecked` below): `r0 + rows <= lhs.rows`
+    // (asserted above) and `kk < k`, so each index is one the `Lhs`
+    // invariant covers. Unchecked because a bounds check per read made
+    // this kernel 1.7–2× slower (1024×192×64: 2.0 → 3.5 ms).
+    let at = |base: usize, kk: usize| unsafe { *d.get_unchecked(base + offs.at(kk)) };
+    let mut cursor = lhs.cursor(r0);
     let mut i = 0;
     while i < rows {
         let ih = (rows - i).min(TILE);
-        let a_base = (r0 + i) * k;
+        let mut bases = [0usize; TILE];
+        for base in &mut bases[..ih] {
+            *base = cursor.next_base();
+        }
         let mut j = 0;
         while j < n {
             let jw = (n - j).min(TILE);
             if ih == TILE && jw == TILE {
-                let a0 = &ad[a_base..a_base + k];
-                let a1 = &ad[a_base + k..a_base + 2 * k];
-                let a2 = &ad[a_base + 2 * k..a_base + 3 * k];
-                let a3 = &ad[a_base + 3 * k..a_base + 4 * k];
                 let b0 = &bd[j * k..(j + 1) * k];
                 let b1 = &bd[(j + 1) * k..(j + 2) * k];
                 let b2 = &bd[(j + 2) * k..(j + 3) * k];
                 let b3 = &bd[(j + 3) * k..(j + 4) * k];
                 let mut acc = [[0.0f32; TILE]; TILE];
                 for kk in 0..k {
-                    let av = [a0[kk], a1[kk], a2[kk], a3[kk]];
+                    let av = bases.map(|base| at(base, kk));
                     let bv = [b0[kk], b1[kk], b2[kk], b3[kk]];
                     for (accr, &ar) in acc.iter_mut().zip(av.iter()) {
                         for (accv, &bc) in accr.iter_mut().zip(bv.iter()) {
@@ -188,13 +342,12 @@ fn matmul_nt_chunk_scalar(
                     chunk[(i + r) * n + j..(i + r) * n + j + TILE].copy_from_slice(accr);
                 }
             } else {
-                for r in 0..ih {
-                    let a_row = &ad[(r0 + i + r) * k..(r0 + i + r + 1) * k];
+                for (r, &base) in bases[..ih].iter().enumerate() {
                     for c in 0..jw {
                         let b_row = &bd[(j + c) * k..(j + c + 1) * k];
                         let mut acc = 0.0f32;
-                        for (av, bv) in a_row.iter().zip(b_row.iter()) {
-                            acc += av * bv;
+                        for (kk, bv) in b_row.iter().enumerate() {
+                            acc += at(base, kk) * bv;
                         }
                         chunk[(i + r) * n + j + c] = acc;
                     }
@@ -206,63 +359,51 @@ fn matmul_nt_chunk_scalar(
     }
 }
 
-/// Checks an NT product's operand shapes and returns `(m, k, n)`.
-fn nt_dims(a: &Tensor, b: &Tensor) -> (usize, usize, usize) {
-    assert_eq!(a.ndim(), 2, "matmul_nt lhs must be 2-D");
-    assert_eq!(b.ndim(), 2, "matmul_nt rhs must be 2-D");
-    let (m, k) = (a.shape()[0], a.shape()[1]);
-    let (n, k2) = (b.shape()[0], b.shape()[1]);
-    assert_eq!(k, k2, "matmul_nt inner dimension mismatch: {k} vs {k2}");
-    (m, k, n)
-}
-
-/// `a × bᵀ` through the scalar reference kernel (the non-AVX2 path).
-fn matmul_nt_scalar(a: &Tensor, b: &Tensor) -> Tensor {
-    let (m, k, n) = nt_dims(a, b);
+/// `lhs × wᵀ` for `w` `[n, k]`: the one NT product every forward pass
+/// runs — `Dense`, the training convolution over its `im2col` columns
+/// and the inference convolution over its padded input. On a vector
+/// level it reads `packed`, `w`'s panel packing; otherwise, or without
+/// one, the scalar kernel reads `w`.
+fn nt_product<O: Offsets>(lhs: &Lhs<'_, O>, w: &Tensor, packed: Option<&PackedPanels>) -> Tensor {
+    assert_eq!(w.ndim(), 2, "matmul_nt rhs must be 2-D");
+    let (m, k, n) = (lhs.rows, lhs.k, w.shape()[0]);
+    assert_eq!(w.shape()[1], k, "matmul_nt inner dimension mismatch: {k} vs {}", w.shape()[1]);
     let mut out = scratch::take_dirty(m * n);
-    let (ad, bd) = (a.data(), b.data());
-    run_row_blocks(&mut out, n, m, 2 * m * k * n, &|_, r0, chunk| {
-        matmul_nt_chunk_scalar(ad, bd, chunk, r0, k, n);
-    });
-    Tensor::from_vec(out, &[m, n])
-}
-
-/// `a × bᵀ` through the AVX2 kernel, `b` already packed.
-///
-/// # Safety
-///
-/// Requires AVX2 (callers check [`simd::simd_enabled`]).
-#[cfg(target_arch = "x86_64")]
-unsafe fn matmul_nt_packed(a: &Tensor, b: &PackedPanels) -> Tensor {
-    assert_eq!(a.ndim(), 2, "matmul_nt lhs must be 2-D");
-    let (m, k, n) = (a.shape()[0], a.shape()[1], b.cols());
-    assert_eq!(k, b.depth(), "matmul_nt inner dimension mismatch: {k} vs {}", b.depth());
-    let mut out = scratch::take_dirty(m * n);
-    let ad = a.data();
-    run_row_blocks(&mut out, n, m, 2 * m * k * n, &|_, r0, chunk| {
-        // SAFETY: AVX2 is this function's own precondition.
-        unsafe { simd::avx2::matmul_nt_packed_chunk(ad, b, chunk, r0) };
-    });
+    let flops = 2 * m * k * n;
+    #[cfg(target_arch = "x86_64")]
+    if let Some(panels) = packed {
+        let level = simd::simd_level();
+        if level != simd::SimdLevel::Scalar {
+            assert_eq!((panels.cols(), panels.depth()), (n, k), "packing is not of this rhs");
+            run_row_blocks(&mut out, n, m, flops, &|_, r0, chunk| {
+                // SAFETY: a level above scalar is only ever set when the
+                // CPU supports it; `lhs` was built by `Lhs::new`.
+                unsafe { simd::nt_packed_chunk(level, lhs, panels, chunk, r0) };
+            });
+            return Tensor::from_vec(out, &[m, n]);
+        }
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = packed;
+    let wd = w.data();
+    run_row_blocks(&mut out, n, m, flops, &|_, r0, chunk| nt_chunk_scalar(lhs, wd, chunk, r0, n));
     Tensor::from_vec(out, &[m, n])
 }
 
 /// Matrix multiply with the right-hand side transposed:
 /// `a [m, k] × bᵀ where b is [n, k] → [m, n]`.
 ///
-/// Avoids materializing the transpose. On the AVX2 path `b` is packed
+/// Avoids materializing the transpose. On a vector level `b` is packed
 /// into column panels (pure data movement) and handed to the same
 /// kernel the layers reach through their cached `WeightPanels` — which
 /// is how a `b` that outlives the call avoids paying for the packing,
 /// and its buffer, on every product.
 pub fn matmul_nt(a: &Tensor, b: &Tensor) -> Tensor {
-    #[cfg(target_arch = "x86_64")]
-    if simd::simd_enabled() {
-        nt_dims(a, b); // shape checks before `b` is indexed as `[n, k]`
-        let panels = pack_weight(b, PackedPanels::default());
-        // SAFETY: simd_enabled() is true only when AVX2 was detected.
-        return unsafe { matmul_nt_packed(a, &panels) };
-    }
-    matmul_nt_scalar(a, b)
+    let lhs = Lhs::dense(a);
+    // `nt_product` checks `b`'s shape against the packing it is given.
+    let packed =
+        (simd::simd_enabled() && b.ndim() == 2).then(|| pack_weight(b, PackedPanels::default()));
+    nt_product(&lhs, b, packed.as_ref())
 }
 
 /// The panel-major packing of one layer's `[n, k]` weight: derived
@@ -294,7 +435,7 @@ impl WeightPanels {
     }
 
     /// Re-packs a stale packing into the retained buffer. Optional —
-    /// [`WeightPanels::matmul_nt`] packs on demand — but the `&mut self`
+    /// [`WeightPanels::nt`] packs on demand — but the `&mut self`
     /// training path calls it to stay allocation-free at steady state.
     pub(crate) fn refresh(&mut self, w: &Tensor) {
         if simd::simd_enabled() && self.live.get().is_none() {
@@ -302,17 +443,12 @@ impl WeightPanels {
         }
     }
 
-    /// `a × wᵀ`, bit-identical to [`matmul_nt`]`(a, w)`. `w` must be the
-    /// weight this cache belongs to.
-    pub(crate) fn matmul_nt(&self, a: &Tensor, w: &Tensor) -> Tensor {
-        #[cfg(target_arch = "x86_64")]
-        if simd::simd_enabled() {
-            let panels = self.live.get_or_init(|| pack_weight(w, PackedPanels::default()));
-            debug_assert_eq!(&[panels.cols(), panels.depth()], w.shape());
-            // SAFETY: simd_enabled() is true only when AVX2 was detected.
-            return unsafe { matmul_nt_packed(a, panels) };
-        }
-        matmul_nt_scalar(a, w)
+    /// `lhs × wᵀ`, bit-identical to [`matmul_nt`] over `lhs`'s values.
+    /// `w` must be the weight this cache belongs to.
+    pub(crate) fn nt<O: Offsets>(&self, lhs: &Lhs<'_, O>, w: &Tensor) -> Tensor {
+        let packed = simd::simd_enabled()
+            .then(|| self.live.get_or_init(|| pack_weight(w, PackedPanels::default())));
+        nt_product(lhs, w, packed)
     }
 }
 
@@ -507,9 +643,86 @@ pub fn im2col_into(input: &Tensor, g: &ConvGeom, out: &mut Vec<f32>) {
     let rows = b * oh * ow;
     out.resize(rows * patch, 0.0);
     let data = input.data();
+    if g.kernel == 1 && g.stride == 1 && g.pad == 0 {
+        // Each image's column matrix is the image transposed: one sweep
+        // per image, the same copies `im2col_patch` makes one by one.
+        let plane = g.in_h * g.in_w;
+        for (img, dst) in
+            data.chunks_exact(g.in_c * plane).zip(out.chunks_exact_mut(plane * g.in_c))
+        {
+            transpose_sweep(img, g.in_c, plane, dst, SweepOp::Copy);
+        }
+        return;
+    }
     run_row_blocks(out, patch, rows, rows * patch, &|_, r0, chunk| {
         im2col_rows(data, g, r0, chunk);
     });
+}
+
+thread_local! {
+    /// The column-offset table of the last implicit convolution on this
+    /// thread, kept for its allocation.
+    static OFFSETS: std::cell::Cell<Vec<u32>> = const { std::cell::Cell::new(Vec::new()) };
+}
+
+/// A convolution's product with its flattened `[out_c, C·k·k]` weight,
+/// `[B·OH·OW, out_c]` — the `im2col` matmul without the `im2col`
+/// matrix. The input is copied once into a zero-padded buffer (read in
+/// place when there is no padding) and the NT kernel addresses it
+/// directly: row `(b, oy, ox)` has base `b·C·Hp·Wp + oy·s·Wp + ox·s`,
+/// column `(c, ky, kx)` has offset `c·Hp·Wp + ky·Wp + kx`. Those are the
+/// values `im2col` would have written at `[row][col]`, padding
+/// included as `+0.0`, so the product is bit-identical to
+/// `matmul_nt(im2col(input), w)`.
+pub(crate) fn conv2d_implicit(
+    input: &Tensor,
+    g: &ConvGeom,
+    w: &Tensor,
+    panels: &WeightPanels,
+) -> Tensor {
+    assert_eq!(input.ndim(), 4, "conv expects [B, C, H, W]");
+    let b = input.shape()[0];
+    assert_eq!(input.shape()[1..], [g.in_c, g.in_h, g.in_w], "conv input shape mismatch");
+    let (oh, ow) = (g.out_h(), g.out_w());
+    let (hp, wp) = (g.in_h + 2 * g.pad, g.in_w + 2 * g.pad);
+    let padded = (g.pad > 0).then(|| pad_planes(input.data(), b * g.in_c, g.in_h, g.in_w, g.pad));
+    let data = padded.as_deref().unwrap_or(input.data());
+    assert!(data.len() <= u32::MAX as usize, "conv input too large for 32-bit offsets");
+    let mut offs = OFFSETS.take();
+    offs.clear();
+    for c in 0..g.in_c {
+        for ky in 0..g.kernel {
+            offs.extend((0..g.kernel).map(|kx| (c * hp * wp + ky * wp + kx) as u32));
+        }
+    }
+    let max_off = offs.iter().max().map_or(0, |&o| o as usize);
+    let map = RowMap { oh, ow, img: g.in_c * hp * wp, dy: g.stride * wp, dx: g.stride };
+    let lhs = Lhs::new(data, b * oh * ow, offs.len(), map, offs.as_slice(), max_off);
+    let out = panels.nt(&lhs, w);
+    OFFSETS.set(offs);
+    if let Some(buf) = padded {
+        scratch::recycle(buf);
+    }
+    out
+}
+
+/// `planes` planes of `h × w` with a border of `pad` zeros on every
+/// side, `[planes, h + 2·pad, w + 2·pad]`.
+fn pad_planes(data: &[f32], planes: usize, h: usize, w: usize, pad: usize) -> Vec<f32> {
+    let wp = w + 2 * pad;
+    let mut out = scratch::take_dirty(planes * (h + 2 * pad) * wp);
+    for (src, dst) in data.chunks_exact(h * w).zip(out.chunks_exact_mut((h + 2 * pad) * wp)) {
+        let (top, rest) = dst.split_at_mut(pad * wp);
+        let (body, bottom) = rest.split_at_mut(h * wp);
+        top.fill(0.0);
+        bottom.fill(0.0);
+        for (row, dst_row) in src.chunks_exact(w).zip(body.chunks_exact_mut(wp)) {
+            dst_row[..pad].fill(0.0);
+            dst_row[pad..pad + w].copy_from_slice(row);
+            dst_row[pad + w..].fill(0.0);
+        }
+    }
+    out
 }
 
 /// Unfolds an image batch `[B, C, H, W]` into a column matrix
@@ -525,7 +738,9 @@ pub fn im2col(input: &Tensor, g: &ConvGeom) -> Tensor {
 
 /// Output columns of one output row whose 3-wide window needs no
 /// padding: those with `0 <= ox * stride - pad` and
-/// `ox * stride - pad + 3 <= in_w`. Empty for any other kernel size.
+/// `ox * stride - pad + 3 <= in_w`. Empty for any other kernel size
+/// (a 1×1 kernel at stride 1 without padding never gets here — see
+/// [`im2col_into`]).
 fn interior_columns_k3(g: &ConvGeom) -> std::ops::Range<usize> {
     if g.kernel == 3 && g.in_w >= 3 {
         g.pad.div_ceil(g.stride)..((g.in_w + g.pad - 3) / g.stride + 1).min(g.out_w())
@@ -623,9 +838,30 @@ pub(crate) enum SweepOp<'a> {
     /// whatever the value's sign.
     ActGrad { mask: &'a [bool], slope: f32 },
     /// A convolution's output pass: add the source column's bias, then
-    /// the fused activation (`None` = linear, `Some(0.0)` = ReLU,
-    /// `Some(a)` = LeakyReLU).
-    BiasAct { bias: &'a [f32], slope: Option<f32> },
+    /// an eval-mode batch norm if one follows the convolution, then the
+    /// fused activation (`None` = linear, `Some(0.0)` = ReLU, `Some(a)`
+    /// = LeakyReLU).
+    Output { bias: &'a [f32], norm: Option<Norm<'a>>, slope: Option<f32> },
+}
+
+/// An eval-mode `BatchNorm2d` as the output sweep applies it, one
+/// entry per channel: `γ·((v − mean)·inv_std) + β`, the layer's own
+/// arithmetic step for step (BN is never folded into the weights:
+/// `w·γ/σ` rounds differently).
+#[derive(Clone, Copy)]
+pub(crate) struct Norm<'a> {
+    pub(crate) mean: &'a [f32],
+    pub(crate) inv_std: &'a [f32],
+    pub(crate) gamma: &'a [f32],
+    pub(crate) beta: &'a [f32],
+}
+
+impl Norm<'_> {
+    /// The normalized, scaled and shifted value of `v` in channel `c`.
+    #[inline(always)]
+    pub(crate) fn apply(&self, v: f32, c: usize) -> f32 {
+        self.gamma[c] * ((v - self.mean[c]) * self.inv_std[c]) + self.beta[c]
+    }
 }
 
 /// Source rows per block of the scalar [`transpose_sweep`]: a block's
@@ -638,12 +874,13 @@ const SWEEP_BLOCK: usize = 16;
 /// matmuls work in (a row per output position, a column per channel)
 /// and NCHW, with the elementwise work that used to be passes of its
 /// own done on the way. `Conv2d` runs it per image in both directions —
-/// forward (bias, activation, positions → channels) and backward
-/// (activation gradient, channels → positions) — and `im2col` for 1×1
-/// kernels, whose column matrix is the transposed image.
+/// forward (bias, batch norm, activation, positions → channels) and
+/// backward (activation gradient, channels → positions) — and `im2col`
+/// for 1×1 unit-stride kernels without padding, whose column matrix is
+/// the transposed image.
 ///
 /// The AVX2 path works in 8×8 register tiles and the scalar path in
-/// cache blocks; apart from `op`'s one add or multiply per value, which
+/// cache blocks; apart from `op`'s adds and multiplies per value, which
 /// both perform identically, this is data movement, so the two agree to
 /// the bit.
 pub(crate) fn transpose_sweep(src: &[f32], rows: usize, cols: usize, dst: &mut [f32], op: SweepOp) {
@@ -652,7 +889,14 @@ pub(crate) fn transpose_sweep(src: &[f32], rows: usize, cols: usize, dst: &mut [
     match op {
         SweepOp::Copy => {}
         SweepOp::ActGrad { mask, .. } => assert_eq!(mask.len(), src.len(), "mask size mismatch"),
-        SweepOp::BiasAct { bias, .. } => assert_eq!(bias.len(), cols, "bias size mismatch"),
+        SweepOp::Output { bias, norm, .. } => {
+            assert_eq!(bias.len(), cols, "bias size mismatch");
+            if let Some(nm) = norm {
+                for p in [nm.mean, nm.inv_std, nm.gamma, nm.beta] {
+                    assert_eq!(p.len(), cols, "batch-norm size mismatch");
+                }
+            }
+        }
     }
     #[cfg(target_arch = "x86_64")]
     if simd::simd_enabled() {
@@ -673,23 +917,33 @@ pub(crate) fn transpose_sweep(src: &[f32], rows: usize, cols: usize, dst: &mut [
         SweepOp::ActGrad { mask, .. } => {
             transpose_sweep_scalar(src, rows, cols, dst, |v, i, _| [0.0, v][usize::from(mask[i])]);
         }
-        SweepOp::BiasAct { bias, slope: None } => {
-            transpose_sweep_scalar(src, rows, cols, dst, |v, _, c| v + bias[c]);
-        }
-        SweepOp::BiasAct { bias, slope: Some(a) } if a > 0.0 => {
-            transpose_sweep_scalar(src, rows, cols, dst, |v, _, c| {
-                let s = v + bias[c];
-                if s > 0.0 {
-                    s
-                } else {
-                    a * s
-                }
-            });
-        }
-        // ReLU as max keeps +0.0 for negative inputs, exactly like the
-        // standalone Relu layer (slope * v would yield -0.0).
-        SweepOp::BiasAct { bias, .. } => {
-            transpose_sweep_scalar(src, rows, cols, dst, |v, _, c| (v + bias[c]).max(0.0));
+        SweepOp::Output { bias, norm, slope } => match slope {
+            None => sweep_output(src, rows, cols, dst, bias, norm, |s| s),
+            Some(a) if a > 0.0 => {
+                sweep_output(src, rows, cols, dst, bias, norm, |s| if s > 0.0 { s } else { a * s });
+            }
+            // ReLU as max keeps +0.0 for negative inputs, exactly like the
+            // standalone Relu layer (slope * v would yield -0.0).
+            Some(_) => sweep_output(src, rows, cols, dst, bias, norm, |s| s.max(0.0)),
+        },
+    }
+}
+
+/// The scalar output sweep: bias, the optional batch norm, then `act`
+/// — each the arithmetic of the layer it stands in for.
+fn sweep_output(
+    src: &[f32],
+    rows: usize,
+    cols: usize,
+    dst: &mut [f32],
+    bias: &[f32],
+    norm: Option<Norm>,
+    act: impl Fn(f32) -> f32,
+) {
+    match norm {
+        None => transpose_sweep_scalar(src, rows, cols, dst, |v, _, c| act(v + bias[c])),
+        Some(nm) => {
+            transpose_sweep_scalar(src, rows, cols, dst, |v, _, c| act(nm.apply(v + bias[c], c)));
         }
     }
 }

@@ -2,107 +2,171 @@
 //!
 //! The scalar kernels in [`crate::ops`] define the semantics: every
 //! output element is produced by a single accumulator walking the
-//! reduction axis `k` in ascending order. The AVX2 kernels here keep
-//! that contract exactly — each of the 8 `f32` lanes is one independent
-//! output element's accumulator, and every step is a separate
-//! `mul` + `add` pair (never an FMA, whose single rounding would differ
-//! from scalar mul-then-add) — so the SIMD and scalar paths are
-//! **bit-identical**, and both stay bit-identical at any `ODIN_THREADS`
+//! reduction axis `k` in ascending order. The vector kernels here keep
+//! that contract exactly — each `f32` lane is one independent output
+//! element's accumulator, and every step is a separate `mul` + `add`
+//! pair (never an FMA, whose single rounding would differ from scalar
+//! mul-then-add) — so the SIMD and scalar paths are **bit-identical**,
+//! and all of them stay bit-identical at any `ODIN_THREADS`
 //! (`tests/par_determinism.rs` pins this).
 //!
-//! Three things the kernels do that look like they might bend the
-//! contract, and do not: a ragged last panel (`n % 8 != 0`) runs the
-//! ordinary register tile with its missing lanes masked off
-//! (`maskload`/`maskstore` — a masked lane is neither read nor
-//! written, a live lane computes what it would in a full panel); the
-//! TN kernel walks `k` in blocks and parks its accumulators in the
-//! output between blocks (an `f32` store and reload is exact, so each
-//! lane still performs one ascending-`k` chain of additions); and the
-//! layout sweeps (`transpose_sweep`) are 8×8 in-register transposes
-//! around the scalar sweep's own one add or multiply per value.
+//! Three dispatch levels ([`SimdLevel`]): scalar; AVX2, 8 lanes, for
+//! every kernel; and AVX-512, which adds a 16-lane body for the NT
+//! product — the forward pass of every layer — and keeps AVX2 for the
+//! rest (the NN and TN products of the backward pass, the layout
+//! sweeps, the int8 kernels). The NT product reads its right-hand side
+//! packed in 16-wide panels (`PackedPanels`): one register at
+//! AVX-512, two side by side at AVX2, so one packing serves both. Its
+//! left operand is read in place through base/offset addressing
+//! (`ops::Lhs`), a dense matrix and a convolution's padded input alike.
 //!
-//! Dispatch is decided once at runtime: AVX2 is used when the CPU
-//! supports it and `ODIN_NO_SIMD` is not set. Tests and benches can
-//! flip the path with [`set_simd_enabled`] / [`reset_simd`].
+//! Things the kernels do that look like they might bend the contract,
+//! and do not: a ragged last panel runs the ordinary register tile and
+//! stores only its live lanes (`maskstore` at AVX2, an `__mmask16` at
+//! AVX-512 — a lane not stored is discarded, a live lane computes what
+//! it would in a full panel); the TN kernel walks `k` in blocks and
+//! parks its accumulators in the output between blocks (an `f32` store
+//! and reload is exact, so each lane still performs one ascending-`k`
+//! chain of additions); and the layout sweeps (`transpose_sweep`) are
+//! 8×8 in-register transposes around the scalar sweep's own adds and
+//! multiplies per value.
+//!
+//! The level is decided once at runtime: the highest the CPU supports,
+//! or scalar when `ODIN_NO_SIMD` is set. Tests and benches can pin a
+//! level with [`set_simd_level`] (or [`set_simd_enabled`]) and undo it
+//! with [`reset_simd`].
 
 use std::sync::atomic::{AtomicU8, Ordering};
 
+use crate::ops::{Lhs, Offsets};
+
+/// Which kernel bodies run. Ordered: a level implies every lower one.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub enum SimdLevel {
+    /// The scalar reference kernels.
+    Scalar,
+    /// 8-lane AVX2 kernels.
+    Avx2,
+    /// AVX2, plus the 16-lane AVX-512 body of the NT product.
+    Avx512,
+}
+
+impl SimdLevel {
+    fn code(self) -> u8 {
+        self as u8 + 1
+    }
+
+    fn from_code(code: u8) -> Self {
+        match code {
+            1 => SimdLevel::Scalar,
+            2 => SimdLevel::Avx2,
+            _ => SimdLevel::Avx512,
+        }
+    }
+}
+
+/// Not yet decided: the next [`simd_level`] call detects.
 const UNKNOWN: u8 = 0;
-const SCALAR: u8 = 1;
-const VECTOR: u8 = 2;
 
 static STATE: AtomicU8 = AtomicU8::new(UNKNOWN);
 
-/// True when the running CPU can execute the AVX2 kernels.
-fn cpu_supported() -> bool {
+/// The highest level the running CPU can execute.
+fn cpu_level() -> SimdLevel {
     #[cfg(target_arch = "x86_64")]
     {
-        std::arch::is_x86_feature_detected!("avx2")
+        if !std::arch::is_x86_feature_detected!("avx2") {
+            SimdLevel::Scalar
+        } else if std::arch::is_x86_feature_detected!("avx512f") {
+            SimdLevel::Avx512
+        } else {
+            SimdLevel::Avx2
+        }
     }
     #[cfg(not(target_arch = "x86_64"))]
     {
-        false
+        SimdLevel::Scalar
     }
 }
 
-fn detect() -> u8 {
+fn detect() -> SimdLevel {
     let disabled = std::env::var("ODIN_NO_SIMD").map(|v| v != "0" && !v.is_empty());
     if disabled.unwrap_or(false) {
-        return SCALAR;
-    }
-    if cpu_supported() {
-        VECTOR
+        SimdLevel::Scalar
     } else {
-        SCALAR
+        cpu_level()
     }
 }
 
-/// Whether the vectorized kernels are active. Decided once from CPU
-/// feature detection and the `ODIN_NO_SIMD` environment variable, then
-/// cached; [`set_simd_enabled`] overrides the cached decision.
-pub fn simd_enabled() -> bool {
+/// The active dispatch level. Decided once from CPU feature detection
+/// and the `ODIN_NO_SIMD` environment variable, then cached;
+/// [`set_simd_level`] / [`set_simd_enabled`] override the cached
+/// decision.
+pub fn simd_level() -> SimdLevel {
     match STATE.load(Ordering::Relaxed) {
         UNKNOWN => {
-            let s = detect();
-            STATE.store(s, Ordering::Relaxed);
-            s == VECTOR
+            let level = detect();
+            STATE.store(level.code(), Ordering::Relaxed);
+            level
         }
-        s => s == VECTOR,
+        code => SimdLevel::from_code(code),
     }
 }
 
-/// Forces the SIMD path on or off (test/bench hook). Enabling is a
-/// no-op on CPUs without AVX2 — the scalar path stays active.
-pub fn set_simd_enabled(on: bool) {
-    let s = if on && cpu_supported() { VECTOR } else { SCALAR };
-    STATE.store(s, Ordering::Relaxed);
+/// Whether the vectorized kernels are active (any level above scalar).
+pub fn simd_enabled() -> bool {
+    simd_level() != SimdLevel::Scalar
 }
 
-/// Clears any [`set_simd_enabled`] override; the next [`simd_enabled`]
+/// Forces a dispatch level (test/bench hook), capped at what the CPU
+/// supports; returns the level that is now active.
+pub fn set_simd_level(level: SimdLevel) -> SimdLevel {
+    let level = level.min(cpu_level());
+    STATE.store(level.code(), Ordering::Relaxed);
+    level
+}
+
+/// Forces the SIMD path on (the highest level the CPU supports) or off
+/// (test/bench hook).
+pub fn set_simd_enabled(on: bool) {
+    set_simd_level(if on { SimdLevel::Avx512 } else { SimdLevel::Scalar });
+}
+
+/// Clears any [`set_simd_level`] override; the next [`simd_level`]
 /// call re-derives the default from the CPU and `ODIN_NO_SIMD`.
 pub fn reset_simd() {
     STATE.store(UNKNOWN, Ordering::Relaxed);
 }
 
-/// Output columns per packed panel: the `f32` lanes of one AVX2 register.
-pub(crate) const PANEL: usize = 8;
+/// Every level this CPU can run, lowest first — what an identity test
+/// iterates over.
+pub fn available_levels() -> Vec<SimdLevel> {
+    [SimdLevel::Scalar, SimdLevel::Avx2, SimdLevel::Avx512]
+        .into_iter()
+        .filter(|&l| l <= cpu_level())
+        .collect()
+}
+
+/// Output columns per packed panel: the `f32` lanes of one AVX-512
+/// register, or two AVX2 registers side by side.
+pub(crate) const PANEL: usize = 16;
 
 /// The right-hand side of an NT product — `b` as `[n, k]` row-major, one
-/// `k`-long row per output column — re-laid out panel-major for the AVX2
-/// kernel: `[n.div_ceil(PANEL)][k][PANEL]`, so step `kk` of panel `p` is
-/// one contiguous 8-lane load holding `b[p * 8 + lane][kk]`. The last
-/// panel of a ragged `n` is zero-padded; its pad lanes are computed and
-/// discarded. Packing is pure data movement, so it cannot change a bit
-/// of any product.
+/// `k`-long row per output column — re-laid out panel-major for the
+/// vector kernels: `[n.div_ceil(PANEL)][k][PANEL]`, so step `kk` of
+/// panel `p` is one contiguous 16-lane load holding
+/// `b[p * 16 + lane][kk]`. The last panel of a ragged `n` is
+/// zero-padded; its pad lanes are computed and never stored. Packing is
+/// pure data movement, so it cannot change a bit of any product.
 #[derive(Default)]
 pub(crate) struct PackedPanels {
     /// Invariant: `data.len() == n.div_ceil(PANEL) * k * PANEL`.
     data: Vec<f32>,
+    start: usize,
     n: usize,
     k: usize,
 }
 
-// Only the AVX2 path consumes a packing.
+// Only the vector paths consume a packing.
 #[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
 impl PackedPanels {
     /// Elements a packing of an `[n, k]` matrix occupies.
@@ -114,15 +178,17 @@ impl PackedPanels {
     pub(crate) fn repack(&mut self, bd: &[f32], n: usize, k: usize) {
         assert_eq!(bd.len(), n * k, "packed rhs size mismatch");
         self.data.clear();
-        self.data.resize(Self::packed_len(n, k), 0.0);
+        self.data.resize(Self::packed_len(n, k) + PANEL, 0.0);
+        self.start = self.data.as_ptr().align_offset(64).min(PANEL);
         (self.n, self.k) = (n, k);
         if k == 0 {
             return;
         }
+        let data = &mut self.data[self.start..];
         for (j, col) in bd.chunks_exact(k).enumerate() {
             let base = (j / PANEL) * k * PANEL + j % PANEL;
             for (kk, &v) in col.iter().enumerate() {
-                self.data[base + kk * PANEL] = v;
+                data[base + kk * PANEL] = v;
             }
         }
     }
@@ -138,13 +204,125 @@ impl PackedPanels {
     }
 }
 
+/// The NT product's vector body: `chunk = lhs[r0..r0+rows] × bᵀ` with
+/// `b` packed. Panel by panel, register tiles of up to 8 rows (AVX-512)
+/// or 4 rows (AVX2) walk down the chunk, each row read in place through
+/// `lhs`'s base/offset addressing — a dense matrix and a zero-padded
+/// image alike. Every lane of every accumulator is one output element
+/// walking `k` ascending with a separate mul and add, so the result is
+/// bit-identical to `ops::nt_chunk_scalar` at either vector level.
+///
+/// # Safety
+///
+/// Requires the CPU features of `level` (`Avx2` or `Avx512`), and `lhs`
+/// must uphold its addressing invariant (`Lhs::new` asserts it).
+#[cfg(target_arch = "x86_64")]
+pub(crate) unsafe fn nt_packed_chunk<O: Offsets>(
+    level: SimdLevel,
+    lhs: &Lhs<'_, O>,
+    b: &PackedPanels,
+    chunk: &mut [f32],
+    r0: usize,
+) {
+    let (k, n) = (b.k, b.n);
+    let rows = chunk.len() / n;
+    assert_eq!(chunk.len(), rows * n, "output chunk is not whole rows");
+    assert!(r0 + rows <= lhs.rows(), "lhs shorter than the rows it is asked for");
+    assert_eq!(lhs.depth(), k, "lhs and packed rhs disagree on k");
+    assert!(b.data.len() >= b.start + PackedPanels::packed_len(n, k), "packed rhs invariant");
+    let (base, offs) = (lhs.data().as_ptr(), lhs.offsets());
+    for (p, j) in (0..n).step_by(PANEL).enumerate() {
+        let cols = (n - j).min(PANEL);
+        // SAFETY (pointer arithmetic below): panel `p` spans
+        // `k * PANEL` elements from `b.start` inside `b.data` (asserted
+        // length); every lhs element a tile reads is in bounds by
+        // `Lhs`'s invariant; rows `i ..+ ih` of `chunk` exist and only
+        // `cols` columns from `j` are stored, `j + cols <= n`.
+        let panel = b.data.as_ptr().add(b.start + p * k * PANEL);
+        let mut cursor = lhs.cursor(r0);
+        let mut i = 0;
+        // Tiles of the first (largest) height listed, then one ragged
+        // tile; each tile's row pointers come from the cursor in order.
+        macro_rules! walk {
+            ($body:ident, $($r:literal)+) => {
+                while i < rows {
+                    let ih = (rows - i).min([$($r),+][0]);
+                    let out = chunk.as_mut_ptr().add(i * n + j);
+                    match ih {
+                        $($r => {
+                            let a: [*const f32; $r] =
+                                std::array::from_fn(|_| base.add(cursor.next_base()));
+                            $body::nt_tile::<$r, O>(a, offs, k, panel, out, n, cols)
+                        })+
+                        _ => unreachable!("tile heights cover 1..=max"),
+                    }
+                    i += ih;
+                }
+            };
+        }
+        match level {
+            SimdLevel::Avx512 => walk!(avx512, 8 7 6 5 4 3 2 1),
+            _ => walk!(avx2, 4 3 2 1),
+        }
+    }
+}
+
+/// The 16-lane body of the NT product.
+#[cfg(target_arch = "x86_64")]
+mod avx512 {
+    use super::PANEL;
+    use crate::ops::Offsets;
+    use std::arch::x86_64::*;
+
+    /// `R` output rows × `cols ≤ 16` output columns of an NT product:
+    /// row `r` of the left operand is read at `a[r] + offs.at(kk)`, the
+    /// packed panel at `panel + kk * 16`. Each lane of each accumulator
+    /// is one output element, walking `k` ascending with a separate
+    /// mul and add (never an FMA) — the scalar kernel's order and
+    /// rounding. The panel's pad lanes are zero and computed; only the
+    /// `cols` lanes `__mmask16` selects are stored.
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX-512F; the `a` reads, `k` panel steps and `R` output
+    /// rows (stride `out_stride`, `cols` lanes) must be in bounds.
+    #[target_feature(enable = "avx512f")]
+    pub(super) unsafe fn nt_tile<const R: usize, O: Offsets>(
+        a: [*const f32; R],
+        offs: O,
+        k: usize,
+        panel: *const f32,
+        out: *mut f32,
+        out_stride: usize,
+        cols: usize,
+    ) {
+        let mut acc = [_mm512_setzero_ps(); R];
+        for kk in 0..k {
+            let bv = _mm512_loadu_ps(panel.add(kk * PANEL));
+            let off = offs.at(kk);
+            for (accr, &ar) in acc.iter_mut().zip(a.iter()) {
+                let av = _mm512_set1_ps(*ar.add(off));
+                *accr = _mm512_add_ps(*accr, _mm512_mul_ps(av, bv));
+            }
+        }
+        let mask: __mmask16 = if cols >= PANEL { !0 } else { (1u16 << cols) - 1 };
+        for (r, accr) in acc.iter().enumerate() {
+            _mm512_mask_storeu_ps(out.add(r * out_stride), mask, *accr);
+        }
+    }
+}
+
 /// AVX2 kernel bodies. Callers must check [`simd_enabled`] first; every
 /// function is `unsafe` because it requires AVX2 at runtime.
 #[cfg(target_arch = "x86_64")]
 pub(crate) mod avx2 {
-    use super::{PackedPanels, PANEL};
-    use crate::ops::SweepOp;
+    use super::PANEL;
+    use crate::ops::{Offsets, SweepOp};
     use std::arch::x86_64::*;
+
+    /// The `f32` lanes of one AVX2 register: the column width of the NN
+    /// and TN kernels' panels and half of a packed NT panel.
+    const LANES: usize = 8;
 
     /// All-ones in the first `cols ≤ 8` lanes, zero in the rest.
     #[target_feature(enable = "avx2")]
@@ -201,8 +379,8 @@ pub(crate) mod avx2 {
         }
     }
 
-    /// One `ih ≤ 4` rows × `cols ≤ 8` columns tile of the NN and NT
-    /// kernels: [`rows8`] at the tile's height, masked when ragged.
+    /// One `ih ≤ 4` rows × `cols ≤ 8` columns tile of the NN kernel:
+    /// [`rows8`] at the tile's height, masked when ragged.
     ///
     /// # Safety
     ///
@@ -220,7 +398,7 @@ pub(crate) mod avx2 {
         out_stride: usize,
     ) {
         let mask = lane_mask(cols);
-        match (ih, cols == PANEL) {
+        match (ih, cols == LANES) {
             (4, true) => rows8::<4, true>(a, k, b, b_stride, out, out_stride, mask),
             (3, true) => rows8::<3, true>(a, k, b, b_stride, out, out_stride, mask),
             (2, true) => rows8::<2, true>(a, k, b, b_stride, out, out_stride, mask),
@@ -260,8 +438,8 @@ pub(crate) mod avx2 {
             // `a` and `i ..+ ih` of `chunk`, and columns `j ..+ cols` of
             // `b`'s `k` rows, are in bounds by the asserts above.
             let a = ad.as_ptr().add((r0 + i) * k);
-            for j in (0..n).step_by(PANEL) {
-                let cols = (n - j).min(PANEL);
+            for j in (0..n).step_by(LANES) {
+                let cols = (n - j).min(LANES);
                 let out = chunk.as_mut_ptr().add(i * n + j);
                 tile8(ih, cols, a, k, bd.as_ptr().add(j), n, out, n);
             }
@@ -269,42 +447,75 @@ pub(crate) mod avx2 {
         }
     }
 
-    /// 8-lane NT kernel over a packed right-hand side:
-    /// `chunk = a[r0..r0+rows] × bᵀ` with `a` `[m, k]` row-major and `b`
-    /// in [`PackedPanels`] form, which gives the dot-product layout the
-    /// NN kernel's shape. Bit-identical to `ops::matmul_nt_chunk_scalar`
-    /// on the unpacked `b`.
+    /// `R` output rows × `cols ≤ 16` output columns of an NT product —
+    /// one packed panel as two 8-lane halves, or only the first when
+    /// `cols ≤ 8`: row `r` of the left operand is read at
+    /// `a[r] + offs.at(kk)`, the panel at `panel + kk * 16`. Each lane of
+    /// each accumulator is one output element walking `k` ascending with
+    /// a separate mul and add — the scalar kernel's order and rounding.
+    /// Pad lanes of the panel are zero and computed; only `cols` lanes
+    /// are stored.
     ///
     /// # Safety
     ///
-    /// Requires AVX2.
+    /// Requires AVX2; the `a` reads, `k` panel steps and `R` output rows
+    /// (stride `out_stride`, `cols` lanes) must be in bounds.
     #[target_feature(enable = "avx2")]
-    pub unsafe fn matmul_nt_packed_chunk(
-        ad: &[f32],
-        b: &PackedPanels,
-        chunk: &mut [f32],
-        r0: usize,
+    pub(super) unsafe fn nt_tile<const R: usize, O: Offsets>(
+        a: [*const f32; R],
+        offs: O,
+        k: usize,
+        panel: *const f32,
+        out: *mut f32,
+        out_stride: usize,
+        cols: usize,
     ) {
-        let (k, n) = (b.k, b.n);
-        let rows = chunk.len() / n;
-        assert_eq!(chunk.len(), rows * n, "output chunk is not whole rows");
-        assert!(ad.len() >= (r0 + rows) * k, "lhs shorter than the rows it is asked for");
-        assert_eq!(b.data.len(), PackedPanels::packed_len(n, k), "packed rhs invariant");
-        for (p, j) in (0..n).step_by(PANEL).enumerate() {
-            let cols = (n - j).min(PANEL);
-            // SAFETY (pointer arithmetic below): panel `p` spans
-            // `k * PANEL` elements inside `b.data` (asserted length);
-            // rows `r0 + i ..+ ih` of `a` and `i ..+ ih` of `chunk`
-            // are in bounds by the two asserts above, and only `cols`
-            // columns from `j` are stored, `j + cols <= n`.
-            let panel = b.data.as_ptr().add(p * k * PANEL);
-            let mut i = 0;
-            while i < rows {
-                let ih = (rows - i).min(4);
-                let a = ad.as_ptr().add((r0 + i) * k);
-                let out = chunk.as_mut_ptr().add(i * n + j);
-                tile8(ih, cols, a, k, panel, PANEL, out, n);
-                i += ih;
+        if cols > LANES {
+            nt_halves::<R, 2, O>(a, offs, k, panel, out, out_stride, cols);
+        } else {
+            nt_halves::<R, 1, O>(a, offs, k, panel, out, out_stride, cols);
+        }
+    }
+
+    /// [`nt_tile`] over the first `H` halves of the panel.
+    ///
+    /// # Safety
+    ///
+    /// As [`nt_tile`], with `cols <= H * 8`.
+    #[target_feature(enable = "avx2")]
+    unsafe fn nt_halves<const R: usize, const H: usize, O: Offsets>(
+        a: [*const f32; R],
+        offs: O,
+        k: usize,
+        panel: *const f32,
+        out: *mut f32,
+        out_stride: usize,
+        cols: usize,
+    ) {
+        let mut acc = [[_mm256_setzero_ps(); H]; R];
+        for kk in 0..k {
+            let p = panel.add(kk * PANEL);
+            let mut bv = [_mm256_setzero_ps(); H];
+            for (h, v) in bv.iter_mut().enumerate() {
+                *v = _mm256_loadu_ps(p.add(h * LANES));
+            }
+            let off = offs.at(kk);
+            for (accr, &ar) in acc.iter_mut().zip(a.iter()) {
+                let av = _mm256_set1_ps(*ar.add(off));
+                for (acch, &bh) in accr.iter_mut().zip(bv.iter()) {
+                    *acch = _mm256_add_ps(*acch, _mm256_mul_ps(av, bh));
+                }
+            }
+        }
+        for (r, accr) in acc.iter().enumerate() {
+            for (h, acch) in accr.iter().enumerate() {
+                let to = out.add(r * out_stride + h * LANES);
+                let live = (cols - h * LANES).min(LANES);
+                if live == LANES {
+                    _mm256_storeu_ps(to, *acch);
+                } else {
+                    _mm256_maskstore_ps(to, lane_mask(live), *acch);
+                }
             }
         }
     }
@@ -377,15 +588,17 @@ pub(crate) mod avx2 {
     /// branches turned into lane selects), transposed in registers and
     /// stored as eight destination rows. Ragged edges in either
     /// dimension run the same tile with the missing lanes masked off.
-    /// Bit-identical to the scalar sweep — also for ReLU, written there
-    /// as `max(s, 0.0)` and here as "`s` where `s > 0`, else `+0.0`":
-    /// the two differ only at `s = -0.0`, which a sum that started from
-    /// `+0.0` never is.
+    /// Bit-identical to the scalar sweep: the batch norm of an `Output`
+    /// op is the same sub, mul, mul, add per value, and ReLU, written
+    /// there as `max(s, 0.0)` and here as "`s` where `s > 0`, else
+    /// `+0.0`", differs only at `s = -0.0`, which a sum that started
+    /// from `+0.0` plus a bias never is (a ReLU is never fused after a
+    /// batch norm, whose `β` could be `-0.0`).
     ///
     /// # Safety
     ///
     /// Requires AVX2, `src.len() == dst.len() == rows * cols`, an
-    /// `ActGrad` mask of that length and a `BiasAct` bias of `cols`.
+    /// `ActGrad` mask of that length and `Output` vectors of `cols`.
     #[target_feature(enable = "avx2")]
     pub unsafe fn transpose_sweep(
         src: &[f32],
@@ -398,11 +611,21 @@ pub(crate) mod avx2 {
         for c0 in (0..cols).step_by(8) {
             let nc = (cols - c0).min(8);
             let col_lanes = lane_mask(nc);
-            let bias = match op {
-                SweepOp::BiasAct { bias, .. } => {
-                    _mm256_maskload_ps(bias.as_ptr().add(c0), col_lanes)
-                }
-                _ => zero,
+            // SAFETY: the per-channel vectors hold `cols` entries.
+            let lanes_of = |v: &[f32]| _mm256_maskload_ps(v.as_ptr().add(c0), col_lanes);
+            let (bias, norm) = match op {
+                SweepOp::Output { bias, norm, .. } => (
+                    lanes_of(bias),
+                    norm.map(|nm| {
+                        [
+                            lanes_of(nm.mean),
+                            lanes_of(nm.inv_std),
+                            lanes_of(nm.gamma),
+                            lanes_of(nm.beta),
+                        ]
+                    }),
+                ),
+                _ => (zero, None),
             };
             for r0 in (0..rows).step_by(8) {
                 let nr = (rows - r0).min(8);
@@ -432,8 +655,12 @@ pub(crate) mod avx2 {
                             );
                             scaled_unless(v, _mm256_castsi256_ps(keep), slope)
                         }
-                        SweepOp::BiasAct { slope, .. } => {
-                            let s = _mm256_add_ps(v, bias);
+                        SweepOp::Output { slope, .. } => {
+                            let mut s = _mm256_add_ps(v, bias);
+                            if let Some([mean, inv_std, gamma, beta]) = norm {
+                                let x_hat = _mm256_mul_ps(_mm256_sub_ps(s, mean), inv_std);
+                                s = _mm256_add_ps(_mm256_mul_ps(gamma, x_hat), beta);
+                            }
                             match slope {
                                 None => s,
                                 Some(a) => scaled_unless(s, _mm256_cmp_ps(s, zero, _CMP_GT_OQ), a),
@@ -540,7 +767,7 @@ pub(crate) mod avx2 {
         n: usize,
     ) {
         let mask = lane_mask(cols);
-        match (ih, cols == PANEL) {
+        match (ih, cols == LANES) {
             (4, true) => rows8_tn::<4, true>(a, k, a_stride, b, n, out, n, mask),
             (3, true) => rows8_tn::<3, true>(a, k, a_stride, b, n, out, n, mask),
             (2, true) => rows8_tn::<2, true>(a, k, a_stride, b, n, out, n, mask),
@@ -585,8 +812,8 @@ pub(crate) mod avx2 {
         chunk.fill(0.0);
         for k0 in (0..k).step_by(TN_K_BLOCK) {
             let kb = (k - k0).min(TN_K_BLOCK);
-            for j in (0..n).step_by(PANEL) {
-                let cols = (n - j).min(PANEL);
+            for j in (0..n).step_by(LANES) {
+                let cols = (n - j).min(LANES);
                 // SAFETY (pointer arithmetic below): steps `k0 ..+ kb`,
                 // rows `r0 + i ..+ ih` of `a` and columns `j ..+ cols` of
                 // `b` and of `chunk` rows `i ..+ ih` are in bounds by the
@@ -615,7 +842,9 @@ mod tests {
         set_simd_enabled(false);
         assert!(!simd_enabled());
         set_simd_enabled(true);
-        assert_eq!(simd_enabled(), cpu_supported());
+        assert_eq!(simd_level(), cpu_level());
+        assert_eq!(set_simd_level(SimdLevel::Avx2), SimdLevel::Avx2.min(cpu_level()));
+        assert_eq!(simd_level(), SimdLevel::Avx2.min(cpu_level()));
         reset_simd();
         assert_eq!(simd_enabled(), before);
     }

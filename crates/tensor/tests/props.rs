@@ -1,8 +1,11 @@
 //! Property-based tests for the tensor algebra core.
 
+use odin_tensor::layers::{BatchNorm2d, Conv2d, LeakyRelu, Relu};
 use odin_tensor::ops::{col2im, im2col, matmul, matmul_nt, matmul_tn, softmax_rows, ConvGeom};
-use odin_tensor::Tensor;
+use odin_tensor::{simd, Layer, Sequential, Tensor};
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
 fn tensor_strategy(max_elems: usize) -> impl Strategy<Value = Vec<f32>> {
     prop::collection::vec(-10.0f32..10.0, 1..=max_elems)
@@ -61,6 +64,160 @@ fn col2im_matches_the_naive_reference_bit_for_bit() {
                         assert_eq!(got.data(), &col2im_reference(cols.data(), &g, 2)[..], "{g:?}");
                     }
                 }
+            }
+        }
+    }
+}
+
+/// `im2col` by definition: for every output position, every patch
+/// element read from the image or `0.0` off it.
+fn im2col_reference(x: &[f32], g: &ConvGeom, batch: usize) -> Vec<f32> {
+    let mut out = Vec::new();
+    for img in x.chunks_exact(g.in_c * g.in_h * g.in_w).take(batch) {
+        for oy in 0..g.out_h() {
+            for ox in 0..g.out_w() {
+                for c in 0..g.in_c {
+                    for ky in 0..g.kernel {
+                        for kx in 0..g.kernel {
+                            let iy = (oy * g.stride + ky) as isize - g.pad as isize;
+                            let ix = (ox * g.stride + kx) as isize - g.pad as isize;
+                            let inside = (0..g.in_h as isize).contains(&iy)
+                                && (0..g.in_w as isize).contains(&ix);
+                            out.push(if inside {
+                                img[(c * g.in_h + iy as usize) * g.in_w + ix as usize]
+                            } else {
+                                0.0
+                            });
+                        }
+                    }
+                }
+            }
+        }
+    }
+    out
+}
+
+/// The geometry grid of the convolution identity tests.
+fn conv_geometries() -> impl Iterator<Item = ConvGeom> {
+    let sizes = [(3usize, 4usize), (4, 3), (5, 8), (8, 5), (9, 12)];
+    [1usize, 3].into_iter().flat_map(move |kernel| {
+        [1usize, 2].into_iter().flat_map(move |stride| {
+            [0usize, 1].into_iter().flat_map(move |pad| {
+                (1..=5usize).flat_map(move |in_c| {
+                    sizes.into_iter().map(move |(in_h, in_w)| ConvGeom {
+                        in_c,
+                        in_h,
+                        in_w,
+                        kernel,
+                        stride,
+                        pad,
+                    })
+                })
+            })
+        })
+    })
+}
+
+/// `im2col`'s fast paths (3×3 interiors, the 1×1 unit-stride transpose)
+/// write every value the definition does, bit for bit.
+#[test]
+fn im2col_matches_the_naive_reference_bit_for_bit() {
+    for g in conv_geometries() {
+        let x = Tensor::from_vec(
+            (0..2 * g.in_c * g.in_h * g.in_w).map(|i| (i as f32 * 0.53).cos() * 2.0).collect(),
+            &[2, g.in_c, g.in_h, g.in_w],
+        );
+        let got = im2col(&x, &g);
+        assert_eq!(got.data(), &im2col_reference(x.data(), &g, 2)[..], "{g:?}");
+    }
+}
+
+/// What follows the convolution in a stack.
+#[derive(Debug, Clone, Copy)]
+enum Tail {
+    None,
+    Relu,
+    Leaky,
+    Norm,
+    NormLeaky,
+}
+
+/// A batch norm over `c` channels with non-default γ, β and running
+/// statistics.
+fn trained_norm(c: usize) -> BatchNorm2d {
+    let mut bn = BatchNorm2d::new(c);
+    let vals = |phase: f32| (0..c).map(move |i| ((i as f32 + phase) * 1.7).sin());
+    let state: Vec<f32> = vals(0.3).chain(vals(0.9).map(|v| v * v + 0.05)).collect();
+    bn.load_extra_state(&state);
+    for (j, (p, _)) in bn.params_grads().into_iter().enumerate() {
+        for (d, v) in p.data_mut().iter_mut().zip(vals(2.0 + j as f32)) {
+            *d = if j == 0 { 1.0 + v } else { v };
+        }
+    }
+    bn
+}
+
+/// The inference convolution — implicit GEMM, with a following batch
+/// norm and activation applied in its output sweep — against its
+/// definition: the `im2col` matrix times the weight (`matmul_nt` at the
+/// scalar level), the bias, then each following layer on its own. Bit
+/// for bit at every dispatch level, through `Sequential::infer` and an
+/// eval-mode `forward`, over the geometry grid × batch {1, 3} × every
+/// tail, with output channels cycling across the 16-wide panel edges.
+#[test]
+fn implicit_conv_with_fused_tail_matches_im2col_and_separate_layers() {
+    let tails = [Tail::None, Tail::Relu, Tail::Leaky, Tail::Norm, Tail::NormLeaky];
+    let out_cs = [1usize, 5, 12, 16, 17, 33];
+    for (case, g) in conv_geometries().enumerate() {
+        for batch in [1usize, 3] {
+            for (t, &tail) in tails.iter().enumerate() {
+                let out_c = out_cs[(case + t + batch) % out_cs.len()];
+                let seed = (case * 31 + t * 7 + batch) as u64;
+                let conv = Conv2d::new(g.in_c, out_c, g.kernel, g.stride, g.pad, &mut {
+                    StdRng::seed_from_u64(seed)
+                });
+                let x = Tensor::from_vec(
+                    (0..batch * g.in_c * g.in_h * g.in_w)
+                        .map(|i| ((i as f32 + seed as f32) * 0.61).sin() * 2.0)
+                        .collect(),
+                    &[batch, g.in_c, g.in_h, g.in_w],
+                );
+                simd::set_simd_level(simd::SimdLevel::Scalar);
+                let (w, bias) = (conv.params()[0].clone(), conv.params()[1].clone());
+                let pos = matmul_nt(&im2col(&x, &g), &w);
+                let plane = g.out_h() * g.out_w();
+                let nchw: Vec<f32> = (0..batch * out_c * plane)
+                    .map(|i| {
+                        let (b, c, p) = (i / (out_c * plane), i / plane % out_c, i % plane);
+                        pos.data()[(b * plane + p) * out_c + c] + bias.data()[c]
+                    })
+                    .collect();
+                let mut want = Tensor::from_vec(nchw, &[batch, out_c, g.out_h(), g.out_w()]);
+                let mut net = Sequential::new().push(conv);
+                if matches!(tail, Tail::Norm | Tail::NormLeaky) {
+                    let bn = trained_norm(out_c);
+                    want = bn.infer(&want);
+                    net = net.push(bn);
+                }
+                match tail {
+                    Tail::Relu => {
+                        want = Relu::new().infer(&want);
+                        net = net.push(Relu::new());
+                    }
+                    Tail::Leaky | Tail::NormLeaky => {
+                        want = LeakyRelu::new(0.1).infer(&want);
+                        net = net.push(LeakyRelu::new(0.1));
+                    }
+                    Tail::None | Tail::Norm => {}
+                }
+                for level in simd::available_levels() {
+                    simd::set_simd_level(level);
+                    let got = net.infer(&x);
+                    assert_eq!(got.data(), want.data(), "{g:?} batch {batch} {tail:?} {level:?}");
+                    let eval = net.forward(&x, false);
+                    assert_eq!(eval.data(), want.data(), "forward {g:?} {tail:?} {level:?}");
+                }
+                simd::reset_simd();
             }
         }
     }

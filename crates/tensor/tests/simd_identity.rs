@@ -1,5 +1,6 @@
-//! The SIMD dispatch contract: the AVX2 micro-kernels are bit-identical
-//! to the scalar kernels on every shape (including ragged tails narrower
+//! The SIMD dispatch contract: the vector micro-kernels (AVX2, and the
+//! 16-lane AVX-512 NT body where the CPU has it) are bit-identical to
+//! the scalar kernels on every shape (including ragged tails narrower
 //! than one vector register), the fused conv+ReLU pass matches the
 //! unfused conv followed by a standalone activation, and the int8
 //! quantizer is exact to half a quantization step with byte-identical
@@ -15,7 +16,7 @@ use odin_tensor::ops::{matmul, matmul_nt, matmul_tn};
 use odin_tensor::qtensor::{
     dot_i8, quantize_activations, quantize_into, quantize_planes_into_nhwc, QConv2d, QConvScratch,
 };
-use odin_tensor::simd;
+use odin_tensor::simd::{self, SimdLevel};
 use odin_tensor::{Layer, Tensor};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -47,15 +48,46 @@ fn rand_tensor(rng: &mut StdRng, shape: &[usize]) -> Tensor {
     Tensor::from_vec((0..n).map(|_| rng.gen_range(-2.0f32..2.0)).collect(), shape)
 }
 
-/// Runs `f` with SIMD forced off then on and asserts the two tensors are
-/// bit-identical.
+/// Runs `f` at the scalar level, then at every vector level the CPU
+/// offers, and asserts the tensors are bit-identical.
 fn assert_simd_invariant(f: impl Fn() -> Tensor) {
-    simd::set_simd_enabled(false);
+    simd::set_simd_level(SimdLevel::Scalar);
     let scalar = f();
-    simd::set_simd_enabled(true);
-    let vector = f();
-    assert_eq!(scalar.shape(), vector.shape());
-    assert_eq!(scalar.data(), vector.data(), "SIMD result differs from scalar");
+    for level in simd::available_levels() {
+        simd::set_simd_level(level);
+        let vector = f();
+        assert_eq!(scalar.shape(), vector.shape());
+        assert_eq!(scalar.data(), vector.data(), "{level:?} result differs from scalar");
+    }
+}
+
+/// The NT kernel at every vector level against the scalar kernel, bit
+/// for bit, over every ragged shape up to m = 41 (every height of the
+/// 8-row AVX-512 and 4-row AVX2 tiles, plus one) and n = 33 (two whole
+/// 16-lane panels plus one lane), at reduction lengths from one step
+/// through the teacher's 576 — around the 64 edge and the 27 of a
+/// three-channel 3×3 patch.
+#[test]
+fn nt_kernel_matches_scalar_at_every_level_on_every_ragged_tail() {
+    let _g = SimdGuard::acquire();
+    let mut rng = StdRng::seed_from_u64(30);
+    for k in [1usize, 27, 63, 64, 65, 576] {
+        let a = rand_tensor(&mut rng, &[41, k]);
+        let b = rand_tensor(&mut rng, &[33, k]);
+        for m in 1..=41 {
+            let a_m = Tensor::from_vec(a.data()[..m * k].to_vec(), &[m, k]);
+            for n in 1..=33 {
+                let b_n = Tensor::from_vec(b.data()[..n * k].to_vec(), &[n, k]);
+                simd::set_simd_level(SimdLevel::Scalar);
+                let scalar = matmul_nt(&a_m, &b_n);
+                for level in simd::available_levels() {
+                    simd::set_simd_level(level);
+                    let got = matmul_nt(&a_m, &b_n);
+                    assert_eq!(got.data(), scalar.data(), "matmul_nt m={m} n={n} k={k} {level:?}");
+                }
+            }
+        }
+    }
 }
 
 /// The k-blocked TN kernel and the NN kernel against their scalar
@@ -120,8 +152,8 @@ proptest! {
     /// The packed-panel NT kernel against the scalar reference, bit for
     /// bit, at the row counts a served frame produces (one latent row,
     /// one tile, a 6×6 and a 12×12 feature map, and a ragged 37), over
-    /// column counts on both sides of the 8-lane panel edge (the
-    /// zero-padded last panel) and odd reduction lengths — both through
+    /// column counts on both sides of the 8-lane AVX2 half-panel edge
+    /// (the zero-padded last panel) and odd reduction lengths — both through
     /// the free function (pack, then call) and through a layer that
     /// packs once and reuses the panels.
     #[test]
@@ -159,8 +191,8 @@ proptest! {
         let slope = if steep { 0.1f32 } else { 0.0 };
         let mut rng = StdRng::seed_from_u64(seed);
         let x = rand_tensor(&mut rng, &[batch, in_c, hw, hw]);
-        for simd_on in [false, true] {
-            simd::set_simd_enabled(simd_on);
+        for level in simd::available_levels() {
+            simd::set_simd_level(level);
             let plain = Conv2d::k3(in_c, out_c, 1, &mut StdRng::seed_from_u64(seed ^ 0xF));
             let fused = Conv2d::k3(in_c, out_c, 1, &mut StdRng::seed_from_u64(seed ^ 0xF))
                 .fuse_leaky_relu(slope);
@@ -171,7 +203,7 @@ proptest! {
             prop_assert_eq!(
                 got.data(),
                 &want[..],
-                "fused activation diverges (simd={})", simd_on
+                "fused activation diverges ({:?})", level
             );
         }
     }
@@ -196,8 +228,8 @@ proptest! {
         let _g = SimdGuard::acquire();
         let mut rng = StdRng::seed_from_u64(seed);
         let x = rand_tensor(&mut rng, &[batch, in_c, h, h + extra_w]);
-        let run = |on: bool| {
-            simd::set_simd_enabled(on);
+        let run = |level: SimdLevel| {
+            simd::set_simd_level(level);
             let conv = Conv2d::k3(in_c, out_c, stride, &mut StdRng::seed_from_u64(seed ^ 0xA));
             let mut conv = match act {
                 Some(slope) => conv.fuse_leaky_relu(slope),
@@ -210,11 +242,13 @@ proptest! {
                 conv.params_grads().iter().map(|(_, g)| g.data().to_vec()).collect();
             (y, dx, grads)
         };
-        let (y_s, dx_s, grads_s) = run(false);
-        let (y_v, dx_v, grads_v) = run(true);
-        prop_assert_eq!(y_s.data(), y_v.data(), "forward output diverges");
-        prop_assert_eq!(dx_s.data(), dx_v.data(), "input gradient diverges");
-        prop_assert_eq!(grads_s, grads_v, "parameter gradients diverge");
+        let (y_s, dx_s, grads_s) = run(SimdLevel::Scalar);
+        for level in simd::available_levels() {
+            let (y_v, dx_v, grads_v) = run(level);
+            prop_assert_eq!(y_s.data(), y_v.data(), "forward output diverges ({:?})", level);
+            prop_assert_eq!(dx_s.data(), dx_v.data(), "input gradient diverges ({:?})", level);
+            prop_assert_eq!(&grads_s, &grads_v, "parameter gradients diverge ({:?})", level);
+        }
     }
 
     /// Quantize→dequantize round-trip error is bounded by half a

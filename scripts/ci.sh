@@ -56,16 +56,20 @@ echo "==> ODIN_THREADS=2 cargo test -q"
 ODIN_THREADS=2 cargo test -q
 
 # ...and bit-identical across SIMD dispatch: run the kernel-owning
-# crates once more with the AVX2 path disabled, so the scalar fallbacks
-# (the semantics reference) stay green on their own.
+# crates once more with the vector paths disabled, so the scalar
+# fallbacks (the semantics reference) stay green on their own. This
+# includes the pinned inference hashes (`inference_identity`: teacher,
+# Small detector and DA-GAN encoder outputs), which the step above ran
+# at 2 threads; each run also pins every level the CPU offers in-process.
 echo "==> ODIN_NO_SIMD=1 cargo test -q -p odin-tensor -p odin-detect -p odin-gan"
 ODIN_NO_SIMD=1 cargo test -q -p odin-tensor -p odin-detect -p odin-gan
 
-# The pinned training hashes (weights ‖ losses of a fixed detector run
-# and a fixed DA-GAN run) ran above at the machine's thread count, at 2
-# threads and with SIMD off; a serial pool is the one setting left.
-echo "==> ODIN_THREADS=1 training identity (odin-detect, odin-gan)"
-ODIN_THREADS=1 cargo test -q -p odin-detect -p odin-gan --test training_identity
+# The pinned training and inference hashes ran above at the machine's
+# thread count, at 2 threads and with SIMD off; a serial pool is the
+# one setting left.
+echo "==> ODIN_THREADS=1 training + inference identity (odin-detect, odin-gan)"
+ODIN_THREADS=1 cargo test -q -p odin-detect -p odin-gan --test training_identity \
+    --test inference_identity
 
 # Crash-recovery smoke: write a checkpoint with a 2-thread tensor
 # backend, truncate / bit-flip it, and require that (a) the corruption
@@ -294,10 +298,11 @@ cargo run --release -p odin-bench --bin bench_gate -- \
 # (results/tensor_gflops.json) for the numeric rows — the wide budget
 # absorbs thermal noise on small CI boxes; --rows skips the
 # latency-only rows whose GFLOP/s cell is "-". The whole int8 frame
-# (detect_small_int8), a whole training step (train_step_small_b8) and
-# the input-gradient scatter (col2im_small1) are such rows, so they are
-# gated on their own column: ms per call may not grow by more than the
-# same 40 %.
+# (detect_small_int8), a whole training step (train_step_small_b8),
+# the input-gradient scatter (col2im_small1) and the teacher-served
+# frame's two halves (detect_teacher_b1, dagan_encode_b1) are such
+# rows, so they are gated on their own column: ms per call may not grow
+# by more than the same 40 %.
 echo "==> bench gate (tensor_gflops vs results/tensor_gflops.json)"
 cargo run --release -p odin-bench --bin tensor_gflops -- \
     --out /tmp/odin-ci-bench >/dev/null
@@ -306,7 +311,7 @@ cargo run --release -p odin-bench --bin bench_gate -- \
     --baseline results/tensor_gflops.json --candidate results/BENCH_tensor_gflops.json \
     --column 2 --max-drop-pct 40 \
     --rows matmul,matmul_nt,matmul_tn,matmul_scalar,matmul_nt_scalar,matmul_tn_scalar,conv2d_fwd,conv2d_fwd_bwd,matmul_tn_small0,matmul_tn_small1,matmul_tn_small2,conv2d_b1_teacher12,conv2d_b1_teacher6,conv2d_b1_encoder48,dense_b1,conv2d_int8,qconv_small0,qconv_small1,qconv_small2,qconv_small3,dot_i8
-for row in detect_small_int8 train_step_small_b8 col2im_small1; do
+for row in detect_small_int8 train_step_small_b8 col2im_small1 detect_teacher_b1 dagan_encode_b1; do
     jq -e --arg row "$row" --slurpfile base results/tensor_gflops.json '
       def ms(t): t.rows[] | select(.[0] == $row) | .[3] | tonumber;
       ms(.) <= 1.4 * ms($base[0])
