@@ -995,6 +995,7 @@ impl Odin {
                 dropped: self.telemetry.event_log_dropped.clone(),
                 queue_depth: self.telemetry.event_log_queue_depth.clone(),
                 flush_ms: self.telemetry.event_log_flush.clone(),
+                errors: self.telemetry.store_errors.clone(),
             };
             let writer = LogWriter::open(&dir.join(EVENT_LOG_FILE), self.cfg.event_log, metrics)?;
             // Never reuse a sequence number: resume past both the
@@ -1096,8 +1097,9 @@ impl Odin {
             store.writer.flush();
         }
         if let Some(log) = &self.event_log {
+            // The writer counted the failure when it happened.
             if let Err(e) = log.flush() {
-                self.telemetry.record_store_error("event-log flush failed", e);
+                self.telemetry.note_store_error("event-log flush failed", e);
             }
         }
     }

@@ -283,6 +283,16 @@ impl Telemetry {
         detail: impl std::fmt::Display,
     ) {
         self.store_errors.inc();
+        self.note_store_error(what, detail);
+    }
+
+    /// [`Self::record_store_error`] for a failure already counted in
+    /// `odin_store_errors_total` (the event-log writer counts its own).
+    pub(crate) fn note_store_error(
+        &self,
+        what: impl std::fmt::Display,
+        detail: impl std::fmt::Display,
+    ) {
         let message = format!("{what}: {detail}");
         *unpoison(self.last_error.lock()) = Some(message.clone());
         self.registry.event(Level::Error, "store", message);

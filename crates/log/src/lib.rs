@@ -14,9 +14,10 @@
 //!   ([`RecordKind`], [`ServedLabel`]), plus [`EventLogConfig`],
 //! * [`segment`] — the on-disk format: fixed-size segments with
 //!   per-column encoding (zigzag-delta varints for timestamps / ids,
-//!   dictionary-coded enums), a per-segment min/max **zone map**, and
-//!   a CRC-framed envelope reusing odin-store's checksum primitives;
-//!   a torn tail is truncated on open exactly like the WAL,
+//!   dictionary-coded enums) and a per-segment min/max **zone map**,
+//!   each the body of one frame of an `odin_store::framed` file — the
+//!   WAL's container, so torn tails and failed appends are handled by
+//!   the same code,
 //! * [`writer`] — [`LogWriter`]: a bounded-channel background writer
 //!   with counted-drop backpressure, so the serving hot path never
 //!   blocks on the log,

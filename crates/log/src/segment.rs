@@ -16,15 +16,18 @@
 //!           conf_mean/conf_max     fixed f32 bits (LE)
 //! ```
 //!
-//! Everything after the 8-byte header is length-framed and
-//! CRC-checked, so a torn tail (crash mid-append) is detected by the
-//! reader and truncated by the writer on reopen — the same contract as
-//! `odin_store::wal`.
+//! The file is an `odin_store::framed` file ([`FORMAT`]), the WAL's
+//! container: torn tails are truncated on reopen, failed appends
+//! rolled back. A CRC-valid body is still untrusted: a count beyond
+//! the seq column's byte length is malformed, so no allocation is
+//! sized by a number the bytes cannot back.
 
 use std::fs;
 use std::path::Path;
 
-use odin_store::{crc32, Decoder, Encoder, StoreError};
+use odin_store::codec::{unzigzag, zigzag};
+use odin_store::framed::{self, Format};
+use odin_store::{Decoder, Encoder, StoreError};
 
 use crate::record::{LogRecord, RecordKind, ServedLabel};
 
@@ -34,163 +37,102 @@ pub const MAGIC: [u8; 4] = *b"ODLG";
 pub const FORMAT_VERSION: u32 = 1;
 /// Byte that starts every segment frame.
 pub const SEGMENT_MARKER: u8 = 0xD6;
+/// The framed-file layout of a log file.
+pub const FORMAT: Format =
+    Format { marker: SEGMENT_MARKER, prefix_len: 0, header: Some((MAGIC, FORMAT_VERSION)) };
 /// File header length (magic + version).
 pub const HEADER_LEN: u64 = 8;
 /// Segment frame overhead before the body (marker + len + crc).
-pub const FRAME_OVERHEAD: usize = 9;
+pub const FRAME_OVERHEAD: usize = FORMAT.overhead();
 
 /// The 8-byte file header.
-pub fn header_bytes() -> [u8; 8] {
-    let mut h = [0u8; 8];
-    h[..4].copy_from_slice(&MAGIC);
-    h[4..].copy_from_slice(&FORMAT_VERSION.to_le_bytes());
-    h
+pub fn header_bytes() -> Vec<u8> {
+    FORMAT.header_bytes()
 }
 
 // ---------------------------------------------------------------------------
-// varint / zigzag primitives
+// columns
 // ---------------------------------------------------------------------------
 
-pub(crate) fn put_varint(buf: &mut Vec<u8>, mut v: u64) {
-    loop {
-        let byte = (v & 0x7f) as u8;
-        v >>= 7;
-        if v == 0 {
-            buf.push(byte);
-            return;
-        }
-        buf.push(byte | 0x80);
-    }
+/// Append one length-prefixed column, filled by `fill`.
+fn put_column(enc: &mut Encoder, fill: impl FnOnce(&mut Encoder)) {
+    let mut col = Encoder::new();
+    fill(&mut col);
+    enc.put_bytes(col.bytes());
 }
 
-pub(crate) fn zigzag(v: i64) -> u64 {
-    ((v << 1) ^ (v >> 63)) as u64
-}
-
-pub(crate) fn unzigzag(v: u64) -> i64 {
-    ((v >> 1) as i64) ^ -((v & 1) as i64)
-}
-
-/// Cursor over a raw column buffer.
-pub(crate) struct VarReader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> VarReader<'a> {
-    pub(crate) fn new(buf: &'a [u8]) -> Self {
-        VarReader { buf, pos: 0 }
+/// Decode the next column of `body` into a field of every row: `item`
+/// reads one value, `set` stores it.
+fn fill<'b, T>(
+    rows: &mut [LogRecord],
+    body: &mut Decoder<'b>,
+    context: &'static str,
+    mut item: impl FnMut(&mut Decoder<'b>, &'static str) -> Result<T, StoreError>,
+    set: impl Fn(&mut LogRecord, T),
+) -> Result<(), StoreError> {
+    let mut col = Decoder::new(body.take_bytes(context)?);
+    for r in rows {
+        set(r, item(&mut col, context)?);
     }
-
-    pub(crate) fn varint(&mut self, context: &'static str) -> Result<u64, StoreError> {
-        let mut v: u64 = 0;
-        let mut shift = 0u32;
-        loop {
-            let byte = *self.buf.get(self.pos).ok_or(StoreError::Truncated { context })?;
-            self.pos += 1;
-            if shift >= 64 {
-                return Err(StoreError::Malformed { context });
-            }
-            v |= u64::from(byte & 0x7f) << shift;
-            if byte & 0x80 == 0 {
-                return Ok(v);
-            }
-            shift += 7;
-        }
-    }
-
-    pub(crate) fn u8(&mut self, context: &'static str) -> Result<u8, StoreError> {
-        let b = *self.buf.get(self.pos).ok_or(StoreError::Truncated { context })?;
-        self.pos += 1;
-        Ok(b)
-    }
-
-    pub(crate) fn f32(&mut self, context: &'static str) -> Result<f32, StoreError> {
-        let end = self.pos + 4;
-        let raw = self.buf.get(self.pos..end).ok_or(StoreError::Truncated { context })?;
-        self.pos = end;
-        Ok(f32::from_bits(u32::from_le_bytes([raw[0], raw[1], raw[2], raw[3]])))
-    }
+    Ok(())
 }
 
 /// Encode `vals` as first-absolute + zigzag deltas (ids and
 /// timestamps cluster tightly, so deltas are 1–2 bytes).
-fn put_delta_column(buf: &mut Vec<u8>, vals: impl Iterator<Item = u64>) {
-    let mut prev: u64 = 0;
-    for (i, v) in vals.enumerate() {
-        if i == 0 {
-            put_varint(buf, v);
-        } else {
-            put_varint(buf, zigzag(v.wrapping_sub(prev) as i64));
-        }
-        prev = v;
+fn put_delta_column(col: &mut Encoder, vals: impl Iterator<Item = u64>) {
+    let mut prev: Option<u64> = None;
+    for v in vals {
+        col.put_varint(prev.map_or(v, |p| zigzag(v.wrapping_sub(p) as i64)));
+        prev = Some(v);
     }
 }
 
-fn read_delta_column(
-    buf: &[u8],
-    count: usize,
-    context: &'static str,
-) -> Result<Vec<u64>, StoreError> {
-    let mut r = VarReader::new(buf);
-    let mut out = Vec::with_capacity(count);
-    let mut prev: u64 = 0;
-    for i in 0..count {
-        let v = if i == 0 {
-            r.varint(context)?
-        } else {
-            prev.wrapping_add(unzigzag(r.varint(context)?) as u64)
-        };
-        out.push(v);
-        prev = v;
+/// Reads the values [`put_delta_column`] wrote, one per call.
+fn deltas<'b>() -> impl FnMut(&mut Decoder<'b>, &'static str) -> Result<u64, StoreError> {
+    let mut prev: Option<u64> = None;
+    move |dec, context| {
+        let raw = dec.take_varint(context)?;
+        let v = prev.map_or(raw, |p| p.wrapping_add(unzigzag(raw) as u64));
+        prev = Some(v);
+        Ok(v)
     }
-    Ok(out)
 }
 
 /// Dictionary-encode small enum tags: `dict_len | dict... | indices`.
 /// A unary dictionary elides the index bytes entirely.
-fn put_dict_column(buf: &mut Vec<u8>, tags: &[u8]) {
+fn put_dict_column(col: &mut Encoder, tags: impl Iterator<Item = u8> + Clone) {
     let mut dict: Vec<u8> = Vec::new();
-    for &t in tags {
+    for t in tags.clone() {
         if !dict.contains(&t) {
             dict.push(t);
         }
     }
-    buf.push(dict.len() as u8);
-    buf.extend_from_slice(&dict);
+    col.put_u8(dict.len() as u8);
+    col.put_raw(&dict);
     if dict.len() > 1 {
-        for &t in tags {
-            let idx = dict.iter().position(|&d| d == t).unwrap() as u8;
-            buf.push(idx);
+        for t in tags {
+            col.put_u8(dict.iter().position(|&d| d == t).expect("every tag is in the dict") as u8);
         }
     }
 }
 
-fn read_dict_column(
-    buf: &[u8],
-    count: usize,
+/// Decode the next column of `body`, a dictionary column, into a
+/// field of every row.
+fn fill_tags<T>(
+    rows: &mut [LogRecord],
+    body: &mut Decoder,
     context: &'static str,
-) -> Result<Vec<u8>, StoreError> {
-    let mut r = VarReader::new(buf);
-    let dict_len = r.u8(context)? as usize;
-    if dict_len == 0 && count > 0 {
-        return Err(StoreError::Malformed { context });
+    from_tag: fn(u8) -> Option<T>,
+    set: impl Fn(&mut LogRecord, T),
+) -> Result<(), StoreError> {
+    let mut col = Decoder::new(body.take_bytes(context)?);
+    let dict_len = col.take_u8(context)? as usize;
+    let dict = col.take_raw(dict_len, context)?;
+    for r in rows {
+        let idx = if dict.len() > 1 { col.take_u8(context)? as usize } else { 0 };
+        set(r, dict.get(idx).and_then(|&t| from_tag(t)).ok_or(StoreError::Malformed { context })?);
     }
-    let mut dict = Vec::with_capacity(dict_len);
-    for _ in 0..dict_len {
-        dict.push(r.u8(context)?);
-    }
-    let mut out = Vec::with_capacity(count);
-    if dict_len <= 1 {
-        out.resize(count, dict.first().copied().unwrap_or(0));
-    } else {
-        for _ in 0..count {
-            let idx = r.u8(context)? as usize;
-            let tag = *dict.get(idx).ok_or(StoreError::Malformed { context })?;
-            out.push(tag);
-        }
-    }
-    Ok(out)
+    Ok(())
 }
 
 // ---------------------------------------------------------------------------
@@ -328,161 +270,64 @@ impl ZoneMap {
 /// Encode a full segment frame (marker + len + crc + columnar body)
 /// for a non-empty batch of records.
 pub fn encode_segment(records: &[LogRecord]) -> Vec<u8> {
+    FORMAT.encode(&[], &encode_segment_body(records))
+}
+
+/// Encode the columnar body of a non-empty batch of records.
+pub(crate) fn encode_segment_body(records: &[LogRecord]) -> Vec<u8> {
     assert!(!records.is_empty(), "segments are never empty");
     let zone = ZoneMap::of(records);
     let mut enc = Encoder::with_capacity(records.len() * 16 + 128);
     zone.encode(&mut enc);
-
-    let mut col: Vec<u8> = Vec::with_capacity(records.len() * 2);
-
-    put_delta_column(&mut col, records.iter().map(|r| r.seq));
-    enc.put_bytes(&col);
-    col.clear();
-
-    put_delta_column(&mut col, records.iter().map(|r| r.ts_us));
-    enc.put_bytes(&col);
-    col.clear();
-
-    put_delta_column(&mut col, records.iter().map(|r| r.frame));
-    enc.put_bytes(&col);
-    col.clear();
-
-    for r in records {
-        put_varint(&mut col, u64::from(r.stream - zone.min_stream));
-    }
-    enc.put_bytes(&col);
-    col.clear();
-
-    let kinds: Vec<u8> = records.iter().map(|r| r.kind.tag()).collect();
-    put_dict_column(&mut col, &kinds);
-    enc.put_bytes(&col);
-    col.clear();
-
-    let serveds: Vec<u8> = records.iter().map(|r| r.served.tag()).collect();
-    put_dict_column(&mut col, &serveds);
-    enc.put_bytes(&col);
-    col.clear();
-
-    for r in records {
-        put_varint(&mut col, zigzag(r.cluster));
-    }
-    enc.put_bytes(&col);
-    col.clear();
-
-    for r in records {
-        put_varint(&mut col, u64::from(r.dets));
-    }
-    enc.put_bytes(&col);
-    col.clear();
-
-    for r in records {
-        col.extend_from_slice(&r.conf_mean.to_bits().to_le_bytes());
-    }
-    enc.put_bytes(&col);
-    col.clear();
-
-    for r in records {
-        col.extend_from_slice(&r.conf_max.to_bits().to_le_bytes());
-    }
-    enc.put_bytes(&col);
-    col.clear();
-
-    for r in records {
-        put_varint(&mut col, r.latency_us);
-    }
-    enc.put_bytes(&col);
-    col.clear();
-
-    put_delta_column(&mut col, records.iter().map(|r| r.trace));
-    enc.put_bytes(&col);
-
-    let body = enc.into_bytes();
-    let mut frame = Vec::with_capacity(FRAME_OVERHEAD + body.len());
-    frame.push(SEGMENT_MARKER);
-    frame.extend_from_slice(&(body.len() as u32).to_le_bytes());
-    frame.extend_from_slice(&crc32(&body).to_le_bytes());
-    frame.extend_from_slice(&body);
-    frame
+    let all = records.iter();
+    put_column(&mut enc, |c| put_delta_column(c, all.clone().map(|r| r.seq)));
+    put_column(&mut enc, |c| put_delta_column(c, all.clone().map(|r| r.ts_us)));
+    put_column(&mut enc, |c| put_delta_column(c, all.clone().map(|r| r.frame)));
+    put_column(&mut enc, |c| {
+        all.clone().for_each(|r| c.put_varint(u64::from(r.stream - zone.min_stream)))
+    });
+    put_column(&mut enc, |c| put_dict_column(c, all.clone().map(|r| r.kind.tag())));
+    put_column(&mut enc, |c| put_dict_column(c, all.clone().map(|r| r.served.tag())));
+    put_column(&mut enc, |c| all.clone().for_each(|r| c.put_varint(zigzag(r.cluster))));
+    put_column(&mut enc, |c| all.clone().for_each(|r| c.put_varint(u64::from(r.dets))));
+    put_column(&mut enc, |c| all.clone().for_each(|r| c.put_f32(r.conf_mean)));
+    put_column(&mut enc, |c| all.clone().for_each(|r| c.put_f32(r.conf_max)));
+    put_column(&mut enc, |c| all.clone().for_each(|r| c.put_varint(r.latency_us)));
+    put_column(&mut enc, |c| put_delta_column(c, all.clone().map(|r| r.trace)));
+    enc.into_bytes()
 }
 
 /// Decode a CRC-verified segment body back into its zone map and rows.
 pub fn decode_segment_body(body: &[u8]) -> Result<(ZoneMap, Vec<LogRecord>), StoreError> {
     let mut dec = Decoder::new(body);
     let zone = ZoneMap::decode(&mut dec)?;
-    let n = zone.count;
-
-    let seqs = read_delta_column(dec.take_bytes("col.seq")?, n, "col.seq")?;
-    let tss = read_delta_column(dec.take_bytes("col.ts")?, n, "col.ts")?;
-    let frames = read_delta_column(dec.take_bytes("col.frame")?, n, "col.frame")?;
-
-    let stream_buf = dec.take_bytes("col.stream")?;
-    let mut r = VarReader::new(stream_buf);
-    let mut streams = Vec::with_capacity(n);
-    for _ in 0..n {
-        streams.push(zone.min_stream + r.varint("col.stream")? as u32);
+    let mut seqs = Decoder::new(dec.take_bytes("col.seq")?);
+    // Every record costs at least one byte of the seq column.
+    if zone.count > seqs.remaining() {
+        return Err(StoreError::Malformed { context: "zone.count" });
     }
-
-    let kinds = read_dict_column(dec.take_bytes("col.kind")?, n, "col.kind")?;
-    let serveds = read_dict_column(dec.take_bytes("col.served")?, n, "col.served")?;
-
-    let cluster_buf = dec.take_bytes("col.cluster")?;
-    let mut r = VarReader::new(cluster_buf);
-    let mut clusters = Vec::with_capacity(n);
-    for _ in 0..n {
-        clusters.push(unzigzag(r.varint("col.cluster")?));
-    }
-
-    let dets_buf = dec.take_bytes("col.dets")?;
-    let mut r = VarReader::new(dets_buf);
-    let mut dets = Vec::with_capacity(n);
-    for _ in 0..n {
-        dets.push(r.varint("col.dets")? as u32);
-    }
-
-    let mean_buf = dec.take_bytes("col.conf_mean")?;
-    let mut r = VarReader::new(mean_buf);
-    let mut means = Vec::with_capacity(n);
-    for _ in 0..n {
-        means.push(r.f32("col.conf_mean")?);
-    }
-
-    let max_buf = dec.take_bytes("col.conf_max")?;
-    let mut r = VarReader::new(max_buf);
-    let mut maxs = Vec::with_capacity(n);
-    for _ in 0..n {
-        maxs.push(r.f32("col.conf_max")?);
-    }
-
-    let lat_buf = dec.take_bytes("col.latency")?;
-    let mut r = VarReader::new(lat_buf);
-    let mut lats = Vec::with_capacity(n);
-    for _ in 0..n {
-        lats.push(r.varint("col.latency")?);
-    }
-
-    let traces = read_delta_column(dec.take_bytes("col.trace")?, n, "col.trace")?;
+    let mut seq = deltas();
+    let mut rows = (0..zone.count)
+        .map(|_| Ok(LogRecord { seq: seq(&mut seqs, "col.seq")?, ..LogRecord::empty() }))
+        .collect::<Result<Vec<_>, StoreError>>()?;
+    let stream = |col: &mut Decoder, context| {
+        let offset = u32::try_from(col.take_varint(context)?).ok();
+        offset.and_then(|o| zone.min_stream.checked_add(o)).ok_or(StoreError::Malformed { context })
+    };
+    let d = &mut dec;
+    fill(&mut rows, d, "col.ts", deltas(), |r, v| r.ts_us = v)?;
+    fill(&mut rows, d, "col.frame", deltas(), |r, v| r.frame = v)?;
+    fill(&mut rows, d, "col.stream", stream, |r, v| r.stream = v)?;
+    fill_tags(&mut rows, d, "col.kind", RecordKind::from_tag, |r, v| r.kind = v)?;
+    fill_tags(&mut rows, d, "col.served", ServedLabel::from_tag, |r, v| r.served = v)?;
+    fill(&mut rows, d, "col.cluster", Decoder::take_varint, |r, v| r.cluster = unzigzag(v))?;
+    fill(&mut rows, d, "col.dets", Decoder::take_varint, |r, v| r.dets = v as u32)?;
+    fill(&mut rows, d, "col.conf_mean", Decoder::take_f32, |r, v| r.conf_mean = v)?;
+    fill(&mut rows, d, "col.conf_max", Decoder::take_f32, |r, v| r.conf_max = v)?;
+    fill(&mut rows, d, "col.latency", Decoder::take_varint, |r, v| r.latency_us = v)?;
+    fill(&mut rows, d, "col.trace", deltas(), |r, v| r.trace = v)?;
     dec.finish("segment body")?;
-
-    let mut out = Vec::with_capacity(n);
-    for i in 0..n {
-        out.push(LogRecord {
-            seq: seqs[i],
-            kind: RecordKind::from_tag(kinds[i])
-                .ok_or(StoreError::Malformed { context: "record kind tag" })?,
-            ts_us: tss[i],
-            frame: frames[i],
-            stream: streams[i],
-            cluster: clusters[i],
-            served: ServedLabel::from_tag(serveds[i])
-                .ok_or(StoreError::Malformed { context: "served label tag" })?,
-            dets: dets[i],
-            conf_mean: means[i],
-            conf_max: maxs[i],
-            latency_us: lats[i],
-            trace: traces[i],
-        });
-    }
-    Ok((zone, out))
+    Ok((zone, rows))
 }
 
 // ---------------------------------------------------------------------------
@@ -503,7 +348,9 @@ pub struct SegmentInfo {
 /// A parsed log file: intact segments plus the torn-tail verdict.
 #[derive(Debug)]
 pub struct LogFile {
-    bytes: Vec<u8>,
+    /// Raw file bytes backing the scan (intact prefix + any torn
+    /// tail); retention copies whole segments out of them verbatim.
+    pub(crate) bytes: Vec<u8>,
     /// Intact segments in file order.
     pub segments: Vec<SegmentInfo>,
     /// Length of the intact prefix; bytes past this are a torn tail.
@@ -513,13 +360,6 @@ pub struct LogFile {
 }
 
 impl LogFile {
-    /// Raw file bytes backing the scan (intact prefix + any torn
-    /// tail). Used by retention compaction to copy whole sealed
-    /// segments verbatim without re-encoding them.
-    pub(crate) fn raw_bytes(&self) -> &[u8] {
-        &self.bytes
-    }
-
     /// Decode all rows of segment `i` (columns are decoded lazily, per
     /// segment, so zone-pruned scans never touch them).
     pub fn records(&self, i: usize) -> Result<Vec<LogRecord>, StoreError> {
@@ -543,52 +383,16 @@ impl LogFile {
 /// Scan raw file bytes into segments, stopping at the first torn or
 /// corrupt frame. Only the zone-map prefix of each body is decoded.
 pub fn scan_bytes(bytes: Vec<u8>) -> Result<LogFile, StoreError> {
-    if bytes.is_empty() {
-        // Brand-new file: treat as an empty, intact log.
-        return Ok(LogFile { bytes, segments: Vec::new(), good_len: 0, torn: false });
-    }
-    if bytes.len() < HEADER_LEN as usize || bytes[..4] != MAGIC {
-        let mut found = [0u8; 4];
-        let n = bytes.len().min(4);
-        found[..n].copy_from_slice(&bytes[..n]);
-        return Err(StoreError::BadMagic { found });
-    }
-    let version = u32::from_le_bytes([bytes[4], bytes[5], bytes[6], bytes[7]]);
-    if version > FORMAT_VERSION {
-        return Err(StoreError::UnsupportedVersion { found: version, supported: FORMAT_VERSION });
-    }
-
-    let mut segments = Vec::new();
-    let mut pos = HEADER_LEN as usize;
-    let mut torn = false;
-    while pos < bytes.len() {
-        // Frame header: marker + body_len + crc.
-        if pos + FRAME_OVERHEAD > bytes.len() || bytes[pos] != SEGMENT_MARKER {
-            torn = true;
-            break;
-        }
-        let body_len =
-            u32::from_le_bytes([bytes[pos + 1], bytes[pos + 2], bytes[pos + 3], bytes[pos + 4]])
-                as usize;
-        let crc =
-            u32::from_le_bytes([bytes[pos + 5], bytes[pos + 6], bytes[pos + 7], bytes[pos + 8]]);
-        let body_start = pos + FRAME_OVERHEAD;
-        let body_end = body_start + body_len;
-        if body_end > bytes.len() {
-            torn = true;
-            break;
-        }
-        let body = &bytes[body_start..body_end];
-        if crc32(body) != crc {
-            torn = true;
-            break;
-        }
-        let mut dec = Decoder::new(body);
-        let zone = ZoneMap::decode(&mut dec)?;
-        segments.push(SegmentInfo { zone, offset: pos as u64, len: FRAME_OVERHEAD + body_len });
-        pos = body_end;
-    }
-    let good_len = segments.last().map(|s| s.offset + s.len as u64).unwrap_or(HEADER_LEN);
+    let scan = framed::scan(&bytes, &FORMAT)?;
+    let segments = scan
+        .frames
+        .iter()
+        .map(|f| {
+            let zone = ZoneMap::decode(&mut Decoder::new(f.body))?;
+            Ok(SegmentInfo { zone, offset: f.offset as u64, len: FRAME_OVERHEAD + f.body.len() })
+        })
+        .collect::<Result<Vec<_>, StoreError>>()?;
+    let (good_len, torn) = (scan.good_len as u64, scan.torn);
     Ok(LogFile { bytes, segments, good_len, torn })
 }
 
@@ -621,17 +425,32 @@ mod tests {
             .collect()
     }
 
+    /// A log file holding one segment whose body `patch` rewrote, under
+    /// a correct CRC.
+    fn reframed(patch: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
+        let mut recs = sample(2, 0);
+        recs[1].stream = 5;
+        let mut body = encode_segment(&recs)[FRAME_OVERHEAD..].to_vec();
+        patch(&mut body);
+        let mut file = header_bytes();
+        file.extend_from_slice(&FORMAT.encode(&[], &body));
+        file
+    }
+
+    /// A CRC-valid segment is still untrusted input: a count of 2^40
+    /// must not size an allocation (one that large aborts the process)
+    /// and a stream offset past `u32::MAX` must not overflow.
     #[test]
-    fn varint_roundtrip_extremes() {
-        for v in [0u64, 1, 127, 128, 300, u32::MAX as u64, u64::MAX] {
-            let mut buf = Vec::new();
-            put_varint(&mut buf, v);
-            let mut r = VarReader::new(&buf);
-            assert_eq!(r.varint("t").unwrap(), v);
-        }
-        for v in [0i64, -1, 1, i64::MIN, i64::MAX, -12345] {
-            assert_eq!(unzigzag(zigzag(v)), v);
-        }
+    fn hostile_counts_and_stream_offsets_are_malformed() {
+        let huge = reframed(|b| b[..8].copy_from_slice(&(1u64 << 40).to_le_bytes()));
+        let path = std::env::temp_dir().join(format!("odin-hostile-{}.odlg", std::process::id()));
+        std::fs::write(&path, &huge).unwrap();
+        let read = crate::tail::read_after(&path, crate::tail::Cursor::default(), 10);
+        assert!(matches!(read, Err(StoreError::Malformed { .. })), "{read:?}");
+        let _ = std::fs::remove_file(&path);
+        // min_stream sits after count and ten u64 bounds.
+        let wraps = reframed(|b| b[88..92].copy_from_slice(&u32::MAX.to_le_bytes()));
+        assert!(matches!(scan_bytes(wraps).unwrap().records(0), Err(StoreError::Malformed { .. })));
     }
 
     #[test]

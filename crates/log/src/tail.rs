@@ -28,10 +28,11 @@
 //! survives (the newest segment is never dropped).
 
 use std::fmt;
-use std::fs;
 use std::path::Path;
 
-use odin_store::{checkpoint::write_atomic, StoreError};
+use odin_store::checkpoint::write_atomic;
+use odin_store::framed::read_or_empty;
+use odin_store::StoreError;
 
 use crate::record::{LogRecord, RetentionConfig};
 use crate::segment::{self, LogFile, HEADER_LEN};
@@ -128,12 +129,7 @@ pub fn collect_after(log: &LogFile, cursor: Cursor, limit: usize) -> Result<Tail
 /// empty log so a tail can be started before the writer first opens
 /// it.
 pub fn read_after(path: &Path, cursor: Cursor, limit: usize) -> Result<TailBatch, StoreError> {
-    let bytes = match fs::read(path) {
-        Ok(b) => b,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Vec::new(),
-        Err(e) => return Err(StoreError::Io(e)),
-    };
-    let log = segment::scan_bytes(bytes)?;
+    let log = segment::scan_bytes(read_or_empty(path)?)?;
     collect_after(&log, cursor, limit)
 }
 
@@ -173,33 +169,33 @@ fn segments_to_drop(log: &LogFile, retention: &RetentionConfig) -> usize {
 /// `true` when the file was rewritten.
 ///
 /// The caller must guarantee no concurrent *writer* (the
-/// [`LogWriter`](crate::writer::LogWriter) runs this on its own writer
-/// thread); concurrent readers are safe because the rewrite is an
-/// atomic rename.
+/// [`LogWriter`](crate::writer::LogWriter) compacts through its own
+/// handle instead); concurrent readers are safe because the rewrite is
+/// an atomic rename.
 pub fn apply_retention(path: &Path, retention: RetentionConfig) -> Result<bool, StoreError> {
+    let Some(kept) = retained(path, retention)? else { return Ok(false) };
+    write_atomic(path, &kept)?;
+    Ok(true)
+}
+
+/// The file `retention` leaves of the log at `path` (header plus the
+/// retained segments, byte for byte), or `None` when nothing drops.
+pub(crate) fn retained(
+    path: &Path,
+    retention: RetentionConfig,
+) -> Result<Option<Vec<u8>>, StoreError> {
     if retention.is_unlimited() {
-        return Ok(false);
+        return Ok(None);
     }
-    let bytes = match fs::read(path) {
-        Ok(b) => b,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(false),
-        Err(e) => return Err(StoreError::Io(e)),
-    };
-    let log = segment::scan_bytes(bytes)?;
+    let log = segment::scan_bytes(read_or_empty(path)?)?;
     let drop_n = segments_to_drop(&log, &retention);
     if drop_n == 0 {
-        return Ok(false);
+        return Ok(None);
     }
-    let keep = &log.segments[drop_n..];
-    let kept_len: usize = keep.iter().map(|s| s.len).sum();
-    let mut out = Vec::with_capacity(HEADER_LEN as usize + kept_len);
-    out.extend_from_slice(&segment::header_bytes());
-    for seg in keep {
-        let start = seg.offset as usize;
-        out.extend_from_slice(&log.raw_bytes()[start..start + seg.len]);
-    }
-    write_atomic(path, &out)?;
-    Ok(true)
+    // Intact segments are contiguous and end at `good_len`.
+    let mut out = segment::header_bytes();
+    out.extend_from_slice(&log.bytes[log.segments[drop_n].offset as usize..log.good_len as usize]);
+    Ok(Some(out))
 }
 
 #[cfg(test)]

@@ -8,25 +8,26 @@
 //! [`EventLogConfig::segment_records`] records, on an explicit
 //! [`LogWriter::flush`] (which also fsyncs and acks), and on shutdown.
 //!
-//! On open, the existing file is scanned with the same torn-tail rules
-//! as the WAL: an interrupted append leaves a trailing partial frame,
-//! which is truncated away before new segments are appended.
+//! The file is an `odin_store::framed::AppendFile`: open truncates a
+//! torn tail left by an interrupted append, a failed seal is rolled
+//! back so later segments stay readable, and retention compaction
+//! rewrites the file through the same handle. Each disk failure is
+//! counted once in [`LogMetrics::errors`] when it happens, and the next
+//! flush returns it.
 
-use std::fs::{File, OpenOptions};
-use std::io::Write;
-use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::io;
+use std::path::Path;
 use std::sync::mpsc::{self, Receiver, SyncSender, TrySendError};
-use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Instant;
 
+use odin_store::framed::AppendFile;
 use odin_store::StoreError;
 use odin_telemetry::{log_bounds, Counter, Gauge, Histogram, Registry};
 
 use crate::record::{EventLogConfig, LogRecord, RetentionConfig};
-use crate::segment::{self, encode_segment};
-use crate::tail::apply_retention;
+use crate::segment::{self, encode_segment_body};
+use crate::tail::retained;
 
 /// Telemetry handles the writer updates. Pass handles registered in
 /// the pipeline's registry to surface them on `/metrics`, or
@@ -43,6 +44,10 @@ pub struct LogMetrics {
     /// Wall time per sealed-segment disk write
     /// (`odin_event_log_flush_ms`).
     pub flush_ms: Histogram,
+    /// Disk failures — a failed seal, fsync or retention rewrite, or a
+    /// flush that found the writer thread dead — each counted once. The
+    /// pipeline passes its `odin_store_errors_total`.
+    pub errors: Counter,
 }
 
 impl LogMetrics {
@@ -55,27 +60,19 @@ impl LogMetrics {
             dropped: reg.counter("odin_event_log_dropped_total"),
             queue_depth: reg.gauge("odin_event_log_queue_depth"),
             flush_ms: reg.histogram("odin_event_log_flush_ms", &log_bounds(0.005, 5000.0, 14)),
+            errors: reg.counter("odin_event_log_errors_total"),
         }
     }
 }
 
 enum Msg {
     Append(LogRecord),
-    Flush(mpsc::Sender<()>),
+    /// Seal, fsync, and ack with the first failure since the last ack.
+    Flush(mpsc::Sender<Result<(), String>>),
     /// Test-only: makes the writer thread exit without closing the
     /// channel, simulating a panic/death with the handle still live.
     #[cfg(test)]
     Die,
-}
-
-/// The error surfaced when the background writer thread is gone (it
-/// panicked or exited early): flushing can neither enqueue the barrier
-/// nor receive its ack.
-fn dead_writer_error() -> StoreError {
-    StoreError::Io(std::io::Error::new(
-        std::io::ErrorKind::BrokenPipe,
-        "event-log writer thread died",
-    ))
 }
 
 /// Handle to the event log: owns the background thread, the bounded
@@ -84,89 +81,39 @@ pub struct LogWriter {
     tx: Option<SyncSender<Msg>>,
     handle: Option<JoinHandle<()>>,
     metrics: LogMetrics,
-    failures: Arc<AtomicU64>,
     recovered_last_seq: u64,
-    path: PathBuf,
-}
-
-impl std::fmt::Debug for LogWriter {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("LogWriter")
-            .field("path", &self.path)
-            .field("recovered_last_seq", &self.recovered_last_seq)
-            .finish_non_exhaustive()
-    }
 }
 
 impl LogWriter {
     /// Open (or create) the log at `path`, truncating any torn tail,
     /// and start the background writer thread.
     pub fn open(path: &Path, cfg: EventLogConfig, metrics: LogMetrics) -> Result<Self, StoreError> {
-        if let Some(parent) = path.parent() {
-            std::fs::create_dir_all(parent).map_err(StoreError::Io)?;
-        }
-        // Scan whatever is already there; a fresh file gets a header.
-        let existing = match std::fs::read(path) {
-            Ok(bytes) => bytes,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Vec::new(),
-            Err(e) => return Err(StoreError::Io(e)),
-        };
-        let scanned = segment::scan_bytes(existing)?;
-        let recovered_last_seq = scanned.last_seq();
-
-        // O_APPEND: every segment write lands at EOF, even right
-        // after the torn-tail truncation below.
-        let file =
-            OpenOptions::new().create(true).append(true).open(path).map_err(StoreError::Io)?;
-        if scanned.good_len == 0 {
-            file.set_len(0).map_err(StoreError::Io)?;
-            let mut f = &file;
-            f.write_all(&segment::header_bytes()).map_err(StoreError::Io)?;
-        } else {
-            // Drop the torn tail (no-op when the file is intact).
-            file.set_len(scanned.good_len).map_err(StoreError::Io)?;
-        }
-        file.sync_data().map_err(StoreError::Io)?;
-
+        let (mut file, recovered_last_seq) = AppendFile::open(path, segment::FORMAT, |bytes| {
+            let log = segment::scan_bytes(bytes)?;
+            Ok((log.last_seq(), log.good_len as usize))
+        })?;
         // Enforce the retention budget on whatever survived recovery,
-        // before the writer thread starts appending. A rewrite renames
-        // the file out from under our O_APPEND handle, so reopen.
-        let file = if apply_retention(path, cfg.retention)? {
-            OpenOptions::new().append(true).open(path).map_err(StoreError::Io)?
-        } else {
-            file
-        };
+        // before the writer thread starts appending.
+        if let Some(kept) = retained(path, cfg.retention)? {
+            file.replace(&kept)?;
+        }
 
         let (tx, rx) = mpsc::sync_channel::<Msg>(cfg.queue_cap.max(1));
-        let failures = Arc::new(AtomicU64::new(0));
         let seg_cap = cfg.segment_records.max(1);
-        let thread_metrics = metrics.clone();
-        let thread_failures = Arc::clone(&failures);
-        let thread_path = path.to_path_buf();
-        let retention = cfg.retention;
+        let sink = Sink {
+            file,
+            buf: Vec::with_capacity(seg_cap),
+            seg_cap,
+            retention: cfg.retention,
+            metrics: metrics.clone(),
+            failed: None,
+        };
         let handle = std::thread::Builder::new()
             .name("odin-event-log".into())
-            .spawn(move || {
-                writer_loop(
-                    file,
-                    rx,
-                    seg_cap,
-                    retention,
-                    thread_path,
-                    thread_metrics,
-                    thread_failures,
-                )
-            })
+            .spawn(move || writer_loop(sink, rx))
             .map_err(StoreError::Io)?;
 
-        Ok(LogWriter {
-            tx: Some(tx),
-            handle: Some(handle),
-            metrics,
-            failures,
-            recovered_last_seq,
-            path: path.to_path_buf(),
-        })
+        Ok(LogWriter { tx: Some(tx), handle: Some(handle), metrics, recovered_last_seq })
     }
 
     /// Non-blocking append. Returns `true` if the record was accepted,
@@ -187,17 +134,22 @@ impl LogWriter {
     }
 
     /// Block until every queued record is sealed into a segment and
-    /// the file is fsynced. Errors when the writer thread is dead
-    /// (panicked or exited early): the barrier cannot be enqueued, or
-    /// its ack channel drops without a reply — previously both cases
-    /// lost the ack silently and records could sit unflushed.
+    /// the file is fsynced. Errors when a seal, fsync or retention
+    /// rewrite failed since the previous flush (already counted in
+    /// [`LogMetrics::errors`] when it happened), and when the writer
+    /// thread is dead (counted here): the barrier cannot be enqueued,
+    /// or its ack channel drops without a reply.
     pub fn flush(&self) -> Result<(), StoreError> {
-        let Some(tx) = &self.tx else { return Err(dead_writer_error()) };
+        let dead = || {
+            self.metrics.errors.inc();
+            StoreError::Io(io::Error::new(io::ErrorKind::BrokenPipe, "event-log writer died"))
+        };
+        let Some(tx) = &self.tx else { return Err(dead()) };
         let (ack_tx, ack_rx) = mpsc::channel();
         // A full queue here means the writer is actively draining;
         // a blocking send is acceptable on this cold path.
-        tx.send(Msg::Flush(ack_tx)).map_err(|_| dead_writer_error())?;
-        ack_rx.recv().map_err(|_| dead_writer_error())
+        tx.send(Msg::Flush(ack_tx)).map_err(|_| dead())?;
+        ack_rx.recv().map_err(|_| dead())?.map_err(|e| StoreError::Io(io::Error::other(e)))
     }
 
     /// Test-only: stops the writer thread while leaving the channel
@@ -219,14 +171,10 @@ impl LogWriter {
         self.recovered_last_seq
     }
 
-    /// Disk-write failures observed by the background thread.
+    /// Failures counted so far in [`LogMetrics::errors`] (by every
+    /// holder of that counter, when it is shared).
     pub fn failures(&self) -> u64 {
-        self.failures.load(Ordering::Relaxed)
-    }
-
-    /// Path of the log file.
-    pub fn path(&self) -> &Path {
-        &self.path
+        self.metrics.errors.get()
     }
 }
 
@@ -241,106 +189,89 @@ impl Drop for LogWriter {
     }
 }
 
-fn writer_loop(
-    mut file: File,
-    rx: Receiver<Msg>,
+/// The writer thread's state: the file, the records not yet sealed,
+/// and the first failure since the last flush ack.
+struct Sink {
+    file: AppendFile,
+    buf: Vec<LogRecord>,
     seg_cap: usize,
     retention: RetentionConfig,
-    path: PathBuf,
     metrics: LogMetrics,
-    failures: Arc<AtomicU64>,
-) {
-    let mut buf: Vec<LogRecord> = Vec::with_capacity(seg_cap);
-    let seal = |buf: &mut Vec<LogRecord>, file: &mut File| {
-        if buf.is_empty() {
+    failed: Option<String>,
+}
+
+impl Sink {
+    fn push(&mut self, rec: LogRecord) {
+        self.metrics.queue_depth.add(-1);
+        self.buf.push(rec);
+        if self.buf.len() >= self.seg_cap {
+            self.seal();
+        }
+    }
+
+    fn seal(&mut self) {
+        if self.buf.is_empty() {
             return;
         }
         let started = Instant::now();
-        let frame = encode_segment(buf);
-        buf.clear();
-        let ok = file.write_all(&frame).is_ok() && file.flush().is_ok();
-        if !ok {
-            failures.fetch_add(1, Ordering::Relaxed);
+        let body = encode_segment_body(&self.buf);
+        self.buf.clear();
+        let sealed = self.file.append(&[], &body).and_then(|()| self.compact());
+        self.check(sealed);
+        self.metrics.flush_ms.observe_ms(started.elapsed().as_secs_f64() * 1e3);
+    }
+
+    /// Retention runs on this thread only, between appends, so the
+    /// rewrite never races an append. A pure byte budget is gated on
+    /// the file length alone; an age budget needs the zone maps.
+    fn compact(&mut self) -> Result<(), StoreError> {
+        let r = self.retention;
+        if r.is_unlimited() || (r.max_age_us == 0 && self.file.good_len() <= r.max_bytes) {
+            return Ok(());
         }
-        // Retention runs on this thread only, between appends, so the
-        // atomic rewrite never races the O_APPEND handle — which must
-        // be reopened afterwards (the rename left it on a dead inode).
-        if !retention.is_unlimited() && should_compact(file, &retention) {
-            match apply_retention(&path, retention) {
-                Ok(true) => match OpenOptions::new().append(true).open(&path) {
-                    Ok(f) => *file = f,
-                    Err(_) => {
-                        failures.fetch_add(1, Ordering::Relaxed);
-                    }
-                },
-                Ok(false) => {}
-                Err(_) => {
-                    failures.fetch_add(1, Ordering::Relaxed);
-                }
-            }
+        match retained(self.file.path(), r)? {
+            Some(kept) => self.file.replace(&kept),
+            None => Ok(()),
         }
-        metrics.flush_ms.observe_ms(started.elapsed().as_secs_f64() * 1e3);
-    };
-    loop {
-        match rx.recv() {
-            Ok(Msg::Append(rec)) => {
-                metrics.queue_depth.add(-1);
-                buf.push(rec);
-                if buf.len() >= seg_cap {
-                    seal(&mut buf, &mut file);
-                }
-            }
-            Ok(Msg::Flush(ack)) => {
-                // Drain everything already queued before acking, so a
-                // flush observes all appends that happened before it.
-                loop {
-                    match rx.try_recv() {
-                        Ok(Msg::Append(rec)) => {
-                            metrics.queue_depth.add(-1);
-                            buf.push(rec);
-                            if buf.len() >= seg_cap {
-                                seal(&mut buf, &mut file);
-                            }
-                        }
-                        Ok(Msg::Flush(extra)) => {
-                            let _ = extra.send(());
-                        }
-                        #[cfg(test)]
-                        Ok(Msg::Die) => return,
-                        Err(_) => break,
-                    }
-                }
-                seal(&mut buf, &mut file);
-                if file.sync_data().is_err() {
-                    failures.fetch_add(1, Ordering::Relaxed);
-                }
-                let _ = ack.send(());
-            }
-            #[cfg(test)]
-            Ok(Msg::Die) => return,
-            Err(_) => {
-                seal(&mut buf, &mut file);
-                let _ = file.sync_data();
-                return;
-            }
+    }
+
+    fn check(&mut self, res: Result<(), StoreError>) {
+        if let Err(e) = res {
+            self.metrics.errors.inc();
+            self.failed.get_or_insert_with(|| e.to_string());
         }
     }
 }
 
-/// Cheap pre-check before the full retention scan: a pure byte budget
-/// is gated on file length alone; an age budget needs the zone maps,
-/// so it always proceeds to the scan.
-fn should_compact(file: &File, retention: &RetentionConfig) -> bool {
-    if retention.max_age_us > 0 {
-        return true;
+fn writer_loop(mut sink: Sink, rx: Receiver<Msg>) {
+    loop {
+        match rx.recv() {
+            Ok(Msg::Append(rec)) => sink.push(rec),
+            // The channel is FIFO: every append sent before this flush
+            // is already in the buffer.
+            Ok(Msg::Flush(ack)) => {
+                sink.seal();
+                let synced = sink.file.sync();
+                sink.check(synced);
+                let _ = ack.send(sink.failed.take().map_or(Ok(()), Err));
+            }
+            #[cfg(test)]
+            Ok(Msg::Die) => return,
+            Err(_) => {
+                sink.seal();
+                let synced = sink.file.sync();
+                return sink.check(synced);
+            }
+        }
     }
-    file.metadata().map(|m| m.len() > retention.max_bytes).unwrap_or(true)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::segment::read_log;
+    use crate::record::{RecordKind, ServedLabel};
+    use crate::segment::{encode_segment, read_log};
+    use std::path::PathBuf;
 
     fn temp_path(tag: &str) -> PathBuf {
         let mut p = std::env::temp_dir();
@@ -539,6 +470,42 @@ mod tests {
         let _ = std::fs::remove_file(&path);
     }
 
+    /// A failed retention rewrite (its tmp path is a directory) is
+    /// counted once, as it happens, and returned by the next flush only.
+    #[test]
+    fn disk_failures_are_counted_once_and_returned_by_the_next_flush() {
+        let path = temp_path("failing");
+        let tmp = PathBuf::from(format!("{}.tmp", path.display()));
+        std::fs::create_dir_all(&tmp).unwrap();
+        let cfg = EventLogConfig {
+            enabled: true,
+            queue_cap: 64,
+            segment_records: 4,
+            retention: RetentionConfig { max_bytes: 1, max_age_us: 0 },
+        };
+        let metrics = LogMetrics::detached();
+        let w = LogWriter::open(&path, cfg, metrics.clone()).unwrap();
+        for s in 1..=8u64 {
+            assert!(w.append(rec(s)));
+        }
+        // The second seal is over budget; its compaction fails.
+        let deadline = Instant::now() + std::time::Duration::from_secs(10);
+        while metrics.errors.get() == 0 && Instant::now() < deadline {
+            std::thread::yield_now();
+        }
+        assert_eq!(metrics.errors.get(), 1);
+        assert!(w.flush().is_err());
+        assert!(w.flush().is_ok(), "a failure is reported by one flush");
+        assert_eq!(w.failures(), 1);
+        // The failed rewrite left the log intact and appendable.
+        std::fs::remove_dir(&tmp).unwrap();
+        assert!(w.append(rec(9)));
+        w.flush().unwrap();
+        drop(w);
+        assert_eq!(read_log(&path).unwrap().last_seq(), 9);
+        let _ = std::fs::remove_file(&path);
+    }
+
     #[test]
     fn flush_surfaces_dead_writer_thread() {
         let path = temp_path("dead");
@@ -555,5 +522,63 @@ mod tests {
         let err = w.flush().expect_err("flush after writer death must error, not hang");
         assert!(matches!(err, StoreError::Io(_)), "expected Io error, got {err:?}");
         let _ = std::fs::remove_file(&path);
+    }
+
+    fn fnv1a(bytes: &[u8]) -> u64 {
+        bytes
+            .iter()
+            .fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3))
+    }
+
+    /// Records with every column varied; `uniform` ones share kind and
+    /// served label, so their segment has unary dictionaries.
+    fn varied(seq: u64, uniform: bool) -> LogRecord {
+        let i = seq as usize;
+        LogRecord {
+            seq,
+            kind: if uniform { RecordKind::Frame } else { RecordKind::ALL[i % 7] },
+            ts_us: 1_000_000 + seq * 33_333 + seq % 5,
+            frame: seq / 2,
+            stream: (seq % 3) as u32 + 2,
+            cluster: (seq % 6) as i64 - 2,
+            served: if uniform { ServedLabel::Teacher } else { ServedLabel::ALL[i % 4] },
+            dets: (seq * 7 % 11) as u32,
+            conf_mean: 0.125 + seq as f32 * 0.003,
+            conf_max: 0.5 + seq as f32 * 0.001,
+            latency_us: 900 + seq * seq % 1_000,
+            trace: 4_000 + seq / 3,
+        }
+    }
+
+    /// The on-disk bytes of a fixed-record log, plain and
+    /// retention-compacted, recorded before the log moved onto
+    /// `framed`.
+    #[test]
+    fn pinned_bytes() {
+        let pins = [
+            ("pinned", 0u64, (3462, 0xdfe1_47fc_a8a4_839d)),
+            ("pinned-compact", 700, (547, 0xa750_7ee2_3cef_0ccb)),
+        ];
+        for (tag, max_bytes, pin) in pins {
+            let path = temp_path(tag);
+            let cfg = EventLogConfig {
+                enabled: true,
+                queue_cap: 256,
+                segment_records: 8,
+                retention: RetentionConfig { max_bytes, max_age_us: 0 },
+            };
+            let w = LogWriter::open(&path, cfg, LogMetrics::detached()).unwrap();
+            for s in 1..=61u64 {
+                assert!(w.append(varied(s, (17..=32).contains(&s))));
+                if s % 20 == 0 {
+                    w.flush().unwrap();
+                }
+            }
+            w.flush().unwrap();
+            drop(w);
+            let bytes = std::fs::read(&path).unwrap();
+            assert_eq!((bytes.len(), fnv1a(&bytes)), pin, "{tag}");
+            let _ = std::fs::remove_file(&path);
+        }
     }
 }

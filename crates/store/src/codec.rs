@@ -11,7 +11,9 @@
 //!   `u64` element count,
 //! * floats are persisted via `to_bits`/`from_bits`, so the roundtrip
 //!   is bit-exact (including NaN payloads and signed zeros) — a
-//!   requirement for ODIN's bit-identical restore contract.
+//!   requirement for ODIN's bit-identical restore contract,
+//! * compact formats (the event log's columns) add LEB128 varints,
+//!   with [`zigzag`] mapping signed values onto them.
 //!
 //! Every `Decoder` read is bounds-checked and returns
 //! [`StoreError::Truncated`] instead of panicking, so a corrupt or
@@ -133,6 +135,16 @@ impl Encoder {
             self.buf.extend_from_slice(&(x as u64).to_le_bytes());
         }
     }
+
+    /// Write a LEB128 varint: 7 bits per byte, low first, high bit set
+    /// on every byte but the last.
+    pub fn put_varint(&mut self, mut v: u64) {
+        while v >= 0x80 {
+            self.buf.push(v as u8 | 0x80);
+            v >>= 7;
+        }
+        self.buf.push(v as u8);
+    }
 }
 
 /// Bounds-checked reader over encoded bytes.
@@ -219,6 +231,20 @@ impl<'a> Decoder<'a> {
         Ok(f64::from_bits(self.take_u64(context)?))
     }
 
+    /// Read a varint written by [`Encoder::put_varint`]; one that runs
+    /// past 64 bits is malformed.
+    pub fn take_varint(&mut self, context: &'static str) -> Result<u64, StoreError> {
+        let mut v = 0u64;
+        for shift in (0..64).step_by(7) {
+            let byte = self.take_u8(context)?;
+            v |= u64::from(byte & 0x7f) << shift;
+            if byte & 0x80 == 0 {
+                return Ok(v);
+            }
+        }
+        Err(StoreError::Malformed { context })
+    }
+
     /// Read a length-prefixed byte slice (borrowed from the input).
     pub fn take_bytes(&mut self, context: &'static str) -> Result<&'a [u8], StoreError> {
         let n = self.take_usize(context)?;
@@ -264,6 +290,17 @@ impl<'a> Decoder<'a> {
             })
             .collect()
     }
+}
+
+/// Map a signed value onto an unsigned one so that small magnitudes of
+/// either sign make short varints: 0, -1, 1, -2, … become 0, 1, 2, 3, ….
+pub fn zigzag(v: i64) -> u64 {
+    ((v << 1) ^ (v >> 63)) as u64
+}
+
+/// Inverse of [`zigzag`].
+pub fn unzigzag(v: u64) -> i64 {
+    ((v >> 1) as i64) ^ -((v & 1) as i64)
 }
 
 /// Implemented by every type that serializes into the store format.
@@ -353,6 +390,29 @@ mod tests {
         let mut dec = Decoder::new(&bytes);
         dec.take_u32("t").unwrap();
         assert!(matches!(dec.finish("t"), Err(StoreError::Malformed { .. })));
+    }
+
+    #[test]
+    fn varint_roundtrip_extremes() {
+        for v in [0u64, 1, 127, 128, 300, u32::MAX as u64, u64::MAX] {
+            let mut enc = Encoder::new();
+            enc.put_varint(v);
+            let bytes = enc.into_bytes();
+            let mut dec = Decoder::new(&bytes);
+            assert_eq!(dec.take_varint("t").unwrap(), v);
+        }
+        for v in [0i64, -1, 1, i64::MIN, i64::MAX, -12345] {
+            assert_eq!(unzigzag(zigzag(v)), v);
+        }
+    }
+
+    #[test]
+    fn overlong_varint_is_malformed() {
+        let bytes = [0xFFu8; 10];
+        let mut dec = Decoder::new(&bytes);
+        assert!(matches!(dec.take_varint("t"), Err(StoreError::Malformed { .. })));
+        let mut dec = Decoder::new(&bytes[..3]);
+        assert!(matches!(dec.take_varint("t"), Err(StoreError::Truncated { .. })));
     }
 
     #[test]

@@ -23,9 +23,16 @@ static TABLE: [u32; 256] = build_table();
 
 /// CRC-32 of `data` (same parameters as zlib's `crc32`).
 pub fn crc32(data: &[u8]) -> u32 {
+    crc32_parts(&[data])
+}
+
+/// CRC-32 of the concatenation of `parts`, without building it.
+pub(crate) fn crc32_parts(parts: &[&[u8]]) -> u32 {
     let mut crc = 0xFFFF_FFFFu32;
-    for &b in data {
-        crc = (crc >> 8) ^ TABLE[((crc ^ b as u32) & 0xFF) as usize];
+    for part in parts {
+        for &b in *part {
+            crc = (crc >> 8) ^ TABLE[((crc ^ b as u32) & 0xFF) as usize];
+        }
     }
     !crc
 }

@@ -13,9 +13,10 @@
 //!   (`magic + version + section table + per-section CRC`), written
 //!   atomically (tmp file + fsync + rename) so a crash mid-write never
 //!   destroys the previous snapshot,
-//! * [`wal`] — an append-only record log with per-record CRCs and a
-//!   torn-tail-tolerant reader, so events newer than the last snapshot
-//!   survive a crash,
+//! * [`framed`] — the CRC-framed append-only file under both the WAL
+//!   and `odin-log`: torn tails truncated, failed appends rolled back,
+//! * [`wal`] — a framed record log, so events newer than the last
+//!   snapshot survive a crash,
 //! * [`codec`] — the little-endian binary encoder/decoder and the
 //!   [`Persist`] trait the higher crates implement for their state,
 //! * [`crc`] — the CRC-32 (IEEE) used by both containers.
@@ -35,6 +36,7 @@ pub mod checkpoint;
 pub mod codec;
 pub mod crc;
 pub mod error;
+pub mod framed;
 pub mod wal;
 
 pub use checkpoint::{Checkpoint, CheckpointBuilder, FORMAT_VERSION, MAGIC};

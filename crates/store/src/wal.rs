@@ -1,6 +1,7 @@
 //! Append-only write-ahead log with per-record CRCs.
 //!
-//! Record layout (little-endian):
+//! A [`framed`](crate::framed) file with no header, marker `0xA5` and
+//! an 8-byte prefix holding the record's sequence number:
 //!
 //! ```text
 //! marker   u8   0xA5
@@ -10,22 +11,20 @@
 //! payload  len bytes
 //! ```
 //!
-//! The reader walks records until the first one that is incomplete or
-//! fails its CRC — a torn tail from a crash mid-append — and reports
-//! everything before it. [`WalWriter::open`] truncates that torn tail
-//! so new appends extend a clean log. The CRC covers the sequence
-//! number too, so a record spliced in from another log position is
-//! rejected.
+//! The reader walks records until the first one that is incomplete,
+//! fails its CRC, or carries the wrong sequence number — a torn tail
+//! from a crash mid-append, or a record spliced in from another log
+//! position — and reports everything before it. [`WalWriter::open`]
+//! truncates that torn tail so new appends extend a clean log, and a
+//! failed append is rolled back so it cannot hide the ones after it.
 
-use std::fs::{File, OpenOptions};
-use std::io::{Read, Seek, SeekFrom, Write};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
-use crate::crc::crc32;
 use crate::error::StoreError;
+use crate::framed::{self, AppendFile, Format};
 
 const RECORD_MARKER: u8 = 0xA5;
-const RECORD_HEADER_LEN: usize = 1 + 8 + 4 + 4;
+const FORMAT: Format = Format { marker: RECORD_MARKER, prefix_len: 8, header: None };
 
 /// One verified record read back from the log.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -47,63 +46,31 @@ pub struct WalReader {
     pub torn_tail: bool,
 }
 
-fn record_crc(seq: u64, payload: &[u8]) -> u32 {
-    let mut buf = Vec::with_capacity(8 + payload.len());
-    buf.extend_from_slice(&seq.to_le_bytes());
-    buf.extend_from_slice(payload);
-    crc32(&buf)
-}
-
-/// Scan `bytes`, returning verified records, the byte offset just past
-/// the last good record, and whether a torn tail follows it.
-fn scan(bytes: &[u8]) -> (Vec<WalRecord>, usize, bool) {
-    let mut records = Vec::new();
-    let mut pos = 0usize;
-    let mut expect_seq = 1u64;
-    while bytes.len() - pos >= RECORD_HEADER_LEN {
-        let at = pos;
-        if bytes[at] != RECORD_MARKER {
-            return (records, pos, true);
+/// Parse `bytes` into verified records, also returning the byte offset
+/// just past the last good one.
+fn parse(bytes: &[u8]) -> Result<(WalReader, usize), StoreError> {
+    let scan = framed::scan(bytes, &FORMAT)?;
+    let mut records = Vec::with_capacity(scan.frames.len());
+    for f in &scan.frames {
+        let seq = u64::from_le_bytes(f.prefix.try_into().expect("the WAL prefix is 8 bytes"));
+        if seq != records.len() as u64 + 1 {
+            return Ok((WalReader { records, torn_tail: true }, f.offset));
         }
-        let seq = u64::from_le_bytes(bytes[at + 1..at + 9].try_into().unwrap());
-        let len = u32::from_le_bytes(bytes[at + 9..at + 13].try_into().unwrap()) as usize;
-        let crc = u32::from_le_bytes(bytes[at + 13..at + 17].try_into().unwrap());
-        let body_start = at + RECORD_HEADER_LEN;
-        let Some(body_end) = body_start.checked_add(len) else {
-            return (records, pos, true);
-        };
-        if body_end > bytes.len() {
-            return (records, pos, true);
-        }
-        let payload = &bytes[body_start..body_end];
-        if seq != expect_seq || record_crc(seq, payload) != crc {
-            return (records, pos, true);
-        }
-        records.push(WalRecord { seq, payload: payload.to_vec() });
-        expect_seq += 1;
-        pos = body_end;
+        records.push(WalRecord { seq, payload: f.body.to_vec() });
     }
-    let torn = pos != bytes.len();
-    (records, pos, torn)
+    Ok((WalReader { records, torn_tail: scan.torn }, scan.good_len))
 }
 
 /// Read every verified record from the log at `path`. A missing file is
 /// an empty log, not an error; a torn tail is reported, not fatal.
 pub fn read_wal(path: &Path) -> Result<WalReader, StoreError> {
-    let bytes = match std::fs::read(path) {
-        Ok(b) => b,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(WalReader::default()),
-        Err(e) => return Err(e.into()),
-    };
-    let (records, _, torn_tail) = scan(&bytes);
-    Ok(WalReader { records, torn_tail })
+    Ok(parse(&framed::read_or_empty(path)?)?.0)
 }
 
 /// Appender over a WAL file. Opening recovers the existing log (and
 /// truncates any torn tail); appends are durable after [`WalWriter::sync`].
 pub struct WalWriter {
-    file: File,
-    path: PathBuf,
+    file: AppendFile,
     next_seq: u64,
 }
 
@@ -112,30 +79,11 @@ impl WalWriter {
     /// resume the sequence. A torn tail left by a crash is truncated
     /// away so the next append starts on a clean boundary.
     pub fn open(path: &Path) -> Result<Self, StoreError> {
-        if let Some(dir) = path.parent() {
-            if !dir.as_os_str().is_empty() {
-                std::fs::create_dir_all(dir)?;
-            }
-        }
-        let mut file =
-            OpenOptions::new().read(true).write(true).create(true).truncate(false).open(path)?;
-        let mut bytes = Vec::new();
-        file.read_to_end(&mut bytes)?;
-        let (records, good_len, torn) = scan(&bytes);
-        if torn {
-            file.set_len(good_len as u64)?;
-        }
-        file.seek(SeekFrom::Start(good_len as u64))?;
-        Ok(Self {
-            file,
-            path: path.to_path_buf(),
-            next_seq: records.last().map_or(1, |r| r.seq + 1),
-        })
-    }
-
-    /// Path this writer appends to.
-    pub fn path(&self) -> &Path {
-        &self.path
+        let (file, next_seq) = AppendFile::open(path, FORMAT, |bytes| {
+            let (log, good_len) = parse(&bytes)?;
+            Ok((log.records.last().map_or(1, |r| r.seq + 1), good_len))
+        })?;
+        Ok(Self { file, next_seq })
     }
 
     /// Sequence number the next append will receive.
@@ -149,32 +97,29 @@ impl WalWriter {
     }
 
     /// Append one record, returning its sequence number. The bytes are
-    /// written and flushed to the OS; call [`WalWriter::sync`] to force
-    /// them to disk.
+    /// written and handed to the OS; call [`WalWriter::sync`] to force
+    /// them to disk. A failed append leaves the log as it was.
     pub fn append(&mut self, payload: &[u8]) -> Result<u64, StoreError> {
         let seq = self.next_seq;
-        let mut buf = Vec::with_capacity(RECORD_HEADER_LEN + payload.len());
-        buf.push(RECORD_MARKER);
-        buf.extend_from_slice(&seq.to_le_bytes());
-        buf.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        buf.extend_from_slice(&record_crc(seq, payload).to_le_bytes());
-        buf.extend_from_slice(payload);
-        self.file.write_all(&buf)?;
-        self.file.flush()?;
+        self.file.append(&seq.to_le_bytes(), payload)?;
         self.next_seq += 1;
         Ok(seq)
     }
 
     /// fsync the log file.
     pub fn sync(&mut self) -> Result<(), StoreError> {
-        self.file.sync_data()?;
-        Ok(())
+        self.file.sync()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::fs::OpenOptions;
+    use std::io::Write;
+    use std::path::PathBuf;
+
+    const RECORD_HEADER_LEN: usize = FORMAT.overhead();
 
     fn temp_path(name: &str) -> PathBuf {
         std::env::temp_dir().join(format!(
@@ -300,6 +245,29 @@ mod tests {
         let r = read_wal(&path).unwrap();
         assert!(r.torn_tail);
         assert_eq!(r.records.len(), 1);
+        std::fs::remove_file(&path).ok();
+    }
+
+    fn fnv1a(bytes: &[u8]) -> u64 {
+        bytes
+            .iter()
+            .fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3))
+    }
+
+    /// The on-disk bytes of a fixed-payload log, recorded before the
+    /// WAL moved onto `framed`: the layout is a format, not a detail.
+    #[test]
+    fn pinned_bytes() {
+        let path = temp_path("pinned");
+        std::fs::remove_file(&path).ok();
+        let mut w = WalWriter::open(&path).unwrap();
+        for i in 0..40u32 {
+            let payload: Vec<u8> = (0..i * 7 % 53).map(|j| (i * 31 + j) as u8).collect();
+            w.append(&payload).unwrap();
+        }
+        drop(w);
+        let bytes = std::fs::read(&path).unwrap();
+        assert_eq!((bytes.len(), fnv1a(&bytes)), (1688, 0xee32_c978_8759_fd78));
         std::fs::remove_file(&path).ok();
     }
 }

@@ -78,10 +78,13 @@ ODIN_THREADS=1 cargo test -q -p odin-detect -p odin-gan --test training_identity
 # checkpoint -> crash -> restore -> bit-identical-serving path in a
 # real process. The crash-window test cuts the WAL between a Drift
 # record and its Install and requires the restored cluster to retrain.
+# The prefix sweep cuts a WAL and an event log at every byte and
+# requires each prefix to read, reopen and append cleanly.
 echo "==> crash-recovery smoke (ODIN_THREADS=2)"
 ODIN_THREADS=2 cargo test -q -p odin-core --test checkpoint -- \
     truncated_checkpoint_falls_back_to_cold_bootstrap bit_flip_is_detected \
     crash_between_drift_and_install_retrains_the_cluster
+ODIN_THREADS=2 cargo test -q -p odin-log --test prefix_sweep
 ODIN_THREADS=2 cargo run --release -p odin-core --example warm_restart >/dev/null
 
 # Telemetry + exposition smoke: the stage-latency table must run
@@ -163,8 +166,8 @@ jq -e '.traceEvents | length > 0' "$MS_DIR/flight.json" >/dev/null
 wait "$SERVER_PID"
 
 # Event-log + ops-CLI smoke: run a drift stream with the log enabled at
-# two tensor thread counts and require byte-identical events.odlg (the
-# log inherits replay determinism), then drive the `odin` CLI over the
+# two tensor thread counts and require byte-identical events.odlg and
+# events.wal (both logs inherit replay determinism), then drive the `odin` CLI over the
 # written store: `scan` must find the drift records with predicate
 # filters and report zone-map pruning, `explain` must reconstruct the
 # detect -> queued -> installed arc, and `status` must answer against a
@@ -181,6 +184,7 @@ ODIN_THREADS=2 ODIN_STORE_DIR="$EL_DIR/t2" \
 grep -q '^drift detected: ' "$EL_DIR/t1.log"
 grep -q '^model installed: ' "$EL_DIR/t1.log"
 cmp "$EL_DIR/t1/events.odlg" "$EL_DIR/t2/events.odlg"
+cmp "$EL_DIR/t1/events.wal" "$EL_DIR/t2/events.wal"
 "$ODIN_BIN" scan --log "$EL_DIR/t1/events.odlg" --kind drift --stats \
     >"$EL_DIR/scan.log" 2>"$EL_DIR/scan.stats"
 grep -q 'drift_detected' "$EL_DIR/scan.log"
@@ -203,7 +207,7 @@ cargo run --release -p odin-bench --bin log_throughput -- \
 
 # Model-attic smoke: a recurring night/day stream under a 1-cluster cap
 # must archive evicted models and reinstall them on regime return, at
-# both tensor thread counts with byte-identical event logs. The `odin`
+# both tensor thread counts with byte-identical event logs and WALs. The `odin`
 # CLI must surface the new arc: `scan --kind attic_hit` finds the
 # reinstall records, `explain` shows the attic stage inside the arc.
 echo "==> model attic smoke (attic_reinstall example, both thread counts)"
@@ -216,6 +220,7 @@ ODIN_THREADS=2 ODIN_STORE_DIR="$AT_DIR/t2" \
     cargo run --release -p odin-core --example attic_reinstall >"$AT_DIR/t2.log"
 grep -q '^attic hit: ' "$AT_DIR/t1.log"
 cmp "$AT_DIR/t1/events.odlg" "$AT_DIR/t2/events.odlg"
+cmp "$AT_DIR/t1/events.wal" "$AT_DIR/t2/events.wal"
 "$ODIN_BIN" scan --log "$AT_DIR/t1/events.odlg" --kind attic_hit >"$AT_DIR/scan.log"
 grep -q 'attic_hit' "$AT_DIR/scan.log"
 # File-mode tail over the same log: the kind filter must page through

@@ -8,6 +8,7 @@
 
 use std::path::PathBuf;
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use odin_core::encoder::HistogramEncoder;
 use odin_core::pipeline::{Odin, OdinConfig};
@@ -15,7 +16,8 @@ use odin_core::server::{OdinServer, ServerConfig};
 use odin_core::specializer::SpecializerConfig;
 use odin_core::training::TrainingMode;
 use odin_core::{
-    AtticConfig, CheckpointPolicy, EventLogConfig, ServedBy, EVENT_LOG_FILE, STREAMS_DIR,
+    AtticConfig, CheckpointPolicy, EventLogConfig, RetentionConfig, ServedBy, EVENT_LOG_FILE,
+    STREAMS_DIR,
 };
 use odin_data::{Frame, RecurringSchedule, SceneGen, Subset};
 use odin_detect::{Detector, DetectorArch};
@@ -292,6 +294,36 @@ fn metrics_and_healthz_surface_the_event_log() {
     assert!(health.contains("\"event_log_queue_depths\":[0,0]"), "{health}");
     let shard_health = server.with_shard(0, |o| o.telemetry().render_healthz());
     assert!(shard_health.contains("\"event_log_queue_depth\":0"), "{shard_health}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A disk failure on the event-log thread turns `/healthz` degraded on
+/// its own — nobody has to call flush — and the next flush reports it.
+/// Retention compaction is the failing write here: a directory squats
+/// on its tmp path, which no permission bit (or root) can get past.
+#[test]
+fn event_log_disk_failure_degrades_health_without_a_flush() {
+    let dir = scratch("disk-failure");
+    let mut cfg = quick_cfg();
+    cfg.event_log.retention = RetentionConfig { max_bytes: 1, max_age_us: 0 };
+    let teacher = Detector::heavy(48, &mut StdRng::seed_from_u64(0));
+    let mut odin = Odin::new(Box::new(HistogramEncoder::new()), teacher, cfg, 42);
+    odin.telemetry().clear_sinks();
+    odin.enable_store(&dir, CheckpointPolicy::Manual).expect("enable_store");
+    std::fs::create_dir_all(dir.join(format!("{EVENT_LOG_FILE}.tmp"))).expect("squat");
+    let (night, _) = night_then_day(40);
+    // 40 frames seal two 16-record segments; the second one is over
+    // budget, so its compaction fails.
+    odin.process_stream(&night);
+    let deadline = Instant::now() + Duration::from_secs(20);
+    while odin.stats().store_errors == 0 && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    let health = odin.telemetry().render_healthz();
+    assert!(health.contains("\"status\":\"degraded\""), "{health}");
+    odin.flush_store();
+    let last = odin.telemetry().last_store_error().expect("the flush reports the failure");
+    assert!(last.starts_with("event-log flush failed"), "{last}");
     std::fs::remove_dir_all(&dir).ok();
 }
 
