@@ -1,6 +1,6 @@
 //! Tensor-backend micro-benchmark: GFLOP/s of the matmul kernels (the
-//! default SIMD level, named in the title, and forced-scalar), the
-//! convolution forward (implicit GEMM) and forward/backward
+//! default SIMD level, named in the title, forced-scalar and forced
+//! AVX2), the convolution forward (implicit GEMM) and forward/backward
 //! (batched, and at the batch-1 shapes the server runs per frame), the
 //! retrain's own kernels and a whole `Detector::train_step`, the
 //! int8 serving kernels (one interior shape, the four layers of the
@@ -21,7 +21,7 @@ use odin_gan::{DaGan, DaGanConfig};
 use odin_tensor::layers::{Conv2d, Dense};
 use odin_tensor::ops::{col2im, matmul, matmul_nt, matmul_tn, ConvGeom};
 use odin_tensor::qtensor::{dot_i8, quantize_activations, QConv2d, QConvScratch};
-use odin_tensor::simd;
+use odin_tensor::simd::{self, SimdLevel};
 use odin_tensor::{Layer, Tensor};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -67,64 +67,43 @@ fn main() {
     let b = rand_tensor(&mut rng, &[k, n]);
     let bt = rand_tensor(&mut rng, &[n, k]);
     let at = rand_tensor(&mut rng, &[k, m]);
-    for (name, secs) in [
-        (
-            "matmul",
-            time_per_call(|| {
-                black_box(matmul(black_box(&a), black_box(&b)));
-            }),
-        ),
-        (
-            "matmul_nt",
-            time_per_call(|| {
-                black_box(matmul_nt(black_box(&a), black_box(&bt)));
-            }),
-        ),
-        (
-            "matmul_tn",
-            time_per_call(|| {
-                black_box(matmul_tn(black_box(&at), black_box(&b)));
-            }),
-        ),
-    ] {
-        t.row(vec![
-            name.into(),
-            format!("{m}x{k}x{n}"),
-            format!("{:.2}", flops / secs / 1e9),
-            format!("{:.3}", secs * 1e3),
-        ]);
-    }
-
-    // The same kernels with SIMD forced off: the baseline the AVX2
-    // micro-kernels are measured against (and the bit-identity partner
-    // exercised by `ODIN_NO_SIMD=1` test runs).
-    simd::set_simd_enabled(false);
-    for (name, secs) in [
-        (
-            "matmul_scalar",
-            time_per_call(|| {
-                black_box(matmul(black_box(&a), black_box(&b)));
-            }),
-        ),
-        (
-            "matmul_nt_scalar",
-            time_per_call(|| {
-                black_box(matmul_nt(black_box(&a), black_box(&bt)));
-            }),
-        ),
-        (
-            "matmul_tn_scalar",
-            time_per_call(|| {
-                black_box(matmul_tn(black_box(&at), black_box(&b)));
-            }),
-        ),
-    ] {
-        t.row(vec![
-            name.into(),
-            format!("{m}x{k}x{n}"),
-            format!("{:.2}", flops / secs / 1e9),
-            format!("{:.3}", secs * 1e3),
-        ]);
+    // At the default level, then forced to scalar — the baseline the
+    // vector kernel is measured against (and the bit-identity partner
+    // exercised by `ODIN_NO_SIMD=1` test runs) — and to AVX2, the 8-lane
+    // bodies an AVX2-only CPU runs, timed even on an AVX-512 box.
+    let levels =
+        [("", None), ("_scalar", Some(SimdLevel::Scalar)), ("_avx2", Some(SimdLevel::Avx2))];
+    for (suffix, level) in levels {
+        if let Some(level) = level {
+            simd::set_simd_level(level);
+        }
+        for (name, secs) in [
+            (
+                "matmul",
+                time_per_call(|| {
+                    black_box(matmul(black_box(&a), black_box(&b)));
+                }),
+            ),
+            (
+                "matmul_nt",
+                time_per_call(|| {
+                    black_box(matmul_nt(black_box(&a), black_box(&bt)));
+                }),
+            ),
+            (
+                "matmul_tn",
+                time_per_call(|| {
+                    black_box(matmul_tn(black_box(&at), black_box(&b)));
+                }),
+            ),
+        ] {
+            t.row(vec![
+                format!("{name}{suffix}"),
+                format!("{m}x{k}x{n}"),
+                format!("{:.2}", flops / secs / 1e9),
+                format!("{:.3}", secs * 1e3),
+            ]);
+        }
     }
     simd::reset_simd();
 

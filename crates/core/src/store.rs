@@ -122,7 +122,9 @@ pub(crate) fn restore_image(dec: &mut Decoder<'_>) -> Result<Image, StoreError> 
     let h = dec.take_usize("Image.height")?;
     let w = dec.take_usize("Image.width")?;
     let data = dec.take_f32s("Image.data")?;
-    if !(c == 1 || c == 3) || data.len() != c * h * w {
+    // Checked: a wrapped product could match a short pixel buffer.
+    let pixels = c.checked_mul(h).and_then(|ch| ch.checked_mul(w));
+    if !(c == 1 || c == 3) || h == 0 || w == 0 || pixels != Some(data.len()) {
         return Err(StoreError::Malformed { context: "Image shape" });
     }
     // Pixels are clamped to [0,1] at every write, so the clamp inside
@@ -145,9 +147,31 @@ pub(crate) fn persist_frame(frame: &Frame, enc: &mut Encoder) {
     enc.put_u8(enum_pos(&Location::ALL, frame.cond.location, "Location"));
 }
 
-pub(crate) fn restore_frame(dec: &mut Decoder<'_>) -> Result<Frame, StoreError> {
+/// The most a decoded frame may hold: the longer side of its image and
+/// its number of boxes.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct FrameBounds {
+    pub(crate) side: usize,
+    pub(crate) boxes: usize,
+}
+
+impl FrameBounds {
+    /// Only the codec's own limits: what a checkpoint's frames may hold.
+    pub(crate) const NONE: FrameBounds = FrameBounds { side: usize::MAX, boxes: usize::MAX };
+}
+
+pub(crate) fn restore_frame(
+    dec: &mut Decoder<'_>,
+    bounds: FrameBounds,
+) -> Result<Frame, StoreError> {
     let image = restore_image(dec)?;
+    if image.height().max(image.width()) > bounds.side {
+        return Err(StoreError::Malformed { context: "Frame side" });
+    }
     let n = dec.take_usize("Frame.boxes len")?;
+    if n > bounds.boxes {
+        return Err(StoreError::Malformed { context: "Frame.boxes len" });
+    }
     let mut boxes = Vec::with_capacity(n.min(1 << 12));
     for _ in 0..n {
         let ci = dec.take_u8("GtBox.class")?;
@@ -180,7 +204,7 @@ pub(crate) fn restore_frames(dec: &mut Decoder<'_>) -> Result<Vec<Frame>, StoreE
     let n = dec.take_usize("frames len")?;
     let mut out = Vec::with_capacity(n.min(1 << 12));
     for _ in 0..n {
-        out.push(restore_frame(dec)?);
+        out.push(restore_frame(dec, FrameBounds::NONE)?);
     }
     Ok(out)
 }
@@ -956,7 +980,7 @@ mod tests {
         persist_frame(&frame, &mut enc);
         let bytes = enc.into_bytes();
         let mut dec = Decoder::new(&bytes);
-        let back = restore_frame(&mut dec).unwrap();
+        let back = restore_frame(&mut dec, FrameBounds::NONE).unwrap();
         dec.finish("frame").unwrap();
         assert_eq!(back.image.data(), frame.image.data());
         assert_eq!(back.boxes, frame.boxes);

@@ -123,20 +123,47 @@ fn run_job(
     TrainedModel { cluster_id: job.cluster_id, detector, kind: job.kind, wall_ms, ctx }
 }
 
-/// A job on its way to a worker: who asked, and where to record.
+/// A job on its way to a worker: who asked, in which of the stream's
+/// epochs, and where to record.
 #[derive(Debug)]
 struct Queued {
     stream: usize,
+    epoch: u64,
     job: Arc<TrainJob>,
     telemetry: Telemetry,
 }
 
-/// What a worker sends back per dequeued job: the submitting stream,
-/// and the model — or `None` when the job was discarded at dequeue
-/// because its cluster was evicted first ([`Trainer::cancel`]).
-/// Cancellations still flow back so the per-stream outstanding count
-/// (and the drain barrier) stays exact.
-type Settled = (usize, Option<TrainedModel>);
+/// What a worker sends back per dequeued job: the submitting stream and
+/// epoch, and the model — or `None` when the job was discarded at
+/// dequeue ([`Ledger::discard`]). Discarded jobs still flow back so the
+/// per-stream outstanding count (and the drain barrier) stays exact.
+type Settled = (usize, u64, Option<TrainedModel>);
+
+/// What the workers consult before training a dequeued job.
+#[derive(Default)]
+struct Ledger {
+    /// Per stream, how many times its shard was restored in place
+    /// ([`Trainer::restart_stream`]); absent is epoch 0. A job or a
+    /// result from an earlier epoch belongs to a shard that is gone.
+    epochs: BTreeMap<usize, u64>,
+    /// Jobs tombstoned by [`Trainer::cancel`], as `(stream, epoch,
+    /// cluster_id)`. Within an epoch cluster ids are never reused, so a
+    /// tombstone that arrives after its job already started is inert.
+    cancelled: BTreeSet<(usize, u64, usize)>,
+}
+
+impl Ledger {
+    fn epoch(&self, stream: usize) -> u64 {
+        self.epochs.get(&stream).copied().unwrap_or(0)
+    }
+
+    /// Whether a dequeued job is not worth a training run: its cluster
+    /// was evicted, or its shard was restored since it was submitted.
+    fn discard(&mut self, q: &Queued) -> bool {
+        self.cancelled.remove(&(q.stream, q.epoch, q.job.cluster_id))
+            || q.epoch != self.epoch(q.stream)
+    }
+}
 
 /// The receiving half: results not yet handed to their shard.
 struct Inbox {
@@ -148,11 +175,13 @@ struct Inbox {
 }
 
 impl Inbox {
-    fn bank(&mut self, (stream, model): Settled) {
+    /// Settles one job, banking its model unless `ledger` says the
+    /// stream has moved to a later epoch since it was submitted.
+    fn bank(&mut self, (stream, epoch, model): Settled, ledger: &Mutex<Ledger>) {
         if let Some(n) = self.outstanding.get_mut(&stream) {
             *n = n.saturating_sub(1);
         }
-        if let Some(m) = model {
+        if let Some(m) = model.filter(|_| epoch == ledger.lock().epoch(stream)) {
             self.ready.entry(stream).or_default().push(m);
         }
     }
@@ -177,11 +206,7 @@ pub struct Trainer {
     submitted: AtomicUsize,
     started: Arc<AtomicUsize>,
     finished: Arc<AtomicUsize>,
-    /// Jobs tombstoned by [`Trainer::cancel`]: workers discard a
-    /// dequeued job whose `(stream, cluster_id)` is in the set. Cluster
-    /// ids are never reused, so a tombstone that arrives after its job
-    /// already started is inert forever.
-    cancelled: Arc<Mutex<BTreeSet<(usize, usize)>>>,
+    ledger: Arc<Mutex<Ledger>>,
     inbox: Mutex<Inbox>,
 }
 
@@ -198,7 +223,7 @@ impl Trainer {
         let (res_tx, res_rx) = unbounded::<Settled>();
         let started = Arc::new(AtomicUsize::new(0));
         let finished = Arc::new(AtomicUsize::new(0));
-        let cancelled = Arc::new(Mutex::new(BTreeSet::new()));
+        let ledger = Arc::new(Mutex::new(Ledger::default()));
         let handles = (0..workers)
             .map(|_| {
                 let rx = job_rx.clone();
@@ -206,22 +231,22 @@ impl Trainer {
                 let teacher = Arc::clone(&teacher);
                 let started = Arc::clone(&started);
                 let finished = Arc::clone(&finished);
-                let cancelled = Arc::clone(&cancelled);
+                let ledger = Arc::clone(&ledger);
                 std::thread::spawn(move || {
                     while let Ok(q) = rx.recv() {
                         started.fetch_add(1, Ordering::SeqCst);
-                        let model = if cancelled.lock().remove(&(q.stream, q.job.cluster_id)) {
-                            // Evicted before training started: the
-                            // cluster this model would serve is gone.
-                            // Discard the job without burning a
-                            // training run.
+                        let discard = ledger.lock().discard(&q);
+                        let model = if discard {
+                            // The cluster or the shard this model would
+                            // serve is gone. Discard the job without
+                            // burning a training run.
                             q.telemetry.train_cancelled.inc();
                             None
                         } else {
                             Some(run_job(&specializer, &teacher, &q.telemetry, &q.job))
                         };
                         finished.fetch_add(1, Ordering::SeqCst);
-                        if tx.send((q.stream, model)).is_err() {
+                        if tx.send((q.stream, q.epoch, model)).is_err() {
                             break; // trainer dropped; nobody wants results
                         }
                     }
@@ -236,7 +261,7 @@ impl Trainer {
             submitted: AtomicUsize::new(0),
             started,
             finished,
-            cancelled,
+            ledger,
             inbox: Mutex::new(Inbox {
                 results: res_rx,
                 ready: BTreeMap::new(),
@@ -261,7 +286,8 @@ impl Trainer {
         };
         *self.inbox.lock().outstanding.entry(stream).or_insert(0) += 1;
         self.submitted.fetch_add(1, Ordering::SeqCst);
-        jobs.send(Queued { stream, job, telemetry: telemetry.clone() })
+        let epoch = self.ledger.lock().epoch(stream);
+        jobs.send(Queued { stream, epoch, job, telemetry: telemetry.clone() })
             .expect("training workers alive");
         None
     }
@@ -272,7 +298,24 @@ impl Trainer {
     /// already running trains to completion and is dropped by the
     /// install-time orphan path instead.
     pub fn cancel(&self, stream: usize, cluster_id: usize) {
-        self.cancelled.lock().insert((stream, cluster_id));
+        let mut ledger = self.ledger.lock();
+        let epoch = ledger.epoch(stream);
+        ledger.cancelled.insert((stream, epoch, cluster_id));
+    }
+
+    /// Starts a new epoch for `stream`, whose shard is being replaced by
+    /// one restored from a checkpoint: the restored shard's cluster ids
+    /// restart, so nothing its predecessor submitted may reach it. Banked
+    /// models and tombstones of earlier epochs are dropped; their jobs
+    /// still queued or training settle without a model, and still count
+    /// towards [`Trainer::drain_barrier`].
+    pub(crate) fn restart_stream(&self, stream: usize) {
+        {
+            let mut ledger = self.ledger.lock();
+            *ledger.epochs.entry(stream).or_insert(0) += 1;
+            ledger.cancelled.retain(|&(s, _, _)| s != stream);
+        }
+        self.inbox.lock().ready.remove(&stream);
     }
 
     /// Collects `stream`'s finished models without blocking (banked
@@ -284,7 +327,7 @@ impl Trainer {
         }
         let mut inbox = self.inbox.lock();
         while let Ok(settled) = inbox.results.try_recv() {
-            inbox.bank(settled);
+            inbox.bank(settled, &self.ledger);
         }
         inbox.ready.remove(&stream).unwrap_or_default()
     }
@@ -301,7 +344,7 @@ impl Trainer {
         let mut inbox = self.inbox.lock();
         while inbox.outstanding.get(&stream).is_some_and(|n| *n > 0) {
             match inbox.results.recv() {
-                Ok(settled) => inbox.bank(settled),
+                Ok(settled) => inbox.bank(settled, &self.ledger),
                 Err(_) => break, // the workers died; don't hang forever
             }
         }

@@ -221,8 +221,8 @@ impl DaGan {
 
     /// Projects a slice of images (resized to the model's input size).
     ///
-    /// Internally processes fixed-size chunks so im2col scratch stays
-    /// bounded for arbitrarily large inputs. Conv and dense kernels
+    /// Internally processes fixed-size chunks so the layers' scratch
+    /// stays bounded for arbitrarily large inputs. Conv and dense kernels
     /// compute each output row independently, so the chunked result is
     /// bit-identical to a single monolithic batch.
     pub fn encode_images(&mut self, images: &[&Image]) -> Tensor {

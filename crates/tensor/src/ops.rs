@@ -3,28 +3,32 @@
 //! All three matmul variants share the same structure: the public
 //! function is a thin dispatcher that splits the output into row blocks
 //! (a pure function of the row count — see [`crate::par`]) and runs a
-//! register-blocked micro-kernel over each block (vector tiles when a
-//! SIMD level is active, scalar 4×4 otherwise), on the worker pool when
-//! the problem is big enough and serially otherwise. Every output
+//! register-blocked micro-kernel over each block, on the worker pool
+//! when the problem is big enough and serially otherwise. Every output
 //! element is produced by a single accumulator walking `k` in ascending
 //! order, so the serial and parallel, scalar and vector paths are all
 //! bit-identical at any thread count.
 //!
-//! The NT product (`a × bᵀ`, the forward pass of every layer) is one
-//! kernel with three callers: `Dense`, the training convolution over
-//! its `im2col` columns, and the inference convolution, which builds no
-//! column matrix at all (`Lhs`: the kernel reads the zero-padded input
-//! in place through a row base and a column offset, and a dense matrix
-//! is the identity addressing). Its right-hand side is read in packed
-//! 16-wide panels on the vector paths; a layer packs its weight once and
-//! keeps it (`WeightPanels`), the free [`matmul_nt`] packs per call.
+//! Each product has a scalar 4×4 kernel — the semantics reference, and
+//! what runs under `ODIN_NO_SIMD` — and all three share one vector
+//! kernel, `simd::nt_packed_chunk`: `lhs × Bᵀ`, its left operand read in
+//! place through a row base and a column offset (`Lhs`) and `B` packed
+//! in 16-wide panels (`PackedPanels`). An `n` that is not a multiple of
+//! the panel width ends in a lane-masked panel, never in a scalar tail.
 //!
-//! The TN product (`aᵀ × b`, every layer's `dW`) has a tall reduction
-//! and a tiny output in a convolution's backward pass; its AVX2 kernel
-//! walks `k` in blocks, resuming its accumulators from the output
-//! between blocks, which moves no bit (see `simd::avx2::rows8_tn`). An
-//! `n` that is not a multiple of the panel width ends in a lane-masked
-//! panel on every vector kernel, never in a scalar tail.
+//! - NT (`a × bᵀ`, the forward pass of every layer) has three callers:
+//!   `Dense`, the training convolution over its `im2col` columns, and
+//!   the inference convolution, which builds no column matrix at all
+//!   (the kernel reads the zero-padded input in place; a dense matrix
+//!   is the identity addressing). A layer packs its weight once and
+//!   keeps it (`WeightPanels`); the free [`matmul_nt`] packs per call.
+//! - NN (`a × b`, every layer's input gradient): `a` read in place,
+//!   `b` packed from its `[k, n]` layout.
+//! - TN (`aᵀ × b`, every layer's `dW`) runs as `(bᵀ × a)ᵀ`: `b` read in
+//!   place a column at a time, `a` packed, and the result transposed by
+//!   `transpose_sweep`. In a convolution's backward pass `a` is the
+//!   gradient, `out_c` wide, and `b` the column matrix, `C·k·k` wide, so
+//!   only the narrow side is copied.
 //!
 //! Between the matmuls a convolution moves data, and these are the
 //! movers: [`im2col`]/[`col2im`] (3×3 interior positions on a
@@ -42,7 +46,7 @@ use std::sync::OnceLock;
 
 use crate::par;
 use crate::scratch;
-use crate::simd::{self, PackedPanels};
+use crate::simd::{self, PackedPanels, SimdLevel};
 use crate::tensor::Tensor;
 
 /// Micro-kernel tile edge: output is computed in 4×4 register tiles.
@@ -70,18 +74,6 @@ fn run_row_blocks(
             body(bi, r0, &mut out[r0 * width..r1 * width]);
         }
     }
-}
-
-/// NN chunk kernel: dispatches to the AVX2 micro-kernel when enabled,
-/// else the scalar 4×4 tiles. Both produce bit-identical results.
-fn matmul_chunk(ad: &[f32], bd: &[f32], chunk: &mut [f32], r0: usize, k: usize, n: usize) {
-    #[cfg(target_arch = "x86_64")]
-    if simd::simd_enabled() {
-        // Safety: simd_enabled() is true only when AVX2 was detected.
-        unsafe { simd::avx2::matmul_chunk(ad, bd, chunk, r0, k, n) };
-        return;
-    }
-    matmul_chunk_scalar(ad, bd, chunk, r0, k, n);
 }
 
 /// 4×4-blocked kernel for `out[r0..][..] = a[r0..] × b` where
@@ -142,10 +134,18 @@ pub fn matmul(a: &Tensor, b: &Tensor) -> Tensor {
     let (m, k) = (a.shape()[0], a.shape()[1]);
     let (k2, n) = (b.shape()[0], b.shape()[1]);
     assert_eq!(k, k2, "matmul inner dimension mismatch: {k} vs {k2}");
+    #[cfg(target_arch = "x86_64")]
+    if let Some(level) = vector_level() {
+        let mut panels = PANELS.take();
+        panels.repack_kn(b.data(), k, n);
+        let out = packed_product(level, &Lhs::dense(a), &panels);
+        PANELS.set(panels);
+        return Tensor::from_vec(out, &[m, n]);
+    }
     let mut out = scratch::take_dirty(m * n);
     let (ad, bd) = (a.data(), b.data());
     run_row_blocks(&mut out, n, m, 2 * m * k * n, &|_, r0, chunk| {
-        matmul_chunk(ad, bd, chunk, r0, k, n);
+        matmul_chunk_scalar(ad, bd, chunk, r0, k, n);
     });
     Tensor::from_vec(out, &[m, n])
 }
@@ -170,6 +170,18 @@ impl Offsets for Contiguous {
     #[inline(always)]
     unsafe fn at(self, kk: usize) -> usize {
         kk
+    }
+}
+
+/// The offsets of a row read down a matrix's column: column `kk` is
+/// `kk` row strides on.
+#[derive(Clone, Copy)]
+pub(crate) struct Strided(usize);
+
+impl Offsets for Strided {
+    #[inline(always)]
+    unsafe fn at(self, kk: usize) -> usize {
+        kk * self.0
     }
 }
 
@@ -244,6 +256,16 @@ impl<'a> Lhs<'a, Contiguous> {
         let (m, k) = (a.shape()[0], a.shape()[1]);
         let map = RowMap { oh: 1, ow: 1, img: k, dy: 0, dx: 0 };
         Lhs::new(a.data(), m, k, map, Contiguous, k.saturating_sub(1))
+    }
+}
+
+impl<'a> Lhs<'a, Strided> {
+    /// The transpose of a dense row-major `[k, n]` matrix, read in
+    /// place: row `r` is column `r`, and its step `kk` sits `kk·n` on.
+    pub(crate) fn columns(b: &'a Tensor) -> Self {
+        let (k, n) = (b.shape()[0], b.shape()[1]);
+        let map = RowMap { oh: 1, ow: 1, img: 1, dy: 0, dx: 0 };
+        Lhs::new(b.data(), n, k, map, Strided(n), k.saturating_sub(1) * n)
     }
 }
 
@@ -359,6 +381,35 @@ fn nt_chunk_scalar<O: Offsets>(
     }
 }
 
+/// The active vector level, or `None` when the scalar kernels run.
+#[cfg(target_arch = "x86_64")]
+fn vector_level() -> Option<SimdLevel> {
+    Some(simd::simd_level()).filter(|&level| level != SimdLevel::Scalar)
+}
+
+/// `lhs × Bᵀ` on the vector kernel at `level`, `B` `[n, k]` given by its
+/// packing `b`: the one vector product, under all three matmul variants.
+#[cfg(target_arch = "x86_64")]
+fn packed_product<O: Offsets>(level: SimdLevel, lhs: &Lhs<'_, O>, b: &PackedPanels) -> Vec<f32> {
+    let (m, k, n) = (lhs.rows, lhs.k, b.cols());
+    let mut out = scratch::take_dirty(m * n);
+    if n == 0 {
+        return out; // no columns, and no row length to split chunks by
+    }
+    run_row_blocks(&mut out, n, m, 2 * m * k * n, &|_, r0, chunk| {
+        // SAFETY: a level above scalar is only ever set when the CPU
+        // supports it; `lhs` was built by `Lhs::new`.
+        unsafe { simd::nt_packed_chunk(level, lhs, b, chunk, r0) };
+    });
+    out
+}
+
+thread_local! {
+    /// The NN or TN product's packing on this thread, kept for its
+    /// allocation.
+    static PANELS: std::cell::Cell<PackedPanels> = std::cell::Cell::default();
+}
+
 /// `lhs × wᵀ` for `w` `[n, k]`: the one NT product every forward pass
 /// runs — `Dense`, the training convolution over its `im2col` columns
 /// and the inference convolution over its padded input. On a vector
@@ -368,24 +419,15 @@ fn nt_product<O: Offsets>(lhs: &Lhs<'_, O>, w: &Tensor, packed: Option<&PackedPa
     assert_eq!(w.ndim(), 2, "matmul_nt rhs must be 2-D");
     let (m, k, n) = (lhs.rows, lhs.k, w.shape()[0]);
     assert_eq!(w.shape()[1], k, "matmul_nt inner dimension mismatch: {k} vs {}", w.shape()[1]);
-    let mut out = scratch::take_dirty(m * n);
-    let flops = 2 * m * k * n;
     #[cfg(target_arch = "x86_64")]
-    if let Some(panels) = packed {
-        let level = simd::simd_level();
-        if level != simd::SimdLevel::Scalar {
-            assert_eq!((panels.cols(), panels.depth()), (n, k), "packing is not of this rhs");
-            run_row_blocks(&mut out, n, m, flops, &|_, r0, chunk| {
-                // SAFETY: a level above scalar is only ever set when the
-                // CPU supports it; `lhs` was built by `Lhs::new`.
-                unsafe { simd::nt_packed_chunk(level, lhs, panels, chunk, r0) };
-            });
-            return Tensor::from_vec(out, &[m, n]);
-        }
+    if let (Some(panels), Some(level)) = (packed, vector_level()) {
+        assert_eq!((panels.cols(), panels.depth()), (n, k), "packing is not of this rhs");
+        return Tensor::from_vec(packed_product(level, lhs, panels), &[m, n]);
     }
     #[cfg(not(target_arch = "x86_64"))]
     let _ = packed;
-    let wd = w.data();
+    let mut out = scratch::take_dirty(m * n);
+    let (wd, flops) = (w.data(), 2 * m * k * n);
     run_row_blocks(&mut out, n, m, flops, &|_, r0, chunk| nt_chunk_scalar(lhs, wd, chunk, r0, n));
     Tensor::from_vec(out, &[m, n])
 }
@@ -452,26 +494,6 @@ impl WeightPanels {
     }
 }
 
-/// TN chunk kernel: dispatches to the AVX2 rank-1-update micro-kernel
-/// when enabled, else the scalar loop. Bit-identical either way.
-fn matmul_tn_chunk(
-    ad: &[f32],
-    bd: &[f32],
-    chunk: &mut [f32],
-    r0: usize,
-    k: usize,
-    m: usize,
-    n: usize,
-) {
-    #[cfg(target_arch = "x86_64")]
-    if simd::simd_enabled() {
-        // Safety: simd_enabled() is true only when AVX2 was detected.
-        unsafe { simd::avx2::matmul_tn_chunk(ad, bd, chunk, r0, k, m, n) };
-        return;
-    }
-    matmul_tn_chunk_scalar(ad, bd, chunk, r0, k, m, n);
-}
-
 /// Column-strided kernel for `out[r0..][..] = aᵀ[r0..] × b` where
 /// `a` is `[k, m]` and `b` is `[k, n]`, both row-major.
 fn matmul_tn_chunk_scalar(
@@ -511,9 +533,22 @@ pub fn matmul_tn(a: &Tensor, b: &Tensor) -> Tensor {
     let (k2, n) = (b.shape()[0], b.shape()[1]);
     assert_eq!(k, k2, "matmul_tn inner dimension mismatch: {k} vs {k2}");
     let mut out = scratch::take_dirty(m * n);
+    // On a vector level, `(bᵀ × a)ᵀ`: each element is still one
+    // accumulator over ascending `k`, of `b·a` where the scalar kernel
+    // has `a·b` — the same bits, multiplication being commutative.
+    #[cfg(target_arch = "x86_64")]
+    if let Some(level) = vector_level() {
+        let mut panels = PANELS.take();
+        panels.repack_kn(a.data(), k, m);
+        let swapped = packed_product(level, &Lhs::columns(b), &panels);
+        PANELS.set(panels);
+        transpose_sweep(&swapped, n, m, &mut out, SweepOp::Copy);
+        scratch::recycle(swapped);
+        return Tensor::from_vec(out, &[m, n]);
+    }
     let (ad, bd) = (a.data(), b.data());
     run_row_blocks(&mut out, n, m, 2 * m * k * n, &|_, r0, chunk| {
-        matmul_tn_chunk(ad, bd, chunk, r0, k, m, n);
+        matmul_tn_chunk_scalar(ad, bd, chunk, r0, k, m, n);
     });
     Tensor::from_vec(out, &[m, n])
 }

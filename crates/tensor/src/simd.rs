@@ -11,24 +11,27 @@
 //! (`tests/par_determinism.rs` pins this).
 //!
 //! Three dispatch levels ([`SimdLevel`]): scalar; AVX2, 8 lanes, for
-//! every kernel; and AVX-512, which adds a 16-lane body for the NT
-//! product — the forward pass of every layer — and keeps AVX2 for the
-//! rest (the NN and TN products of the backward pass, the layout
-//! sweeps, the int8 kernels). The NT product reads its right-hand side
-//! packed in 16-wide panels (`PackedPanels`): one register at
-//! AVX-512, two side by side at AVX2, so one packing serves both. Its
-//! left operand is read in place through base/offset addressing
-//! (`ops::Lhs`), a dense matrix and a convolution's padded input alike.
+//! every kernel; and AVX-512, which adds a 16-lane body for the matrix
+//! products and keeps AVX2 for the rest (the layout sweeps, the int8
+//! kernels). There is one vector matrix kernel, [`nt_packed_chunk`]:
+//! `lhs × Bᵀ`, with `B` packed in 16-wide panels (`PackedPanels`) — one
+//! register at AVX-512, two side by side at AVX2, so one packing serves
+//! both — and the left operand read in place through base/offset
+//! addressing (`ops::Lhs`): a dense matrix, a matrix read down its
+//! columns and a convolution's padded input alike. The NT, NN and TN
+//! products all run on it, told apart only by how their operands are
+//! packed and addressed (see `ops`); the three scalar kernels there are
+//! the reference each is measured against.
 //!
 //! Things the kernels do that look like they might bend the contract,
 //! and do not: a ragged last panel runs the ordinary register tile and
 //! stores only its live lanes (`maskstore` at AVX2, an `__mmask16` at
 //! AVX-512 — a lane not stored is discarded, a live lane computes what
-//! it would in a full panel); the TN kernel walks `k` in blocks and
-//! parks its accumulators in the output between blocks (an `f32` store
-//! and reload is exact, so each lane still performs one ascending-`k`
-//! chain of additions); and the layout sweeps (`transpose_sweep`) are
-//! 8×8 in-register transposes around the scalar sweep's own adds and
+//! it would in a full panel); the TN product runs as `(bᵀ × a)ᵀ`, so
+//! each step multiplies `b·a` where the scalar kernel multiplies `a·b`
+//! (IEEE multiplication commutes exactly, and the adds keep their
+//! order); and the layout sweeps (`transpose_sweep`) are 8×8
+//! in-register transposes around the scalar sweep's own adds and
 //! multiplies per value.
 //!
 //! The level is decided once at runtime: the highest the CPU supports,
@@ -47,7 +50,7 @@ pub enum SimdLevel {
     Scalar,
     /// 8-lane AVX2 kernels.
     Avx2,
-    /// AVX2, plus the 16-lane AVX-512 body of the NT product.
+    /// AVX2, plus the 16-lane AVX-512 body of the matrix products.
     Avx512,
 }
 
@@ -150,11 +153,12 @@ pub fn available_levels() -> Vec<SimdLevel> {
 /// register, or two AVX2 registers side by side.
 pub(crate) const PANEL: usize = 16;
 
-/// The right-hand side of an NT product — `b` as `[n, k]` row-major, one
-/// `k`-long row per output column — re-laid out panel-major for the
-/// vector kernels: `[n.div_ceil(PANEL)][k][PANEL]`, so step `kk` of
-/// panel `p` is one contiguous 16-lane load holding
-/// `b[p * 16 + lane][kk]`. The last panel of a ragged `n` is
+/// The right-hand side `B` of the vector product `lhs × Bᵀ` — `[n, k]`,
+/// one `k`-long row per output column, whether it came as an NT
+/// product's `[n, k]` or an NN product's `[k, n]` — re-laid out
+/// panel-major for the vector kernel: `[n.div_ceil(PANEL)][k][PANEL]`,
+/// so step `kk` of panel `p` is one contiguous 16-lane load holding
+/// `B[p * 16 + lane][kk]`. The last panel of a ragged `n` is
 /// zero-padded; its pad lanes are computed and never stored. Packing is
 /// pure data movement, so it cannot change a bit of any product.
 #[derive(Default)]
@@ -174,21 +178,45 @@ impl PackedPanels {
         n.div_ceil(PANEL) * k * PANEL
     }
 
-    /// Re-packs from `bd` (`[n, k]` row-major), reusing the allocation.
-    pub(crate) fn repack(&mut self, bd: &[f32], n: usize, k: usize) {
-        assert_eq!(bd.len(), n * k, "packed rhs size mismatch");
+    /// Sizes the buffer for an `[n, k]` packing, all zeros, reusing the
+    /// allocation; returns the packing's aligned data.
+    fn reset(&mut self, n: usize, k: usize) -> &mut [f32] {
         self.data.clear();
         self.data.resize(Self::packed_len(n, k) + PANEL, 0.0);
         self.start = self.data.as_ptr().align_offset(64).min(PANEL);
         (self.n, self.k) = (n, k);
+        &mut self.data[self.start..]
+    }
+
+    /// Re-packs from `bd` (`[n, k]` row-major), reusing the allocation.
+    pub(crate) fn repack(&mut self, bd: &[f32], n: usize, k: usize) {
+        assert_eq!(bd.len(), n * k, "packed rhs size mismatch");
+        let data = self.reset(n, k);
         if k == 0 {
             return;
         }
-        let data = &mut self.data[self.start..];
         for (j, col) in bd.chunks_exact(k).enumerate() {
             let base = (j / PANEL) * k * PANEL + j % PANEL;
             for (kk, &v) in col.iter().enumerate() {
                 data[base + kk * PANEL] = v;
+            }
+        }
+    }
+
+    /// Re-packs from `bd` given as `[k, n]` row-major — an NN product's
+    /// right-hand side, a TN product's left — reusing the allocation:
+    /// step `kk` of panel `p` is one contiguous copy of up to 16 values
+    /// of row `kk`.
+    pub(crate) fn repack_kn(&mut self, bd: &[f32], k: usize, n: usize) {
+        assert_eq!(bd.len(), k * n, "packed rhs size mismatch");
+        let data = self.reset(n, k);
+        if n == 0 {
+            return;
+        }
+        for (kk, row) in bd.chunks_exact(n).enumerate() {
+            for (p, lanes) in row.chunks(PANEL).enumerate() {
+                let at = (p * k + kk) * PANEL;
+                data[at..at + lanes.len()].copy_from_slice(lanes);
             }
         }
     }
@@ -320,8 +348,7 @@ pub(crate) mod avx2 {
     use crate::ops::{Offsets, SweepOp};
     use std::arch::x86_64::*;
 
-    /// The `f32` lanes of one AVX2 register: the column width of the NN
-    /// and TN kernels' panels and half of a packed NT panel.
+    /// The `f32` lanes of one AVX2 register: half of a packed panel.
     const LANES: usize = 8;
 
     /// All-ones in the first `cols ≤ 8` lanes, zero in the rest.
@@ -330,121 +357,6 @@ pub(crate) mod avx2 {
         const LANES: [i32; 16] = [-1, -1, -1, -1, -1, -1, -1, -1, 0, 0, 0, 0, 0, 0, 0, 0];
         debug_assert!(cols <= 8);
         _mm256_loadu_si256(LANES.as_ptr().add(8 - cols).cast())
-    }
-
-    /// Computes `R` output rows × 8 output columns: each lane of each
-    /// accumulator register is one output element, walking `k` ascending
-    /// with separate mul and add — the exact scalar accumulation order.
-    ///
-    /// `a` points at the first of `R` consecutive `k`-long rows
-    /// (row stride `k`); `b` points at an 8-wide column panel with row
-    /// stride `b_stride`; `out` at the first of `R` output rows (row
-    /// stride `out_stride`). With `FULL` all 8 lanes of `b` and `out`
-    /// are touched; without it only the lanes `mask` selects (the ragged
-    /// last panel of an `n` that is not a multiple of 8) — masked-off
-    /// lanes are neither read nor written, and what they accumulate is
-    /// discarded.
-    ///
-    /// # Safety
-    ///
-    /// Requires AVX2 and in-bounds pointers for the strides above, over
-    /// the lanes touched.
-    #[target_feature(enable = "avx2")]
-    #[allow(clippy::too_many_arguments)]
-    unsafe fn rows8<const R: usize, const FULL: bool>(
-        a: *const f32,
-        k: usize,
-        b: *const f32,
-        b_stride: usize,
-        out: *mut f32,
-        out_stride: usize,
-        mask: __m256i,
-    ) {
-        let mut acc = [_mm256_setzero_ps(); R];
-        for kk in 0..k {
-            let p = b.add(kk * b_stride);
-            let bv = if FULL { _mm256_loadu_ps(p) } else { _mm256_maskload_ps(p, mask) };
-            for (r, accr) in acc.iter_mut().enumerate() {
-                let av = _mm256_set1_ps(*a.add(r * k + kk));
-                *accr = _mm256_add_ps(*accr, _mm256_mul_ps(av, bv));
-            }
-        }
-        for (r, accr) in acc.iter().enumerate() {
-            let p = out.add(r * out_stride);
-            if FULL {
-                _mm256_storeu_ps(p, *accr);
-            } else {
-                _mm256_maskstore_ps(p, mask, *accr);
-            }
-        }
-    }
-
-    /// One `ih ≤ 4` rows × `cols ≤ 8` columns tile of the NN kernel:
-    /// [`rows8`] at the tile's height, masked when ragged.
-    ///
-    /// # Safety
-    ///
-    /// As [`rows8`], for `ih` rows and `cols` lanes.
-    #[target_feature(enable = "avx2")]
-    #[allow(clippy::too_many_arguments)]
-    unsafe fn tile8(
-        ih: usize,
-        cols: usize,
-        a: *const f32,
-        k: usize,
-        b: *const f32,
-        b_stride: usize,
-        out: *mut f32,
-        out_stride: usize,
-    ) {
-        let mask = lane_mask(cols);
-        match (ih, cols == LANES) {
-            (4, true) => rows8::<4, true>(a, k, b, b_stride, out, out_stride, mask),
-            (3, true) => rows8::<3, true>(a, k, b, b_stride, out, out_stride, mask),
-            (2, true) => rows8::<2, true>(a, k, b, b_stride, out, out_stride, mask),
-            (_, true) => rows8::<1, true>(a, k, b, b_stride, out, out_stride, mask),
-            (4, false) => rows8::<4, false>(a, k, b, b_stride, out, out_stride, mask),
-            (3, false) => rows8::<3, false>(a, k, b, b_stride, out, out_stride, mask),
-            (2, false) => rows8::<2, false>(a, k, b, b_stride, out, out_stride, mask),
-            (_, false) => rows8::<1, false>(a, k, b, b_stride, out, out_stride, mask),
-        }
-    }
-
-    /// 8-lane NN kernel: `chunk = a[r0..r0+rows] × b` with `a` `[m, k]`
-    /// and `b` `[k, n]`, both row-major. Bit-identical to
-    /// `ops::matmul_chunk`; the ragged last panel of an `n` that is not
-    /// a multiple of 8 runs the same tile with its missing lanes masked.
-    ///
-    /// # Safety
-    ///
-    /// Requires AVX2.
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn matmul_chunk(
-        ad: &[f32],
-        bd: &[f32],
-        chunk: &mut [f32],
-        r0: usize,
-        k: usize,
-        n: usize,
-    ) {
-        let rows = chunk.len() / n;
-        assert_eq!(chunk.len(), rows * n, "output chunk is not whole rows");
-        assert!(ad.len() >= (r0 + rows) * k, "lhs shorter than the rows it is asked for");
-        assert!(bd.len() >= k * n, "rhs shorter than [k, n]");
-        let mut i = 0;
-        while i < rows {
-            let ih = (rows - i).min(4);
-            // SAFETY (pointer arithmetic below): rows `r0 + i ..+ ih` of
-            // `a` and `i ..+ ih` of `chunk`, and columns `j ..+ cols` of
-            // `b`'s `k` rows, are in bounds by the asserts above.
-            let a = ad.as_ptr().add((r0 + i) * k);
-            for j in (0..n).step_by(LANES) {
-                let cols = (n - j).min(LANES);
-                let out = chunk.as_mut_ptr().add(i * n + j);
-                tile8(ih, cols, a, k, bd.as_ptr().add(j), n, out, n);
-            }
-            i += ih;
-        }
     }
 
     /// `R` output rows × `cols ≤ 16` output columns of an NT product —
@@ -688,147 +600,6 @@ pub(crate) mod avx2 {
         let off =
             if slope > 0.0 { _mm256_mul_ps(_mm256_set1_ps(slope), v) } else { _mm256_setzero_ps() };
         _mm256_blendv_ps(off, v, keep)
-    }
-
-    /// Reduction steps one register tile of the TN kernel takes between
-    /// loading its accumulators from `out` and storing them back: short
-    /// enough that the `TN_K_BLOCK` rows of both operands a chunk walks
-    /// stay in L1 while every tile of the chunk passes over them.
-    pub(crate) const TN_K_BLOCK: usize = 64;
-
-    /// Like [`rows8`] but for the TN layout, and resuming: `a` element
-    /// for output row `r`, step `kk` sits at `a[kk * a_stride + r]`
-    /// (`a_stride` = the original `m`), and the accumulators start from
-    /// what `out` holds and go back there after `k` steps. An `f32`
-    /// round-trip through memory is exact, so a caller that zeroes `out`
-    /// and then walks the reduction axis block by block gives each lane
-    /// the same single ascending-`k` accumulation as one long walk.
-    ///
-    /// With `FULL` all 8 lanes of `b` and `out` are touched; without it
-    /// only the lanes `mask` selects (the ragged last panel of an `n`
-    /// that is not a multiple of 8) — masked-off lanes are neither read
-    /// nor written, and what they accumulate is discarded.
-    ///
-    /// # Safety
-    ///
-    /// Requires AVX2 and in-bounds pointers for the strides above, over
-    /// the lanes touched.
-    #[target_feature(enable = "avx2")]
-    #[allow(clippy::too_many_arguments)]
-    unsafe fn rows8_tn<const R: usize, const FULL: bool>(
-        a: *const f32,
-        k: usize,
-        a_stride: usize,
-        b: *const f32,
-        b_stride: usize,
-        out: *mut f32,
-        out_stride: usize,
-        mask: __m256i,
-    ) {
-        let mut acc = [_mm256_setzero_ps(); R];
-        for (r, accr) in acc.iter_mut().enumerate() {
-            let p = out.add(r * out_stride);
-            *accr = if FULL { _mm256_loadu_ps(p) } else { _mm256_maskload_ps(p, mask) };
-        }
-        for kk in 0..k {
-            let p = b.add(kk * b_stride);
-            let bv = if FULL { _mm256_loadu_ps(p) } else { _mm256_maskload_ps(p, mask) };
-            for (r, accr) in acc.iter_mut().enumerate() {
-                let av = _mm256_set1_ps(*a.add(kk * a_stride + r));
-                *accr = _mm256_add_ps(*accr, _mm256_mul_ps(av, bv));
-            }
-        }
-        for (r, accr) in acc.iter().enumerate() {
-            let p = out.add(r * out_stride);
-            if FULL {
-                _mm256_storeu_ps(p, *accr);
-            } else {
-                _mm256_maskstore_ps(p, mask, *accr);
-            }
-        }
-    }
-
-    /// One `ih ≤ 4` rows × `cols ≤ 8` columns tile of the TN kernel:
-    /// [`rows8_tn`] at the tile's height, masked when ragged.
-    ///
-    /// # Safety
-    ///
-    /// As [`rows8_tn`], for `ih` rows and `cols` lanes.
-    #[target_feature(enable = "avx2")]
-    #[allow(clippy::too_many_arguments)]
-    unsafe fn tile8_tn(
-        ih: usize,
-        cols: usize,
-        a: *const f32,
-        k: usize,
-        a_stride: usize,
-        b: *const f32,
-        out: *mut f32,
-        n: usize,
-    ) {
-        let mask = lane_mask(cols);
-        match (ih, cols == LANES) {
-            (4, true) => rows8_tn::<4, true>(a, k, a_stride, b, n, out, n, mask),
-            (3, true) => rows8_tn::<3, true>(a, k, a_stride, b, n, out, n, mask),
-            (2, true) => rows8_tn::<2, true>(a, k, a_stride, b, n, out, n, mask),
-            (_, true) => rows8_tn::<1, true>(a, k, a_stride, b, n, out, n, mask),
-            (4, false) => rows8_tn::<4, false>(a, k, a_stride, b, n, out, n, mask),
-            (3, false) => rows8_tn::<3, false>(a, k, a_stride, b, n, out, n, mask),
-            (2, false) => rows8_tn::<2, false>(a, k, a_stride, b, n, out, n, mask),
-            (_, false) => rows8_tn::<1, false>(a, k, a_stride, b, n, out, n, mask),
-        }
-    }
-
-    /// 8-lane TN kernel: `chunk = aᵀ[r0..r0+rows] × b` with `a` `[k, m]`
-    /// and `b` `[k, n]`, both row-major. Register-blocked 4 rows × 8
-    /// cols with each lane a single accumulator walking `k` ascending —
-    /// the per-element order of `ops::matmul_tn_chunk`'s rank-1 updates,
-    /// so results are bit-identical.
-    ///
-    /// The conv backward pass calls this with a tall reduction axis
-    /// (`k = B·OH·OW`) and a tiny output (`out_c × patch`), so `k` is
-    /// walked in blocks of [`TN_K_BLOCK`] rows, every tile of the chunk
-    /// passing over a block before the next one is touched (see
-    /// [`rows8_tn`] for why that moves no bit); the ragged last panel
-    /// runs the same tile with its missing lanes masked off.
-    ///
-    /// # Safety
-    ///
-    /// Requires AVX2.
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn matmul_tn_chunk(
-        ad: &[f32],
-        bd: &[f32],
-        chunk: &mut [f32],
-        r0: usize,
-        k: usize,
-        m: usize,
-        n: usize,
-    ) {
-        let rows = chunk.len() / n;
-        assert_eq!(chunk.len(), rows * n, "output chunk is not whole rows");
-        assert!(r0 + rows <= m, "chunk rows outside the lhs");
-        assert!(ad.len() >= k * m && bd.len() >= k * n, "operands shorter than [k, m] × [k, n]");
-        chunk.fill(0.0);
-        for k0 in (0..k).step_by(TN_K_BLOCK) {
-            let kb = (k - k0).min(TN_K_BLOCK);
-            for j in (0..n).step_by(LANES) {
-                let cols = (n - j).min(LANES);
-                // SAFETY (pointer arithmetic below): steps `k0 ..+ kb`,
-                // rows `r0 + i ..+ ih` of `a` and columns `j ..+ cols` of
-                // `b` and of `chunk` rows `i ..+ ih` are in bounds by the
-                // asserts above; lanes past `cols` are masked off.
-                let b = bd.as_ptr().add(k0 * n + j);
-                let mut i = 0;
-                while i < rows {
-                    let ih = (rows - i).min(4);
-                    let a = ad.as_ptr().add(k0 * m + r0 + i);
-                    let out = chunk.as_mut_ptr().add(i * n + j);
-                    tile8_tn(ih, cols, a, kb, m, b, out, n);
-                    i += ih;
-                }
-            }
-        }
     }
 }
 

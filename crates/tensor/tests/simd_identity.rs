@@ -90,11 +90,11 @@ fn nt_kernel_matches_scalar_at_every_level_on_every_ragged_tail() {
     }
 }
 
-/// The k-blocked TN kernel and the NN kernel against their scalar
+/// The TN and NN products at every vector level against their scalar
 /// references, bit for bit, over every way the output can be ragged —
-/// each row-tile height and each width of the masked last panel, up to
-/// five whole panels plus one lane — and reduction lengths on both
-/// sides of the TN kernel's 64-step block edge.
+/// each row-tile height and each width of the masked last panel, at
+/// 8 and at 16 lanes — and reduction lengths from one step to 200,
+/// around the 64 edge.
 #[test]
 fn tn_and_nn_kernels_match_scalar_on_every_ragged_tail_and_block_edge() {
     let _g = SimdGuard::acquire();
@@ -113,12 +113,15 @@ fn tn_and_nn_kernels_match_scalar_on_every_ragged_tail_and_block_edge() {
             let a_m = a_tm.transpose();
             for n in 1..=33 {
                 let b_n = cols(&b, n);
-                simd::set_simd_enabled(false);
+                simd::set_simd_level(SimdLevel::Scalar);
                 let (tn_scalar, nn_scalar) = (matmul_tn(&a_tm, &b_n), matmul(&a_m, &b_n));
-                simd::set_simd_enabled(true);
-                let (tn_vector, nn_vector) = (matmul_tn(&a_tm, &b_n), matmul(&a_m, &b_n));
-                assert_eq!(tn_scalar.data(), tn_vector.data(), "matmul_tn m={m} n={n} k={k}");
-                assert_eq!(nn_scalar.data(), nn_vector.data(), "matmul m={m} n={n} k={k}");
+                for level in simd::available_levels() {
+                    simd::set_simd_level(level);
+                    let (tn_vector, nn_vector) = (matmul_tn(&a_tm, &b_n), matmul(&a_m, &b_n));
+                    let at = format!("m={m} n={n} k={k} {level:?}");
+                    assert_eq!(tn_scalar.data(), tn_vector.data(), "matmul_tn {at}");
+                    assert_eq!(nn_scalar.data(), nn_vector.data(), "matmul {at}");
+                }
             }
         }
     }

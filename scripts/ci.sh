@@ -315,7 +315,7 @@ cp /tmp/odin-ci-bench/tensor_gflops.json results/BENCH_tensor_gflops.json
 cargo run --release -p odin-bench --bin bench_gate -- \
     --baseline results/tensor_gflops.json --candidate results/BENCH_tensor_gflops.json \
     --column 2 --max-drop-pct 40 \
-    --rows matmul,matmul_nt,matmul_tn,matmul_scalar,matmul_nt_scalar,matmul_tn_scalar,conv2d_fwd,conv2d_fwd_bwd,matmul_tn_small0,matmul_tn_small1,matmul_tn_small2,conv2d_b1_teacher12,conv2d_b1_teacher6,conv2d_b1_encoder48,dense_b1,conv2d_int8,qconv_small0,qconv_small1,qconv_small2,qconv_small3,dot_i8
+    --rows matmul,matmul_nt,matmul_tn,matmul_scalar,matmul_nt_scalar,matmul_tn_scalar,matmul_avx2,matmul_nt_avx2,matmul_tn_avx2,conv2d_fwd,conv2d_fwd_bwd,matmul_tn_small0,matmul_tn_small1,matmul_tn_small2,conv2d_b1_teacher12,conv2d_b1_teacher6,conv2d_b1_encoder48,dense_b1,conv2d_int8,qconv_small0,qconv_small1,qconv_small2,qconv_small3,dot_i8
 for row in detect_small_int8 train_step_small_b8 col2im_small1 detect_teacher_b1 dagan_encode_b1; do
     jq -e --arg row "$row" --slurpfile base results/tensor_gflops.json '
       def ms(t): t.rows[] | select(.[0] == $row) | .[3] | tonumber;
