@@ -91,6 +91,9 @@ pub struct Telemetry {
     /// Queued training jobs cancelled before starting because their
     /// cluster was evicted.
     pub(crate) train_cancelled: Counter,
+    /// Background training jobs whose run panicked; they settle without
+    /// a model.
+    pub(crate) train_failed: Counter,
     /// Records accepted into the event-log queue.
     pub(crate) event_log_appended: Counter,
     /// Records dropped because the event-log queue was full.
@@ -159,6 +162,7 @@ impl Telemetry {
             attic_evicted: registry.counter("odin_attic_evicted_total"),
             train_orphaned: registry.counter("odin_train_orphaned_total"),
             train_cancelled: registry.counter("odin_train_cancelled_total"),
+            train_failed: registry.counter("odin_train_failed_total"),
             event_log_appended: registry.counter("odin_event_log_appended_total"),
             event_log_dropped: registry.counter("odin_event_log_dropped_total"),
             clusters: registry.gauge("odin_clusters"),
@@ -554,6 +558,7 @@ mod tests {
         assert!(prom.contains("odin_attic_evicted_total 0"));
         assert!(prom.contains("odin_train_orphaned_total 0"));
         assert!(prom.contains("odin_train_cancelled_total 0"));
+        assert!(prom.contains("odin_train_failed_total 0"));
         assert!(prom.contains("odin_event_log_appended_total 0"));
         assert!(prom.contains("odin_event_log_dropped_total 0"));
         assert!(prom.contains("odin_event_log_queue_depth 0"));

@@ -16,15 +16,18 @@
 //!   fed over a channel. `submit` returns at once; finished models are
 //!   banked per submitting stream and collected at frame boundaries
 //!   ([`Trainer::drain`]), and frames for a still-training cluster are
-//!   served by the teacher or by nearby clusters' models meanwhile.
+//!   served by the teacher or by nearby clusters' models meanwhile. A
+//!   thread that waits for a stream's models at a quiesce point
+//!   ([`Trainer::drain_barrier`]) trains queued jobs itself instead of
+//!   sleeping, so it works beside the workers.
 //!
 //! A multi-stream server shares one `Trainer` between all its shards
 //! (a drift burst on one camera borrows the whole training capacity); a
 //! standalone pipeline is the one-stream case of the same type. Every
 //! submission names the submitting stream and carries that shard's
 //! [`Telemetry`], so the `train` span, the training wall time and the
-//! cancellation count land in the submitter's own registry whichever
-//! thread did the work.
+//! cancellation and failure counts land in the submitter's own registry
+//! whichever thread did the work.
 //!
 //! Because each job carries its own seed (derived from the submission
 //! sequence number), the models background workers produce are
@@ -32,6 +35,7 @@
 //! *when* they become servable differs.
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -55,8 +59,8 @@ pub enum TrainingMode {
     #[default]
     Inline,
     /// Train on `workers` background threads (at least one). `process`
-    /// never trains on the calling thread; call
-    /// `Odin::finish_training` to wait for stragglers.
+    /// never trains on the calling thread; `Odin::finish_training`
+    /// waits for stragglers, training queued jobs itself meanwhile.
     Background {
         /// Worker-thread count; clamped to at least 1.
         workers: usize,
@@ -123,23 +127,31 @@ fn run_job(
     TrainedModel { cluster_id: job.cluster_id, detector, kind: job.kind, wall_ms, ctx }
 }
 
-/// A job on its way to a worker: who asked, in which of the stream's
-/// epochs, and where to record.
-#[derive(Debug)]
+/// A queued job: who asked, in which of the stream's epochs, its place
+/// in the submission order, and where to record.
 struct Queued {
     stream: usize,
     epoch: u64,
+    /// Submission index (unique per trainer): a stream's models leave
+    /// the trainer in this order, whichever thread trained them.
+    seq: usize,
     job: Arc<TrainJob>,
     telemetry: Telemetry,
 }
 
-/// What a worker sends back per dequeued job: the submitting stream and
-/// epoch, and the model — or `None` when the job was discarded at
-/// dequeue ([`Ledger::discard`]). Discarded jobs still flow back so the
-/// per-stream outstanding count (and the drain barrier) stays exact.
-type Settled = (usize, u64, Option<TrainedModel>);
+/// What comes back per dequeued job: the submitting stream, epoch and
+/// submission index, and the model — or `None` when the job was
+/// discarded at dequeue ([`Ledger::discard`]) or its run panicked.
+/// Such jobs still flow back so the per-stream outstanding count (and
+/// the drain barrier) stays exact.
+struct Settled {
+    stream: usize,
+    epoch: u64,
+    seq: usize,
+    model: Option<TrainedModel>,
+}
 
-/// What the workers consult before training a dequeued job.
+/// What a thread consults before training a dequeued job.
 #[derive(Default)]
 struct Ledger {
     /// Per stream, how many times its shard was restored in place
@@ -165,11 +177,49 @@ impl Ledger {
     }
 }
 
+/// What every thread that trains a queued job shares: the builders, the
+/// monotone start/finish counters and the ledger.
+struct Crew {
+    specializer: Specializer,
+    teacher: Arc<Detector>,
+    started: AtomicUsize,
+    finished: AtomicUsize,
+    ledger: Mutex<Ledger>,
+}
+
+impl Crew {
+    /// Settles one dequeued job — the one path for workers and for a
+    /// helping [`Trainer::drain_barrier`] alike. A discarded job counts
+    /// `odin_train_cancelled_total`; a run that panics counts
+    /// `odin_train_failed_total` (both in the submitter's telemetry)
+    /// and settles without a model, and the calling thread carries on.
+    fn settle(&self, q: Queued) -> Settled {
+        self.started.fetch_add(1, Ordering::SeqCst);
+        let discard = self.ledger.lock().discard(&q);
+        let model = if discard {
+            // The cluster or the shard this model would serve is gone.
+            // Discard the job without burning a training run.
+            q.telemetry.train_cancelled.inc();
+            None
+        } else {
+            let run = || run_job(&self.specializer, &self.teacher, &q.telemetry, &q.job);
+            let model = catch_unwind(AssertUnwindSafe(run)).ok();
+            if model.is_none() {
+                q.telemetry.train_failed.inc();
+            }
+            model
+        };
+        self.finished.fetch_add(1, Ordering::SeqCst);
+        Settled { stream: q.stream, epoch: q.epoch, seq: q.seq, model }
+    }
+}
+
 /// The receiving half: results not yet handed to their shard.
 struct Inbox {
     results: Receiver<Settled>,
-    /// Finished models banked per stream until that shard drains.
-    ready: BTreeMap<usize, Vec<TrainedModel>>,
+    /// Finished models banked per stream, keyed by submission index,
+    /// until that shard drains.
+    ready: BTreeMap<usize, BTreeMap<usize, TrainedModel>>,
     /// Submitted-but-unsettled jobs per stream.
     outstanding: BTreeMap<usize, usize>,
 }
@@ -177,13 +227,25 @@ struct Inbox {
 impl Inbox {
     /// Settles one job, banking its model unless `ledger` says the
     /// stream has moved to a later epoch since it was submitted.
-    fn bank(&mut self, (stream, epoch, model): Settled, ledger: &Mutex<Ledger>) {
-        if let Some(n) = self.outstanding.get_mut(&stream) {
+    fn bank(&mut self, s: Settled, ledger: &Mutex<Ledger>) {
+        if let Some(n) = self.outstanding.get_mut(&s.stream) {
             *n = n.saturating_sub(1);
         }
-        if let Some(m) = model.filter(|_| epoch == ledger.lock().epoch(stream)) {
-            self.ready.entry(stream).or_default().push(m);
+        if let Some(m) = s.model.filter(|_| s.epoch == ledger.lock().epoch(s.stream)) {
+            self.ready.entry(s.stream).or_default().insert(s.seq, m);
         }
+    }
+
+    /// Banks every result that has arrived.
+    fn bank_arrived(&mut self, ledger: &Mutex<Ledger>) {
+        while let Ok(settled) = self.results.try_recv() {
+            self.bank(settled, ledger);
+        }
+    }
+
+    /// Hands over `stream`'s banked models in submission order.
+    fn take(&mut self, stream: usize) -> Vec<TrainedModel> {
+        self.ready.remove(&stream).map(|m| m.into_values().collect()).unwrap_or_default()
     }
 }
 
@@ -193,21 +255,27 @@ impl Inbox {
 ///
 /// Jobs flow worker-ward through an unbounded MPMC channel; settled
 /// jobs flow back through a second one and are banked per submitting
-/// stream, so a shard only ever sees its own models. Counters are
-/// monotone (`submitted >= started >= finished`), so queue depth and
-/// in-flight counts are snapshots computed from their differences.
+/// stream, so a shard only ever sees its own models. The trainer keeps
+/// an end of each channel: a waiting barrier takes jobs from the first
+/// and sends what it trained into the second, as a worker would.
+/// Counters are monotone (`submitted >= started >= finished`), so queue
+/// depth and in-flight counts are snapshots computed from their
+/// differences.
 pub struct Trainer {
-    specializer: Specializer,
-    teacher: Arc<Detector>,
+    crew: Arc<Crew>,
     /// `None` when there are no workers (and, transiently, during drop:
     /// taking it closes the channel so workers exit their recv loop).
     jobs: Option<Sender<Queued>>,
+    /// The trainer's own end of the job queue.
+    queued: Receiver<Queued>,
+    /// The trainer's own end of the result channel.
+    results: Sender<Settled>,
     workers: Vec<JoinHandle<()>>,
     submitted: AtomicUsize,
-    started: Arc<AtomicUsize>,
-    finished: Arc<AtomicUsize>,
-    ledger: Arc<Mutex<Ledger>>,
     inbox: Mutex<Inbox>,
+    /// Jobs a barrier trained on its calling thread.
+    #[cfg(test)]
+    helped: AtomicUsize,
 }
 
 impl Trainer {
@@ -221,52 +289,39 @@ impl Trainer {
         };
         let (job_tx, job_rx) = unbounded::<Queued>();
         let (res_tx, res_rx) = unbounded::<Settled>();
-        let started = Arc::new(AtomicUsize::new(0));
-        let finished = Arc::new(AtomicUsize::new(0));
-        let ledger = Arc::new(Mutex::new(Ledger::default()));
+        let crew = Arc::new(Crew {
+            specializer,
+            teacher,
+            started: AtomicUsize::new(0),
+            finished: AtomicUsize::new(0),
+            ledger: Mutex::new(Ledger::default()),
+        });
         let handles = (0..workers)
             .map(|_| {
-                let rx = job_rx.clone();
-                let tx = res_tx.clone();
-                let teacher = Arc::clone(&teacher);
-                let started = Arc::clone(&started);
-                let finished = Arc::clone(&finished);
-                let ledger = Arc::clone(&ledger);
+                let (rx, tx, crew) = (job_rx.clone(), res_tx.clone(), Arc::clone(&crew));
+                // The result channel outlives the workers (drop joins
+                // them first), so a send cannot fail.
                 std::thread::spawn(move || {
                     while let Ok(q) = rx.recv() {
-                        started.fetch_add(1, Ordering::SeqCst);
-                        let discard = ledger.lock().discard(&q);
-                        let model = if discard {
-                            // The cluster or the shard this model would
-                            // serve is gone. Discard the job without
-                            // burning a training run.
-                            q.telemetry.train_cancelled.inc();
-                            None
-                        } else {
-                            Some(run_job(&specializer, &teacher, &q.telemetry, &q.job))
-                        };
-                        finished.fetch_add(1, Ordering::SeqCst);
-                        if tx.send((q.stream, q.epoch, model)).is_err() {
-                            break; // trainer dropped; nobody wants results
-                        }
+                        let _ = tx.send(crew.settle(q));
                     }
                 })
             })
             .collect();
         Arc::new(Trainer {
-            specializer,
-            teacher,
+            crew,
             jobs: (workers > 0).then_some(job_tx),
+            queued: job_rx,
+            results: res_tx,
             workers: handles,
             submitted: AtomicUsize::new(0),
-            started,
-            finished,
-            ledger,
             inbox: Mutex::new(Inbox {
                 results: res_rx,
                 ready: BTreeMap::new(),
                 outstanding: BTreeMap::new(),
             }),
+            #[cfg(test)]
+            helped: AtomicUsize::new(0),
         })
     }
 
@@ -282,23 +337,23 @@ impl Trainer {
         telemetry: &Telemetry,
     ) -> Option<TrainedModel> {
         let Some(jobs) = &self.jobs else {
-            return Some(run_job(&self.specializer, &self.teacher, telemetry, &job));
+            return Some(run_job(&self.crew.specializer, &self.crew.teacher, telemetry, &job));
         };
         *self.inbox.lock().outstanding.entry(stream).or_insert(0) += 1;
-        self.submitted.fetch_add(1, Ordering::SeqCst);
-        let epoch = self.ledger.lock().epoch(stream);
-        jobs.send(Queued { stream, epoch, job, telemetry: telemetry.clone() })
-            .expect("training workers alive");
+        let seq = self.submitted.fetch_add(1, Ordering::SeqCst);
+        let epoch = self.crew.ledger.lock().epoch(stream);
+        // The trainer holds a receiver, so the send cannot fail.
+        let _ = jobs.send(Queued { stream, epoch, seq, job, telemetry: telemetry.clone() });
         None
     }
 
-    /// Tombstones `stream`'s queued job for `cluster_id`: a worker that
-    /// dequeues it discards it instead of training (counted in the
+    /// Tombstones `stream`'s queued job for `cluster_id`: the thread
+    /// that dequeues it discards it instead of training (counted in the
     /// submitter's `odin_train_cancelled_total`). Best effort — a job
     /// already running trains to completion and is dropped by the
     /// install-time orphan path instead.
     pub fn cancel(&self, stream: usize, cluster_id: usize) {
-        let mut ledger = self.ledger.lock();
+        let mut ledger = self.crew.ledger.lock();
         let epoch = ledger.epoch(stream);
         ledger.cancelled.insert((stream, epoch, cluster_id));
     }
@@ -311,54 +366,79 @@ impl Trainer {
     /// towards [`Trainer::drain_barrier`].
     pub(crate) fn restart_stream(&self, stream: usize) {
         {
-            let mut ledger = self.ledger.lock();
+            let mut ledger = self.crew.ledger.lock();
             *ledger.epochs.entry(stream).or_insert(0) += 1;
             ledger.cancelled.retain(|&(s, _, _)| s != stream);
         }
         self.inbox.lock().ready.remove(&stream);
     }
 
-    /// Collects `stream`'s finished models without blocking (banked
-    /// ones first, then whatever has completed since). Other streams'
-    /// models that completed meanwhile are banked for their own shards.
+    /// Collects `stream`'s finished models without blocking or training
+    /// (banked ones first, then whatever has completed since), in
+    /// submission order. Other streams' models that completed meanwhile
+    /// are banked for their own shards.
     pub fn drain(&self, stream: usize) -> Vec<TrainedModel> {
         if self.jobs.is_none() {
             return Vec::new(); // no workers: submit already returned every model
         }
         let mut inbox = self.inbox.lock();
-        while let Ok(settled) = inbox.results.try_recv() {
-            inbox.bank(settled, &self.ledger);
-        }
-        inbox.ready.remove(&stream).unwrap_or_default()
+        inbox.bank_arrived(&self.crew.ledger);
+        inbox.take(stream)
     }
 
-    /// Blocks until every job `stream` submitted has settled, then
-    /// returns its models. With more than one worker the order results
-    /// arrive in is nondeterministic; callers install into a map keyed
-    /// by cluster id, so final state does not depend on it. Holds the
-    /// inbox lock while waiting, so concurrent drains of other streams
-    /// stall until this stream's jobs land — callers only block here at
-    /// quiesce points (`Odin::finish_training`), never on the per-frame
-    /// path.
+    /// Waits until every job `stream` submitted has settled, then
+    /// returns its models in submission order, whichever threads
+    /// trained them. While the stream has jobs outstanding the caller
+    /// does not sleep if the queue holds work: it takes the next queued
+    /// job (of any stream) and trains it here, with the inbox lock
+    /// released, so it may finish at most one job of another stream
+    /// after its own stream settles. Only once the queue is empty does
+    /// it block on results, holding the inbox lock as it does so —
+    /// concurrent drains of other streams stall until this stream's
+    /// last jobs land. Callers only wait here at quiesce points
+    /// (`Odin::finish_training`), never on the per-frame path.
     pub fn drain_barrier(&self, stream: usize) -> Vec<TrainedModel> {
         let mut inbox = self.inbox.lock();
-        while inbox.outstanding.get(&stream).is_some_and(|n| *n > 0) {
-            match inbox.results.recv() {
-                Ok(settled) => inbox.bank(settled, &self.ledger),
-                Err(_) => break, // the workers died; don't hang forever
+        loop {
+            inbox.bank_arrived(&self.crew.ledger);
+            if inbox.outstanding.get(&stream).is_none_or(|&n| n == 0) {
+                return inbox.take(stream);
+            }
+            match self.queued.try_recv() {
+                // The result goes back through the channel, not straight
+                // into the inbox: a barrier of another stream may be
+                // blocked on that channel, holding the inbox lock, for
+                // this very job.
+                Ok(q) => {
+                    #[cfg(test)]
+                    self.helped.fetch_add(1, Ordering::SeqCst);
+                    drop(inbox);
+                    let _ = self.results.send(self.crew.settle(q));
+                    inbox = self.inbox.lock();
+                }
+                // Nothing queued: the stream's last jobs are training on
+                // other threads, each of which sends its result here.
+                Err(_) => {
+                    if let Ok(settled) = inbox.results.recv() {
+                        inbox.bank(settled, &self.crew.ledger);
+                    }
+                }
             }
         }
-        inbox.ready.remove(&stream).unwrap_or_default()
     }
 
-    /// Jobs enqueued but not yet picked up by a worker (all streams).
+    /// Jobs enqueued but not yet picked up by a worker or a barrier (all
+    /// streams).
     pub fn queue_depth(&self) -> usize {
-        self.submitted.load(Ordering::SeqCst).saturating_sub(self.started.load(Ordering::SeqCst))
+        let started = self.crew.started.load(Ordering::SeqCst);
+        self.submitted.load(Ordering::SeqCst).saturating_sub(started)
     }
 
-    /// Jobs currently training on a worker (all streams).
+    /// Jobs currently training (all streams), on a worker or on a thread
+    /// waiting in [`Trainer::drain_barrier`].
     pub fn in_flight(&self) -> usize {
-        self.started.load(Ordering::SeqCst).saturating_sub(self.finished.load(Ordering::SeqCst))
+        let finished = self.crew.finished.load(Ordering::SeqCst);
+        self.crew.started.load(Ordering::SeqCst).saturating_sub(finished)
     }
 
     /// Jobs submitted by `stream` that have not settled yet.
@@ -369,10 +449,12 @@ impl Trainer {
 }
 
 impl Drop for Trainer {
-    /// Closes the job channel and joins the workers. A worker mid-run
-    /// finishes its current job first, so dropping a busy trainer can
-    /// block for up to one training run.
+    /// Empties the job queue (nobody is left to want those models), then
+    /// closes it and joins the workers. A worker mid-run finishes its
+    /// current job first, so dropping a busy trainer can block for up
+    /// to one training run.
     fn drop(&mut self) {
+        while self.queued.try_recv().is_ok() {}
         self.jobs.take();
         for h in self.workers.drain(..) {
             let _ = h.join();
@@ -413,6 +495,21 @@ mod tests {
         let t = Telemetry::new();
         t.clear_sinks();
         t
+    }
+
+    /// `trainer.drain_barrier(stream)` on a thread of its own, failing
+    /// the test rather than stalling it if the barrier hangs.
+    fn barrier_within(trainer: &Arc<Trainer>, stream: usize) -> Vec<TrainedModel> {
+        let (tx, rx) = crossbeam::channel::unbounded();
+        let t = Arc::clone(trainer);
+        std::thread::spawn(move || {
+            let _ = tx.send(t.drain_barrier(stream));
+        });
+        rx.recv_timeout(std::time::Duration::from_secs(60)).expect("drain_barrier hung")
+    }
+
+    fn ids(models: &[TrainedModel]) -> Vec<usize> {
+        models.iter().map(|m| m.cluster_id).collect()
     }
 
     fn job(cluster_id: usize, kind: ModelKind, frames: &[Frame]) -> Arc<TrainJob> {
@@ -557,5 +654,70 @@ mod tests {
         // Nothing left for either stream.
         assert!(trainer.drain(0).is_empty());
         assert!(trainer.drain(1).is_empty());
+    }
+
+    #[test]
+    fn a_waiting_barrier_trains_queued_jobs_in_submission_order() {
+        let (teacher, frames) = fixture();
+        let inline = Trainer::new(TrainingMode::Inline, quick_specializer(), Arc::clone(&teacher));
+        let trainer = background(1, teacher);
+        let submissions = [
+            (0, job(0, ModelKind::Specialized, &frames)),
+            (1, job(1, ModelKind::Lite, &frames)),
+            (0, job(2, ModelKind::Lite, &frames)),
+            (0, job(3, ModelKind::Specialized, &frames)),
+        ];
+        // Everything is queued before the barriers run, and the one
+        // worker holds at most one job at a time, so the barriers find
+        // queued work to take on.
+        for (stream, j) in &submissions {
+            assert!(trainer.submit(*stream, Arc::clone(j), &tel()).is_none());
+        }
+        let got = [trainer.drain_barrier(0), trainer.drain_barrier(1)];
+        assert_eq!((ids(&got[0]), ids(&got[1])), (vec![0, 2, 3], vec![1]));
+        for m in got.iter().flatten() {
+            let j = &submissions[m.cluster_id].1;
+            let want = inline.submit(0, Arc::clone(j), &tel()).expect("trained inline");
+            assert_eq!(m.detector.export_params(), want.detector.export_params());
+        }
+        assert!(trainer.helped.load(Ordering::SeqCst) >= 1, "no job ran on the waiting thread");
+        assert_eq!((trainer.queue_depth(), trainer.in_flight()), (0, 0));
+    }
+
+    #[test]
+    fn a_panicking_job_settles_as_failed_and_the_pool_carries_on() {
+        let (teacher, frames) = fixture();
+        for workers in [1, 2] {
+            let trainer = background(workers, Arc::clone(&teacher));
+            let telemetry = tel();
+            // `build_specialized` asserts on an empty frame set.
+            trainer.submit(0, job(1, ModelKind::Specialized, &[]), &telemetry);
+            trainer.submit(0, job(2, ModelKind::Lite, &frames), &telemetry);
+            assert_eq!(ids(&barrier_within(&trainer, 0)), vec![2], "{workers} worker(s)");
+            assert_eq!(telemetry.train_failed.get(), 1);
+            assert_eq!(telemetry.train_cancelled.get(), 0);
+            // The pool still trains what comes next.
+            trainer.submit(0, job(3, ModelKind::Lite, &frames), &telemetry);
+            assert_eq!(ids(&barrier_within(&trainer, 0)), vec![3], "{workers} worker(s)");
+            assert_eq!((trainer.queue_depth(), trainer.in_flight()), (0, 0));
+        }
+    }
+
+    #[test]
+    fn dropping_a_trainer_discards_its_queue() {
+        let (teacher, frames) = fixture();
+        let specializer = Specializer::new(SpecializerConfig {
+            train_iters: 100,
+            ..*quick_specializer().config()
+        });
+        let trainer = Trainer::new(TrainingMode::Background { workers: 1 }, specializer, teacher);
+        for cluster in 0..5 {
+            trainer.submit(0, job(cluster, ModelKind::Specialized, &frames), &tel());
+        }
+        let crew = Arc::clone(&trainer.crew);
+        drop(trainer);
+        // The worker finishes the job it holds (and may have taken one
+        // more before the queue was emptied); the rest never start.
+        assert!(crew.started.load(Ordering::SeqCst) <= 2);
     }
 }

@@ -71,6 +71,13 @@ echo "==> ODIN_THREADS=1 training + inference identity (odin-detect, odin-gan)"
 ODIN_THREADS=1 cargo test -q -p odin-detect -p odin-gan --test training_identity \
     --test inference_identity
 
+# The trainer's scheduling (workers, a barrier that trains queued jobs
+# itself, panicking jobs, drop) ran above at the machine's thread count
+# and at 2 threads; run it once more on a serial tensor pool.
+echo "==> ODIN_THREADS=1 trainer tests (odin-core training unit tests, training_modes)"
+ODIN_THREADS=1 cargo test -q -p odin-core --lib training::
+ODIN_THREADS=1 cargo test -q -p odin-core --test training_modes
+
 # Crash-recovery smoke: write a checkpoint with a 2-thread tensor
 # backend, truncate / bit-flip it, and require that (a) the corruption
 # is reported through the CRC/version checks and (b) a cold bootstrap

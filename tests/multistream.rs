@@ -212,20 +212,29 @@ fn shared_registry_partitions_by_namespace() {
 #[test]
 fn shared_training_pool_routes_models_to_their_shard() {
     let frames = vec![stream_frames(Subset::Night, 7, 60), stream_frames(Subset::Day, 8, 60)];
-    let server = new_server(server_cfg(2, TrainingMode::Background { workers: 2 }));
-    serve_interleaved(&server, &frames);
-    server.finish_training();
-
-    for (stream, stream_frames) in frames.iter().enumerate() {
-        let mut solo = standalone_shard(stream, TrainingMode::Inline);
-        solo.process_stream(stream_frames);
-        solo.finish_training();
-        assert!(solo.model_count() > 0, "fixture trained no model");
-        assert_eq!(
-            server.with_shard(stream, |o| shard_params(o)),
-            shard_params(&solo),
-            "background-trained models diverged on stream {stream}"
-        );
+    let solos: Vec<_> = frames
+        .iter()
+        .enumerate()
+        .map(|(stream, stream_frames)| {
+            let mut solo = standalone_shard(stream, TrainingMode::Inline);
+            solo.process_stream(stream_frames);
+            solo.finish_training();
+            assert!(solo.model_count() > 0, "fixture trained no model");
+            shard_params(&solo)
+        })
+        .collect();
+    // One worker leaves the waiting thread queued jobs to train itself.
+    for workers in [1, 2] {
+        let server = new_server(server_cfg(2, TrainingMode::Background { workers }));
+        serve_interleaved(&server, &frames);
+        server.finish_training();
+        for (stream, solo) in solos.iter().enumerate() {
+            assert_eq!(
+                &server.with_shard(stream, |o| shard_params(o)),
+                solo,
+                "background-trained models diverged on stream {stream} ({workers} worker(s))"
+            );
+        }
     }
 }
 

@@ -147,7 +147,7 @@ fn timeline_records_recovery_arc() {
     let stats = odin.stats();
     assert_eq!(stats.store_errors, 0);
     assert_eq!(stats.last_store_error, None);
-    assert_eq!(odin.telemetry().snapshot().counters.len(), 21);
+    assert_eq!(odin.telemetry().snapshot().counters.len(), 22);
 }
 
 /// Store failures are machine-visible: when the snapshot directory is
