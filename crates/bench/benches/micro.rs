@@ -1,6 +1,8 @@
 //! Criterion micro-benchmarks for ODIN's hot paths: latent encoding,
 //! Δ-band fitting/updating, KL stability checks, outlier scoring
 //! (DA-GAN kNN vs LOF), selector policies, NMS, and detector inference.
+//! Tensor kernel throughput is the `tensor_gflops` bin's, which records
+//! it in `results/` and is gated in CI.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use odin_core::encoder::{DaGanEncoder, HistogramEncoder, LatentEncoder};
@@ -13,9 +15,6 @@ use odin_drift::cluster::euclidean;
 use odin_drift::kl::{histogram_kl, DistanceHistogram};
 use odin_drift::{ClusterManager, DeltaBand, LshIndex, ManagerConfig};
 use odin_gan::{DaGan, DaGanConfig};
-use odin_tensor::layers::Conv2d;
-use odin_tensor::ops::{matmul, matmul_nt, matmul_tn};
-use odin_tensor::{Layer, Tensor};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::hint::black_box;
@@ -24,43 +23,6 @@ fn sample_frames(n: usize) -> Vec<Image> {
     let gen = SceneGen::new(48);
     let mut rng = StdRng::seed_from_u64(0);
     gen.subset_frames(&mut rng, Subset::Full, n).into_iter().map(|f| f.image).collect()
-}
-
-/// GFLOP/s of the blocked matmul kernels and the im2col convolution at
-/// hot-path shapes. Absolute numbers (with before/after history) are
-/// recorded by the `tensor_gflops` bin into `results/`.
-fn bench_tensor_kernels(c: &mut Criterion) {
-    let mut rng = StdRng::seed_from_u64(6);
-    let rand_t = |rng: &mut StdRng, shape: &[usize]| {
-        let n: usize = shape.iter().product();
-        Tensor::from_vec((0..n).map(|_| rng.gen_range(-1.0f32..1.0)).collect(), shape)
-    };
-    // im2col-typical shape: [positions, patch] x [out_c, patch]^T.
-    let a = rand_t(&mut rng, &[1024, 192]);
-    let b = rand_t(&mut rng, &[192, 64]);
-    let bt = rand_t(&mut rng, &[64, 192]);
-    let at = rand_t(&mut rng, &[192, 1024]);
-    c.bench_function("tensor/matmul_1024x192x64", |bch| {
-        bch.iter(|| black_box(matmul(black_box(&a), black_box(&b))))
-    });
-    c.bench_function("tensor/matmul_nt_1024x192x64", |bch| {
-        bch.iter(|| black_box(matmul_nt(black_box(&a), black_box(&bt))))
-    });
-    c.bench_function("tensor/matmul_tn_1024x192x64", |bch| {
-        bch.iter(|| black_box(matmul_tn(black_box(&at), black_box(&b))))
-    });
-
-    let x = rand_t(&mut rng, &[8, 3, 48, 48]);
-    let mut conv = Conv2d::k3(3, 16, 1, &mut rng);
-    c.bench_function("tensor/conv2d_fwd_8x3x48x48_k3_16", |bch| {
-        bch.iter(|| black_box(conv.infer(black_box(&x))))
-    });
-    c.bench_function("tensor/conv2d_fwd_bwd_8x3x48x48_k3_16", |bch| {
-        bch.iter(|| {
-            let y = conv.forward(black_box(&x), true);
-            black_box(conv.backward(&y))
-        })
-    });
 }
 
 fn bench_encoding(c: &mut Criterion) {
@@ -218,7 +180,7 @@ fn bench_lsh_lookup(c: &mut Criterion) {
 criterion_group! {
     name = micro;
     config = Criterion::default().sample_size(20);
-    targets = bench_tensor_kernels, bench_encoding, bench_bands_and_kl,
+    targets = bench_encoding, bench_bands_and_kl,
               bench_cluster_observe, bench_outlier_scoring, bench_detection,
               bench_shared_registry, bench_lsh_lookup
 }

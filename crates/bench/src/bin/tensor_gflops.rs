@@ -60,7 +60,7 @@ fn main() {
         &["Kernel", "Shape", "GFLOP/s", "ms/call"],
     );
 
-    // Matmul family at an im2col-typical size: [rows, patch] x weights.
+    // Matmul family at one mid-size product: [1024, 192] x [192, 64].
     let (m, k, n) = (1024usize, 192, 64);
     let flops = (2 * m * k * n) as f64;
     let a = rand_tensor(&mut rng, &[m, k]);
@@ -149,10 +149,14 @@ fn main() {
     ]);
 
     // The retrain (`build_specialized`): the Small detector's three 3×3
-    // layers at the trainer's batch of 8. `dW = Gᵀ · cols` has a tiny
-    // output and a tall reduction (k = B·OH·OW), nothing like the
-    // im2col-typical shape above; `col2im` is the input gradient's
-    // scatter; and a whole `train_step` is what 300 of make a recovery.
+    // layers at the trainer's batch of 8. `matmul_tn_small*` time the
+    // free TN product (`Dense`'s `dW`, its right operand a dense matrix
+    // read down its columns) at those layers' `dW = Gᵀ · cols` shapes —
+    // a tiny output and a tall reduction (k = B·OH·OW); the conv itself
+    // reads its columns from the padded input, timed inside
+    // `conv2d_fwd_bwd` and `train_step_small_b8`. `col2im` is the input
+    // gradient's scatter; and a whole `train_step` is what 300 of make a
+    // recovery.
     let tb = 8usize;
     let mut hw = 48usize;
     for (i, &(cin, cout, k, stride, pad, _)) in SMALL_CONVS.iter().enumerate() {
@@ -205,7 +209,7 @@ fn main() {
     // teacher's two widest convs, the DA-GAN encoder's first conv
     // (ragged N = 12) and its latent projection (M = 1). At these row
     // counts the batched rows above say nothing — per-call overheads
-    // (weight packing, im2col) are a multiple of the arithmetic.
+    // (weight packing, the padded copy) are a multiple of the arithmetic.
     for (name, cin, hw, stride, cout) in [
         ("conv2d_b1_teacher12", 48usize, 12usize, 1usize, 64usize),
         ("conv2d_b1_teacher6", 64, 6, 1, 64),

@@ -1,18 +1,19 @@
 //! 2-D convolution.
 //!
-//! Inference ([`Layer::infer`], and `forward` with `train = false`):
-//! the implicit-GEMM product — the NT kernel reads the zero-padded
-//! input in place, no `im2col` matrix — then one output sweep (bias,
-//! a following eval-mode batch norm and activation when
-//! [`Layer::infer_fused`] hands them over, positions → NCHW). Training
-//! forward: `im2col` (the backward pass needs the columns for `dW`) →
-//! `cols × Wᵀ` through the same NT kernel → the same sweep with the
-//! layer's own fused activation. Backward: one gradient
-//! sweep (fused activation's gradient, NCHW → positions) → `db` as row
-//! sums, `dW = Gᵀ · cols`, and — only for a caller that reads it
+//! Forward, training and inference alike: the implicit-GEMM product —
+//! the NT kernel reads the zero-padded input in place, no `im2col`
+//! matrix — then one output sweep (bias, then the activation; at
+//! inference also a following eval-mode batch norm and activation when
+//! [`Layer::infer_fused`] hands them over; positions → NCHW). Inference
+//! ([`Layer::infer`], and `forward` with `train = false`) reads an
+//! unpadded input where it lies; training keeps the padded copy for the
+//! backward pass. Backward: one gradient sweep (fused activation's
+//! gradient, NCHW → positions) → `db` as row sums, `dW = Gᵀ · cols`
+//! with the columns read from the kept padded input through the same
+//! addressing, transposed, and — only for a caller that reads it
 //! ([`Layer::backward`], not [`Layer::backward_params`]) — `dX =
-//! col2im(G · W)`. The column buffer and the activation mask live in
-//! the layer between steps, so a steady-state training step allocates
+//! col2im(G · W)`. The padded input and the activation mask live in the
+//! layer between steps, so a steady-state training step allocates
 //! nothing.
 
 use rand::rngs::StdRng;
@@ -20,8 +21,8 @@ use rand::rngs::StdRng;
 use crate::init;
 use crate::layer::{Epilogue, Layer};
 use crate::ops::{
-    col2im, conv2d_implicit, im2col_into, matmul, matmul_tn, transpose_sweep, ConvGeom, Lhs, Norm,
-    SweepOp, WeightPanels,
+    col2im, conv2d_implicit, conv2d_padded, conv2d_weight_grad, matmul, pad_input, transpose_sweep,
+    ConvGeom, Norm, SweepOp, WeightPanels,
 };
 use crate::scratch;
 use crate::tensor::Tensor;
@@ -29,8 +30,8 @@ use crate::tensor::Tensor;
 /// A 2-D convolution with square kernels, uniform stride, and zero padding.
 ///
 /// Input `[B, in_c, H, W]`, output `[B, out_c, H', W']`.
-/// Weights are stored flattened `[out_c, in_c * k * k]` for the im2col
-/// matmul.
+/// Weights are stored flattened `[out_c, in_c * k * k]`, the `im2col`
+/// matmul's right-hand side (the `im2col` matrix itself is never built).
 ///
 /// An activation can be fused into the convolution's output pass (see
 /// [`Conv2d::fuse_relu`] / [`Conv2d::fuse_leaky_relu`]): bias add,
@@ -56,16 +57,19 @@ pub struct Conv2d {
     cache: Option<ConvCache>,
 }
 
+/// What a training forward pass leaves for the backward pass.
 struct ConvCache {
-    cols: Tensor,
+    /// The input with its zero border, `[B, C, Hp, Wp]` (a copy even
+    /// without padding): the left operand of the forward product and
+    /// of `dW`, read in place by both.
+    padded: Tensor,
     geom: ConvGeom,
-    batch: usize,
     /// Sign of the fused activation's output (`out > 0`), recorded
     /// during the training forward pass so backward can apply the
     /// activation gradient before the convolution gradients. For
     /// slope ≥ 0, `out > 0 ⇔ pre-activation > 0`, the same mask the
     /// standalone activation layers compute from their input. Empty
-    /// without a fused activation; like `cols`, the allocation is
+    /// without a fused activation; like `padded`, the allocation is
     /// carried from one training forward pass to the next.
     act_mask: Vec<bool>,
 }
@@ -189,8 +193,9 @@ impl Conv2d {
         Tensor::from_vec(out, &[batch, oc, oh, ow])
     }
 
-    /// The inference forward pass: the implicit-GEMM product (no
-    /// `im2col` matrix) and one output sweep.
+    /// The inference forward pass: the implicit-GEMM product over the
+    /// input, read in place unless it needs a zero border, and one
+    /// output sweep.
     fn infer_with(&self, input: &Tensor, norm: Option<Norm>, slope: Option<f32>) -> Tensor {
         let geom = self.geom_for(input);
         let pos = conv2d_implicit(input, &geom, &self.w, &self.panels);
@@ -198,19 +203,20 @@ impl Conv2d {
     }
 
     /// The half of the backward pass every caller needs: `dW += Gᵀ ·
-    /// cols` and `db +=` column sums of `G`. Returns `G` — the output
-    /// gradient through the fused activation, `[B*OH*OW, out_c]` — for
-    /// [`Layer::backward`] to carry on to the input gradient.
+    /// cols` (read from the padded input) and `db +=` column sums of
+    /// `G`. Returns `G` — the output gradient through the fused
+    /// activation, `[B*OH*OW, out_c]` — for [`Layer::backward`] to carry
+    /// on to the input gradient.
     fn accumulate_param_grads(&mut self, grad_out: &Tensor) -> Tensor {
         let cache =
             self.cache.as_ref().expect("Conv2d::backward called without a training forward pass");
-        let oc = self.out_c;
+        let (oc, batch) = (self.out_c, cache.padded.shape()[0]);
         let plane = cache.geom.out_h() * cache.geom.out_w();
-        assert_eq!(grad_out.shape(), &[cache.batch, oc, cache.geom.out_h(), cache.geom.out_w()]);
+        assert_eq!(grad_out.shape(), &[batch, oc, cache.geom.out_h(), cache.geom.out_w()]);
         // G: the output gradient, a row per position, through the fused
         // activation's gradient — elementwise, exactly what the
         // standalone Relu/LeakyRelu backward computes.
-        let mut g = scratch::take_dirty(cache.batch * plane * oc);
+        let mut g = scratch::take_dirty(batch * plane * oc);
         for (bi, dst) in g.chunks_exact_mut(plane * oc).enumerate() {
             let image = bi * oc * plane..(bi + 1) * oc * plane;
             let op = match self.fused_act {
@@ -219,8 +225,8 @@ impl Conv2d {
             };
             transpose_sweep(&grad_out.data()[image], oc, plane, dst, op);
         }
-        let g_pos = Tensor::from_vec(g, &[cache.batch * plane, oc]);
-        let dw = matmul_tn(&g_pos, &cache.cols);
+        let g_pos = Tensor::from_vec(g, &[batch * plane, oc]);
+        let dw = conv2d_weight_grad(&cache.padded, &cache.geom, &g_pos);
         self.dw.add_scaled(&dw, 1.0);
         // Row by row: each channel takes its terms in ascending position
         // order, one accumulator per channel.
@@ -242,24 +248,20 @@ impl Layer for Conv2d {
             return self.infer(input);
         }
         let geom = self.geom_for(input);
-        let batch = input.shape()[0];
-        // Reuse the cached column buffer from the previous forward pass;
-        // with a stable batch shape this makes forward allocation-free
-        // (im2col_into resizes only when the geometry changed).
-        let patch = geom.in_c * geom.kernel * geom.kernel;
-        let (mut cols_buf, mut act_mask) = match self.cache.take() {
-            Some(prev) => (prev.cols.into_vec(), prev.act_mask),
-            None => (scratch::take_raw(batch * geom.out_h() * geom.out_w() * patch), Vec::new()),
+        // Reuse the previous forward pass's padded buffer and mask; with
+        // a stable batch shape this makes forward allocation-free.
+        let (reuse, mut act_mask) = match self.cache.take() {
+            Some(prev) => (Some(prev.padded.into_vec()), prev.act_mask),
+            None => (None, Vec::new()),
         };
-        im2col_into(input, &geom, &mut cols_buf);
-        let cols = Tensor::from_vec(cols_buf, &[batch * geom.out_h() * geom.out_w(), patch]);
-        let pos = self.panels.nt(&Lhs::dense(&cols), &self.w);
-        let out = self.output(&pos, &geom, batch, None, self.fused_act);
+        let padded = pad_input(input, &geom, reuse);
+        let pos = conv2d_padded(&padded, &geom, &self.w, &self.panels);
+        let out = self.output(&pos, &geom, input.shape()[0], None, self.fused_act);
         act_mask.clear();
         if self.fused_act.is_some() {
             act_mask.extend(out.data().iter().map(|&v| v > 0.0));
         }
-        self.cache = Some(ConvCache { cols, geom, batch, act_mask });
+        self.cache = Some(ConvCache { padded, geom, act_mask });
         out
     }
 
@@ -297,7 +299,7 @@ impl Layer for Conv2d {
         let cache = self.cache.as_ref().expect("checked by accumulate_param_grads");
         // dX = col2im(G · W)
         let dcols = matmul(&g_pos, &self.w);
-        col2im(&dcols, &cache.geom, cache.batch)
+        col2im(&dcols, &cache.geom, cache.padded.shape()[0])
     }
 
     fn backward_params(&mut self, grad_out: &Tensor) {

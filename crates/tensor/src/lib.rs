@@ -12,15 +12,17 @@
 //!   several stacks trained in turn). A [`Layer`] trait with explicit
 //!   `forward`/`backward` keeps memory behaviour predictable and the
 //!   implementation auditable.
-//! * **Convolutions as one matrix multiply.** Training lowers a
-//!   convolution through an `im2col` matrix (the backward pass needs
-//!   it); inference reads the padded input in place (implicit GEMM) and
-//!   applies a following batch norm and activation in its output pass.
+//! * **Convolutions as one matrix multiply.** Every convolution product
+//!   — the forward pass, training and inference alike, and the weight
+//!   gradient — reads the zero-padded input in place (implicit GEMM)
+//!   instead of an `im2col` matrix; inference also applies a following
+//!   batch norm and activation in its output pass.
 //! * **Determinism.** All initialization and sampling is seeded
 //!   (`StdRng`), so every experiment in the bench harness is reproducible.
-//! * **Deterministic parallelism.** Matmul and im2col/col2im kernels run
-//!   on a persistent worker pool ([`par`]), partitioned over disjoint
-//!   output row blocks whose boundaries depend only on the problem size.
+//! * **Deterministic parallelism.** Matmul, convolution and col2im
+//!   kernels run on a persistent worker pool ([`par`]), partitioned over
+//!   disjoint output row blocks whose boundaries depend only on the
+//!   problem size.
 //!   Results are bit-identical for any `ODIN_THREADS` value, including 1.
 //! * **Zero-alloc hot path.** Tensors recycle their buffers through a
 //!   thread-local scratch pool on drop, so steady-state forward/backward

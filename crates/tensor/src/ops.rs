@@ -16,31 +16,32 @@
 //! in 16-wide panels (`PackedPanels`). An `n` that is not a multiple of
 //! the panel width ends in a lane-masked panel, never in a scalar tail.
 //!
-//! - NT (`a × bᵀ`, the forward pass of every layer) has three callers:
-//!   `Dense`, the training convolution over its `im2col` columns, and
-//!   the inference convolution, which builds no column matrix at all
-//!   (the kernel reads the zero-padded input in place; a dense matrix
-//!   is the identity addressing). A layer packs its weight once and
-//!   keeps it (`WeightPanels`); the free [`matmul_nt`] packs per call.
+//! - NT (`a × bᵀ`, the forward pass of every layer): `Dense` over its
+//!   input, and the convolution, training and inference alike, over its
+//!   zero-padded input read in place — no column matrix is built (a
+//!   dense matrix is the identity addressing). A layer packs its weight
+//!   once and keeps it (`WeightPanels`); the free [`matmul_nt`] packs
+//!   per call.
 //! - NN (`a × b`, every layer's input gradient): `a` read in place,
 //!   `b` packed from its `[k, n]` layout.
 //! - TN (`aᵀ × b`, every layer's `dW`) runs as `(bᵀ × a)ᵀ`: `b` read in
-//!   place a column at a time, `a` packed, and the result transposed by
-//!   `transpose_sweep`. In a convolution's backward pass `a` is the
-//!   gradient, `out_c` wide, and `b` the column matrix, `C·k·k` wide, so
-//!   only the narrow side is copied.
+//!   place a column at a time, `a` (the gradient) packed, and the result
+//!   transposed by `transpose_sweep`. A convolution's `b` is the column
+//!   matrix, read from the padded input through the same addressing as
+//!   its forward product with rows and columns swapped: a row per kernel
+//!   tap `(c, ky, kx)`, a column per output position.
 //!
-//! Between the matmuls a convolution moves data, and these are the
-//! movers: [`im2col`]/[`col2im`] (3×3 interior positions on a
-//! branch-free path, a 1×1 unit-stride kernel as one transpose per
-//! image, each bit as the general loop writes it) and
-//! `transpose_sweep`, the one pass between the row-per-position layout
-//! the matmuls work in and NCHW, with the elementwise work applied on
-//! the way — forward, the bias, an eval-mode batch norm and the
-//! activation (the layers' own arithmetic, step for step); backward,
-//! the activation gradient. Outputs come from `scratch::take_dirty`:
-//! every kernel here writes every element of its output, so nothing is
-//! cleared first.
+//! Around the matmuls a convolution moves data, and these are the
+//! movers: `pad_input` (the input with its zero border, which both
+//! convolution products read), [`col2im`] (the input gradient's
+//! scatter; 3×3 interior positions on a branch-free path, each bit as
+//! the general loop writes it) and `transpose_sweep`, the one pass
+//! between the row-per-position layout the matmuls work in and NCHW,
+//! with the elementwise work applied on the way — forward, the bias, an
+//! eval-mode batch norm and the activation (the layers' own arithmetic,
+//! step for step); backward, the activation gradient. Outputs come from
+//! `scratch::take_dirty`: every kernel here writes every element of its
+//! output, so nothing is cleared first.
 
 use std::sync::OnceLock;
 
@@ -205,6 +206,14 @@ pub(crate) struct RowMap {
     dx: usize,
 }
 
+impl RowMap {
+    /// Row bases from row `r0` on.
+    fn cursor(self, r0: usize) -> RowCursor {
+        let (plane_r, b) = (r0 % (self.oh * self.ow), r0 / (self.oh * self.ow));
+        RowCursor { map: self, b, oy: plane_r / self.ow, ox: plane_r % self.ow }
+    }
+}
+
 /// Walks the row bases of a [`RowMap`] from some first row on, one
 /// increment per row instead of a division.
 pub(crate) struct RowCursor {
@@ -237,8 +246,9 @@ impl RowCursor {
 /// is `data[base(r) + offs.at(kk)]`. A dense matrix is the identity
 /// addressing; a convolution's zero-padded input with per-row window
 /// corners and per-column `(c, ky, kx)` offsets is the implicit `im2col`
-/// matrix — the same values in the same places, so every product
-/// through it is bit-identical to one over the materialized columns.
+/// matrix, and with the two swapped its transpose — the same values in
+/// the same places, so every product through it is bit-identical to one
+/// over the materialized columns.
 pub(crate) struct Lhs<'a, O> {
     /// Invariant: every `base(r) + offs.at(kk)`, `r < rows`, `kk < k`,
     /// indexes into `data` (checked by [`Lhs::new`]).
@@ -309,9 +319,7 @@ impl<'a, O: Offsets> Lhs<'a, O> {
 
     /// Row bases from row `r0` on.
     pub(crate) fn cursor(&self, r0: usize) -> RowCursor {
-        let m = self.map;
-        let (plane_r, b) = (r0 % (m.oh * m.ow), r0 / (m.oh * m.ow));
-        RowCursor { map: m, b, oy: plane_r / m.ow, ox: plane_r % m.ow }
+        self.map.cursor(r0)
     }
 }
 
@@ -411,8 +419,8 @@ thread_local! {
 }
 
 /// `lhs × wᵀ` for `w` `[n, k]`: the one NT product every forward pass
-/// runs — `Dense`, the training convolution over its `im2col` columns
-/// and the inference convolution over its padded input. On a vector
+/// runs — `Dense` over its input, the convolution over its padded
+/// input — and the scalar half of a convolution's `dW`. On a vector
 /// level it reads `packed`, `w`'s panel packing; otherwise, or without
 /// one, the scalar kernel reads `w`.
 fn nt_product<O: Offsets>(lhs: &Lhs<'_, O>, w: &Tensor, packed: Option<&PackedPanels>) -> Tensor {
@@ -509,8 +517,6 @@ fn matmul_tn_chunk_scalar(
     // contiguous axis), the small output block stays cache-resident, and
     // each output cell still accumulates its k terms in ascending order
     // with a single accumulator — bit-identical to a per-element walk.
-    // This matters because the conv backward pass calls this with a tall
-    // reduction axis (k = B·OH·OW) and a tiny output (out_c × patch).
     let rows = chunk.len() / n;
     chunk.fill(0.0);
     for kk in 0..k {
@@ -532,25 +538,36 @@ pub fn matmul_tn(a: &Tensor, b: &Tensor) -> Tensor {
     let (k, m) = (a.shape()[0], a.shape()[1]);
     let (k2, n) = (b.shape()[0], b.shape()[1]);
     assert_eq!(k, k2, "matmul_tn inner dimension mismatch: {k} vs {k2}");
-    let mut out = scratch::take_dirty(m * n);
-    // On a vector level, `(bᵀ × a)ᵀ`: each element is still one
-    // accumulator over ascending `k`, of `b·a` where the scalar kernel
-    // has `a·b` — the same bits, multiplication being commutative.
     #[cfg(target_arch = "x86_64")]
-    if let Some(level) = vector_level() {
-        let mut panels = PANELS.take();
-        panels.repack_kn(a.data(), k, m);
-        let swapped = packed_product(level, &Lhs::columns(b), &panels);
-        PANELS.set(panels);
-        transpose_sweep(&swapped, n, m, &mut out, SweepOp::Copy);
-        scratch::recycle(swapped);
-        return Tensor::from_vec(out, &[m, n]);
+    if let Some(out) = packed_tn(a, &Lhs::columns(b)) {
+        return out;
     }
+    let mut out = scratch::take_dirty(m * n);
     let (ad, bd) = (a.data(), b.data());
     run_row_blocks(&mut out, n, m, 2 * m * k * n, &|_, r0, chunk| {
         matmul_tn_chunk_scalar(ad, bd, chunk, r0, k, m, n);
     });
     Tensor::from_vec(out, &[m, n])
+}
+
+/// `aᵀ × bt_lhsᵀ` for `a` `[k, m]` and `bt_lhs` an `[n, k]` left operand
+/// (`bᵀ`, read in place), `[m, n]`, on the vector kernel: `(bᵀ × a)ᵀ`,
+/// with `a` packed and the product transposed on its way out. Each
+/// element is still one accumulator over ascending `k`, of `b·a` where
+/// the scalar TN kernel has `a·b` — the same bits, multiplication being
+/// commutative. `None` at the scalar level.
+#[cfg(target_arch = "x86_64")]
+fn packed_tn<O: Offsets>(a: &Tensor, bt_lhs: &Lhs<'_, O>) -> Option<Tensor> {
+    let level = vector_level()?;
+    let (k, m, n) = (a.shape()[0], a.shape()[1], bt_lhs.rows);
+    let mut out = scratch::take_dirty(m * n);
+    let mut panels = PANELS.take();
+    panels.repack_kn(a.data(), k, m);
+    let swapped = packed_product(level, bt_lhs, &panels);
+    PANELS.set(panels);
+    transpose_sweep(&swapped, n, m, &mut out, SweepOp::Copy);
+    scratch::recycle(swapped);
+    Some(Tensor::from_vec(out, &[m, n]))
 }
 
 /// Geometry of a 2-D convolution.
@@ -588,165 +605,33 @@ impl ConvGeom {
         assert!(padded >= self.kernel, "kernel larger than padded input width");
         (padded - self.kernel) / self.stride + 1
     }
-}
 
-/// Fills one block of patch rows (`[r0, r0 + chunk_rows)` in the
-/// `[B * out_h * out_w, patch]` column matrix). Writes every element,
-/// including padding zeros, so the destination needs no pre-clearing.
-///
-/// 3×3 kernels — every convolution the models run except the 1×1 heads
-/// — take a branch-free path at interior positions (whole patch inside
-/// the image): three fixed 3-element copies per channel, with the
-/// interior test hoisted to one range check per output row. Borders and
-/// other kernel sizes go through [`im2col_patch`]; both write the same
-/// values.
-fn im2col_rows(data: &[f32], g: &ConvGeom, r0: usize, chunk: &mut [f32]) {
-    let (oh, ow) = (g.out_h(), g.out_w());
-    let patch = g.in_c * g.kernel * g.kernel;
-    let img_stride = g.in_c * g.in_h * g.in_w;
-    let chan_stride = g.in_h * g.in_w;
-    let interior_x = interior_columns_k3(g);
-    let mut dsts = chunk.chunks_exact_mut(patch);
-    let mut row = r0;
-    let end = r0 + dsts.len();
-    while row < end {
-        // One output row (or the part of it inside this block) at a time.
-        let (bi, rem) = (row / (oh * ow), row % (oh * ow));
-        let (oy, ox0) = (rem / ow, rem % ow);
-        let ox1 = ow.min(ox0 + (end - row));
-        let img = &data[bi * img_stride..(bi + 1) * img_stride];
-        let y0 = oy * g.stride;
-        let interior_y = y0 >= g.pad && y0 - g.pad + 3 <= g.in_h;
-        for ox in ox0..ox1 {
-            let dst = dsts.next().expect("block holds whole patch rows");
-            if interior_y && interior_x.contains(&ox) {
-                let top_left = (y0 - g.pad) * g.in_w + ox * g.stride - g.pad;
-                for (d, chan) in dst.chunks_exact_mut(9).zip(img.chunks_exact(chan_stride)) {
-                    let window = &chan[top_left..top_left + 2 * g.in_w + 3];
-                    d[0..3].copy_from_slice(&window[0..3]);
-                    d[3..6].copy_from_slice(&window[g.in_w..g.in_w + 3]);
-                    d[6..9].copy_from_slice(&window[2 * g.in_w..2 * g.in_w + 3]);
-                }
-            } else {
-                im2col_patch(img, g, oy, ox, dst);
-            }
-        }
-        row += ox1 - ox0;
+    /// Height and width of the input with its zero border.
+    fn padded_dims(&self) -> (usize, usize) {
+        (self.in_h + 2 * self.pad, self.in_w + 2 * self.pad)
     }
-}
-
-/// One patch row of the column matrix for output position `(oy, ox)` of
-/// one image, any kernel and any overlap with the zero padding.
-fn im2col_patch(img: &[f32], g: &ConvGeom, oy: usize, ox: usize, dst: &mut [f32]) {
-    // Signed top-left corner of the window; padding puts it off-image.
-    let y0 = (oy * g.stride) as isize - g.pad as isize;
-    let x0 = (ox * g.stride) as isize - g.pad as isize;
-    // In-bounds kx range: 0 <= x0 + kx < in_w, the same for every row.
-    let kx_lo = (-x0).clamp(0, g.kernel as isize) as usize;
-    let kx_hi = (g.in_w as isize - x0).clamp(kx_lo as isize, g.kernel as isize) as usize;
-    let mut dst_rows = dst.chunks_exact_mut(g.kernel);
-    for chan in img.chunks_exact(g.in_h * g.in_w) {
-        for ky in 0..g.kernel as isize {
-            let d = dst_rows.next().expect("patch holds in_c * kernel rows");
-            let iy = y0 + ky;
-            if iy < 0 || iy >= g.in_h as isize {
-                d.fill(0.0);
-                continue;
-            }
-            // Kernels are 1 or 3 wide: a per-element select beats
-            // fill + memcpy + fill calls of run-time length.
-            let src_row = &chan[iy as usize * g.in_w..][..g.in_w];
-            for (kx, v) in d.iter_mut().enumerate() {
-                let inside = (kx_lo..kx_hi).contains(&kx);
-                *v = if inside { src_row[(x0 + kx as isize) as usize] } else { 0.0 };
-            }
-        }
-    }
-}
-
-/// [`im2col`] into a caller-owned buffer, resized to fit. This is the
-/// allocation-free path `Conv2d` uses to reuse its column scratch
-/// between forward passes.
-pub fn im2col_into(input: &Tensor, g: &ConvGeom, out: &mut Vec<f32>) {
-    assert_eq!(input.ndim(), 4, "im2col expects [B, C, H, W]");
-    let b = input.shape()[0];
-    assert_eq!(input.shape()[1], g.in_c, "channel mismatch");
-    assert_eq!(input.shape()[2], g.in_h, "height mismatch");
-    assert_eq!(input.shape()[3], g.in_w, "width mismatch");
-    let (oh, ow) = (g.out_h(), g.out_w());
-    let patch = g.in_c * g.kernel * g.kernel;
-    let rows = b * oh * ow;
-    out.resize(rows * patch, 0.0);
-    let data = input.data();
-    if g.kernel == 1 && g.stride == 1 && g.pad == 0 {
-        // Each image's column matrix is the image transposed: one sweep
-        // per image, the same copies `im2col_patch` makes one by one.
-        let plane = g.in_h * g.in_w;
-        for (img, dst) in
-            data.chunks_exact(g.in_c * plane).zip(out.chunks_exact_mut(plane * g.in_c))
-        {
-            transpose_sweep(img, g.in_c, plane, dst, SweepOp::Copy);
-        }
-        return;
-    }
-    run_row_blocks(out, patch, rows, rows * patch, &|_, r0, chunk| {
-        im2col_rows(data, g, r0, chunk);
-    });
 }
 
 thread_local! {
-    /// The column-offset table of the last implicit convolution on this
+    /// The column-offset table of the last convolution product on this
     /// thread, kept for its allocation.
     static OFFSETS: std::cell::Cell<Vec<u32>> = const { std::cell::Cell::new(Vec::new()) };
 }
 
-/// A convolution's product with its flattened `[out_c, C·k·k]` weight,
-/// `[B·OH·OW, out_c]` — the `im2col` matmul without the `im2col`
-/// matrix. The input is copied once into a zero-padded buffer (read in
-/// place when there is no padding) and the NT kernel addresses it
-/// directly: row `(b, oy, ox)` has base `b·C·Hp·Wp + oy·s·Wp + ox·s`,
-/// column `(c, ky, kx)` has offset `c·Hp·Wp + ky·Wp + kx`. Those are the
-/// values `im2col` would have written at `[row][col]`, padding
-/// included as `+0.0`, so the product is bit-identical to
-/// `matmul_nt(im2col(input), w)`.
-pub(crate) fn conv2d_implicit(
-    input: &Tensor,
-    g: &ConvGeom,
-    w: &Tensor,
-    panels: &WeightPanels,
-) -> Tensor {
+/// `input` `[B, C, H, W]` with a border of `g.pad` zeros on every side,
+/// `[B, C, Hp, Wp]` (`Hp = H + 2·pad`, `Wp = W + 2·pad`), written into
+/// `reuse`'s allocation or a scratch buffer. Every element is written,
+/// so the buffer may hold anything; with `pad = 0` this is a copy.
+pub(crate) fn pad_input(input: &Tensor, g: &ConvGeom, reuse: Option<Vec<f32>>) -> Tensor {
     assert_eq!(input.ndim(), 4, "conv expects [B, C, H, W]");
     let b = input.shape()[0];
     assert_eq!(input.shape()[1..], [g.in_c, g.in_h, g.in_w], "conv input shape mismatch");
-    let (oh, ow) = (g.out_h(), g.out_w());
-    let (hp, wp) = (g.in_h + 2 * g.pad, g.in_w + 2 * g.pad);
-    let padded = (g.pad > 0).then(|| pad_planes(input.data(), b * g.in_c, g.in_h, g.in_w, g.pad));
-    let data = padded.as_deref().unwrap_or(input.data());
-    assert!(data.len() <= u32::MAX as usize, "conv input too large for 32-bit offsets");
-    let mut offs = OFFSETS.take();
-    offs.clear();
-    for c in 0..g.in_c {
-        for ky in 0..g.kernel {
-            offs.extend((0..g.kernel).map(|kx| (c * hp * wp + ky * wp + kx) as u32));
-        }
-    }
-    let max_off = offs.iter().max().map_or(0, |&o| o as usize);
-    let map = RowMap { oh, ow, img: g.in_c * hp * wp, dy: g.stride * wp, dx: g.stride };
-    let lhs = Lhs::new(data, b * oh * ow, offs.len(), map, offs.as_slice(), max_off);
-    let out = panels.nt(&lhs, w);
-    OFFSETS.set(offs);
-    if let Some(buf) = padded {
-        scratch::recycle(buf);
-    }
-    out
-}
-
-/// `planes` planes of `h × w` with a border of `pad` zeros on every
-/// side, `[planes, h + 2·pad, w + 2·pad]`.
-fn pad_planes(data: &[f32], planes: usize, h: usize, w: usize, pad: usize) -> Vec<f32> {
-    let wp = w + 2 * pad;
-    let mut out = scratch::take_dirty(planes * (h + 2 * pad) * wp);
-    for (src, dst) in data.chunks_exact(h * w).zip(out.chunks_exact_mut((h + 2 * pad) * wp)) {
+    let (h, w, pad) = (g.in_h, g.in_w, g.pad);
+    let (hp, wp) = g.padded_dims();
+    let len = b * g.in_c * hp * wp;
+    let mut buf = reuse.unwrap_or_else(|| scratch::take_dirty(len));
+    buf.resize(len, 0.0);
+    for (src, dst) in input.data().chunks_exact(h * w).zip(buf.chunks_exact_mut(hp * wp)) {
         let (top, rest) = dst.split_at_mut(pad * wp);
         let (body, bottom) = rest.split_at_mut(h * wp);
         top.fill(0.0);
@@ -757,25 +642,101 @@ fn pad_planes(data: &[f32], planes: usize, h: usize, w: usize, pad: usize) -> Ve
             dst_row[pad + w..].fill(0.0);
         }
     }
+    Tensor::from_vec(buf, &[b, g.in_c, hp, wp])
+}
+
+/// Runs `f` on a convolution's column matrix (`transposed = false`) or
+/// its transpose (`true`), read in place from `padded`, the input with
+/// its zero border, `[B, C, Hp, Wp]`. The two index sets are the output
+/// positions `(b, oy, ox)`, whose windows' top left corners sit at
+/// `b·C·Hp·Wp + oy·s·Wp + ox·s`, and the kernel taps `(c, ky, kx)`, at
+/// `c·Hp·Wp + ky·Wp + kx` from a corner: one set is the rows' map, the
+/// other goes into the `OFFSETS` table as the column offsets. A
+/// position's base plus a tap's is where element `(position, tap)` of
+/// the `im2col` matrix lives — its value, padding included as `+0.0`.
+fn with_conv_lhs<R>(
+    padded: &Tensor,
+    g: &ConvGeom,
+    transposed: bool,
+    f: impl FnOnce(&Lhs<'_, &[u32]>) -> R,
+) -> R {
+    let (hp, wp) = g.padded_dims();
+    assert_eq!(padded.shape()[1..], [g.in_c, hp, wp], "padded conv input shape mismatch");
+    let (oh, ow, s) = (g.out_h(), g.out_w(), g.stride);
+    let positions =
+        (padded.shape()[0] * oh * ow, RowMap { oh, ow, img: g.in_c * hp * wp, dy: s * wp, dx: s });
+    let taps = (
+        g.in_c * g.kernel * g.kernel,
+        RowMap { oh: g.kernel, ow: g.kernel, img: hp * wp, dy: wp, dx: 1 },
+    );
+    let ((rows, row_map), (k, col_map)) =
+        if transposed { (taps, positions) } else { (positions, taps) };
+    let mut offs = OFFSETS.take();
+    offs.clear();
+    let mut cols = col_map.cursor(0);
+    offs.extend((0..k).map(|_| {
+        u32::try_from(cols.next_base()).expect("conv input too large for 32-bit offsets")
+    }));
+    let max_off = offs.iter().max().map_or(0, |&o| o as usize);
+    let out = f(&Lhs::new(padded.data(), rows, k, row_map, offs.as_slice(), max_off));
+    OFFSETS.set(offs);
     out
 }
 
-/// Unfolds an image batch `[B, C, H, W]` into a column matrix
-/// `[B * out_h * out_w, C * k * k]` so convolution becomes a matmul.
-pub fn im2col(input: &Tensor, g: &ConvGeom) -> Tensor {
-    let b = input.shape()[0];
-    let patch = g.in_c * g.kernel * g.kernel;
-    let rows = b * g.out_h() * g.out_w();
-    let mut out = scratch::take_dirty(rows * patch);
-    im2col_into(input, g, &mut out);
-    Tensor::from_vec(out, &[rows, patch])
+/// A convolution's product with its flattened `[out_c, C·k·k]` weight,
+/// `[B·OH·OW, out_c]` — the `im2col` matmul without the `im2col`
+/// matrix: the NT kernel reads `padded` ([`pad_input`]'s layout) in
+/// place, so the product is bit-identical to `matmul_nt` over the
+/// materialized columns. The training forward pass keeps `padded` for
+/// [`conv2d_weight_grad`].
+pub(crate) fn conv2d_padded(
+    padded: &Tensor,
+    g: &ConvGeom,
+    w: &Tensor,
+    panels: &WeightPanels,
+) -> Tensor {
+    with_conv_lhs(padded, g, false, |cols| panels.nt(cols, w))
+}
+
+/// [`conv2d_padded`] for an unpadded input `[B, C, H, W]`, as inference
+/// runs it: the input is copied once into a zero-padded buffer, or read
+/// in place when there is no padding.
+pub(crate) fn conv2d_implicit(
+    input: &Tensor,
+    g: &ConvGeom,
+    w: &Tensor,
+    panels: &WeightPanels,
+) -> Tensor {
+    if g.pad == 0 {
+        return conv2d_padded(input, g, w, panels);
+    }
+    conv2d_padded(&pad_input(input, g, None), g, w, panels)
+}
+
+/// A convolution's weight gradient `Gᵀ × cols`, `[out_c, C·k·k]`, for
+/// the output gradient `grad` (`[B·OH·OW, out_c]`, a row per position)
+/// and the forward pass's `padded` input. The column matrix is read in
+/// place as `colsᵀ`, a row per kernel tap, and the product runs as
+/// `(colsᵀ × G)ᵀ`: on a vector level through `matmul_tn`'s own path;
+/// on the scalar one as the NT product over `Gᵀ`, then transposed. Each
+/// element is one accumulator starting at `0.0` and walking the
+/// positions in ascending order, so either way the bits are those of
+/// `matmul_tn(grad, cols)` over the materialized columns.
+pub(crate) fn conv2d_weight_grad(padded: &Tensor, g: &ConvGeom, grad: &Tensor) -> Tensor {
+    with_conv_lhs(padded, g, true, |cols_t| {
+        assert_eq!(grad.ndim(), 2, "conv output gradient must be 2-D");
+        assert_eq!(grad.shape()[0], cols_t.depth(), "conv output gradient rows mismatch");
+        #[cfg(target_arch = "x86_64")]
+        if let Some(dw) = packed_tn(grad, cols_t) {
+            return dw;
+        }
+        nt_product(cols_t, &grad.transpose(), None).transpose()
+    })
 }
 
 /// Output columns of one output row whose 3-wide window needs no
 /// padding: those with `0 <= ox * stride - pad` and
-/// `ox * stride - pad + 3 <= in_w`. Empty for any other kernel size
-/// (a 1×1 kernel at stride 1 without padding never gets here — see
-/// [`im2col_into`]).
+/// `ox * stride - pad + 3 <= in_w`. Empty for any other kernel size.
 fn interior_columns_k3(g: &ConvGeom) -> std::ops::Range<usize> {
     if g.kernel == 3 && g.in_w >= 3 {
         g.pad.div_ceil(g.stride)..((g.in_w + g.pad - 3) / g.stride + 1).min(g.out_w())
@@ -784,16 +745,17 @@ fn interior_columns_k3(g: &ConvGeom) -> std::ops::Range<usize> {
     }
 }
 
-/// Folds a column-matrix gradient back into an image gradient — the adjoint
-/// of [`im2col`]. Overlapping patches accumulate.
+/// Folds a column-matrix gradient back into an image gradient — the
+/// adjoint of the `im2col` unfolding the convolution products read in
+/// place. Overlapping patches accumulate.
 ///
 /// Parallelized over batch images: each image's overlapping-patch
 /// accumulation is done by exactly one block, in patch-row order, so the
 /// result is independent of the thread count.
 ///
-/// Mirrors [`im2col_rows`]: 3×3 kernels at interior positions add their
-/// nine values per channel at fixed offsets, the interior test hoisted to
-/// one range check per output row; borders and other kernel sizes go
+/// 3×3 kernels at interior positions add their nine values per channel
+/// at fixed offsets, the interior test hoisted to one range check per
+/// output row; borders and other kernel sizes go
 /// through [`col2im_patch`]. A pixel receives at most one term per patch,
 /// and patches are visited in the same order on both paths, so each
 /// pixel's accumulation order — and every bit — is the same.
@@ -910,9 +872,8 @@ const SWEEP_BLOCK: usize = 16;
 /// and NCHW, with the elementwise work that used to be passes of its
 /// own done on the way. `Conv2d` runs it per image in both directions —
 /// forward (bias, batch norm, activation, positions → channels) and
-/// backward (activation gradient, channels → positions) — and `im2col`
-/// for 1×1 unit-stride kernels without padding, whose column matrix is
-/// the transposed image.
+/// backward (activation gradient, channels → positions) — and the TN
+/// product transposes its result with it.
 ///
 /// The AVX2 path works in 8×8 register tiles and the scalar path in
 /// cache blocks; apart from `op`'s adds and multiplies per value, which
@@ -1112,12 +1073,28 @@ mod tests {
         assert_eq!(g2.out_h(), 3);
     }
 
+    /// The `im2col` matrix as the convolution products read it: every
+    /// element of the implicit left operand over the padded input, the
+    /// column matrix itself or, `transposed`, its transpose.
+    fn implicit_columns(x: &Tensor, g: &ConvGeom, transposed: bool) -> Tensor {
+        with_conv_lhs(&pad_input(x, g, None), g, transposed, |lhs| {
+            let (rows, k) = (lhs.rows(), lhs.depth());
+            let mut cursor = lhs.cursor(0);
+            let mut out = Vec::with_capacity(rows * k);
+            for _ in 0..rows {
+                let base = cursor.next_base();
+                out.extend(lhs.offsets().iter().map(|&off| lhs.data()[base + off as usize]));
+            }
+            Tensor::from_vec(out, &[rows, k])
+        })
+    }
+
     #[test]
     fn im2col_identity_kernel() {
-        // 1x1 kernel, stride 1: im2col is just a reshape.
+        // 1x1 kernel, stride 1: the column matrix is just a reshape.
         let g = ConvGeom { in_c: 2, in_h: 2, in_w: 2, kernel: 1, stride: 1, pad: 0 };
         let x = Tensor::from_vec((0..8).map(|v| v as f32).collect(), &[1, 2, 2, 2]);
-        let cols = im2col(&x, &g);
+        let cols = implicit_columns(&x, &g, false);
         assert_eq!(cols.shape(), &[4, 2]);
         // Row r = spatial position, columns = channels.
         assert_eq!(cols.get(&[0, 0]), 0.0);
@@ -1130,7 +1107,7 @@ mod tests {
     fn im2col_padding_zero_fills() {
         let g = ConvGeom { in_c: 1, in_h: 2, in_w: 2, kernel: 3, stride: 1, pad: 1 };
         let x = Tensor::ones(&[1, 1, 2, 2]);
-        let cols = im2col(&x, &g);
+        let cols = implicit_columns(&x, &g, false);
         assert_eq!(cols.shape(), &[4, 9]);
         // Top-left output position: its 3x3 patch has 4 real pixels, 5 padded.
         let first: f32 = cols.row(0).sum();
@@ -1138,25 +1115,34 @@ mod tests {
     }
 
     #[test]
-    fn im2col_into_overwrites_dirty_buffer() {
+    fn transposed_addressing_reads_the_transposed_columns() {
+        let g = ConvGeom { in_c: 3, in_h: 5, in_w: 4, kernel: 3, stride: 2, pad: 1 };
+        let x = Tensor::from_vec((0..2 * 3 * 5 * 4).map(|v| v as f32).collect(), &[2, 3, 5, 4]);
+        let cols = implicit_columns(&x, &g, false);
+        assert_eq!(implicit_columns(&x, &g, true).data(), cols.transpose().data());
+    }
+
+    #[test]
+    fn pad_input_overwrites_a_dirty_buffer() {
         let g = ConvGeom { in_c: 1, in_h: 3, in_w: 3, kernel: 3, stride: 1, pad: 1 };
         let x = Tensor::ones(&[1, 1, 3, 3]);
-        let fresh = im2col(&x, &g);
-        let mut dirty = vec![9.9f32; fresh.numel()];
-        im2col_into(&x, &g, &mut dirty);
-        assert_eq!(&dirty[..], fresh.data());
+        let fresh = pad_input(&x, &g, Some(Vec::new()));
+        assert_eq!(fresh.shape(), &[1, 1, 5, 5]);
+        assert_eq!(fresh.sum(), 9.0);
+        let dirty = pad_input(&x, &g, Some(vec![9.9f32; 40]));
+        assert_eq!(dirty.data(), fresh.data());
     }
 
     #[test]
     fn col2im_is_adjoint_of_im2col() {
-        // <im2col(x), y> == <x, col2im(y)> for random-ish x, y.
+        // <cols(x), y> == <x, col2im(y)> for random-ish x, y.
         let g = ConvGeom { in_c: 2, in_h: 5, in_w: 4, kernel: 3, stride: 2, pad: 1 };
         let n_in = 2 * 5 * 4;
         let x = Tensor::from_vec(
             (0..n_in).map(|i| ((i * 37 % 11) as f32 - 5.0) * 0.3).collect(),
             &[1, 2, 5, 4],
         );
-        let cols = im2col(&x, &g);
+        let cols = implicit_columns(&x, &g, false);
         let y = Tensor::from_vec(
             (0..cols.numel()).map(|i| ((i * 17 % 7) as f32 - 3.0) * 0.2).collect(),
             cols.shape(),

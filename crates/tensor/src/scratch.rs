@@ -1,7 +1,7 @@
 //! Thread-local scratch-buffer arena.
 //!
 //! Every [`crate::Tensor`] returns its flat buffer here on drop, and all
-//! tensor constructors (and the im2col/matmul hot paths) draw buffers
+//! tensor constructors (and the convolution/matmul hot paths) draw buffers
 //! from here first. On a steady-state workload — repeated forward or
 //! forward/backward passes over fixed shapes — the pool converges to the
 //! working set and the tensor layer stops touching the global allocator

@@ -3,11 +3,11 @@
 //! and every way of changing the weight has to drop it. These tests
 //! compare a layer whose panels were already built against a fresh
 //! layer that received the same weights and has never packed anything,
-//! and pin the convolution (im2col fast path included) to a direct
-//! per-element reference.
+//! and pin the convolution, inference and training forward alike, to a
+//! direct per-element reference.
 
 use odin_tensor::layers::{Conv2d, Dense, Flatten};
-use odin_tensor::ops::{im2col, ConvGeom};
+use odin_tensor::ops::ConvGeom;
 use odin_tensor::optim::{Adam, Optimizer};
 use odin_tensor::{Layer, Sequential, Tensor};
 use proptest::prelude::*;
@@ -96,10 +96,10 @@ fn patch_elem(x: &Tensor, g: &ConvGeom, bi: usize, oy: usize, ox: usize, kk: usi
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// `infer`, `forward(train = false)` and the direct reference agree
-    /// bit for bit on stride 1 and 2, pad 0 and 1 — shapes from a single
-    /// all-interior position (3×3, pad 0) to maps that are mostly
-    /// border — and `im2col` itself matches the per-element definition.
+    /// `infer`, `forward(train = false)`, `forward(train = true)` and the
+    /// direct reference agree bit for bit on stride 1 and 2, pad 0 and 1
+    /// — shapes from a single all-interior position (3×3, pad 0) to maps
+    /// that are mostly border.
     #[test]
     fn conv_matches_direct_reference(
         batch in 1usize..3,
@@ -119,14 +119,6 @@ proptest! {
         }
         let g = ConvGeom { in_c, in_h: h, in_w: w, kernel: 3, stride, pad };
 
-        let cols = im2col(&x, &g);
-        let patch = in_c * 9;
-        for (row, got) in cols.data().chunks_exact(patch).enumerate() {
-            let (bi, rem) = (row / (g.out_h() * g.out_w()), row % (g.out_h() * g.out_w()));
-            let (oy, ox) = (rem / g.out_w(), rem % g.out_w());
-            let want: Vec<f32> = (0..patch).map(|kk| patch_elem(&x, &g, bi, oy, ox, kk)).collect();
-            prop_assert_eq!(got, &want[..], "im2col row {} (oy {}, ox {})", row, oy, ox);
-        }
 
         let (wt, bias) = {
             let p = conv.params();
@@ -137,5 +129,7 @@ proptest! {
         prop_assert_eq!(inferred.data(), &want[..], "infer vs direct reference");
         let forwarded = conv.forward(&x, false);
         prop_assert_eq!(forwarded.data(), &want[..], "forward(train=false) vs direct reference");
+        let trained = conv.forward(&x, true);
+        prop_assert_eq!(trained.data(), &want[..], "forward(train=true) vs direct reference");
     }
 }

@@ -7,7 +7,7 @@
 //! defaults through an RAII guard.
 
 use odin_tensor::layers::{Conv2d, Dense};
-use odin_tensor::ops::{im2col, matmul, matmul_nt, matmul_tn, softmax_rows, ConvGeom};
+use odin_tensor::ops::{matmul, matmul_nt, matmul_tn, softmax_rows};
 use odin_tensor::par;
 use odin_tensor::{Layer, Tensor};
 use proptest::prelude::*;
@@ -173,18 +173,35 @@ proptest! {
         }
     }
 
+    /// The training convolution's forward and backward at every kernel
+    /// size and padding the models use — a 1×1 kernel without padding
+    /// keeps a plain copy of its input — as one tensor: output, `dX`,
+    /// `dW`, `db`.
     #[test]
-    fn im2col_and_softmax_are_thread_invariant(
+    fn training_conv_and_softmax_are_thread_invariant(
         batch in 1usize..4,
         hw in 3usize..9,
+        k3 in 0usize..2,
+        pad in 0usize..2,
         seed in 0u64..1000,
     ) {
         let _g = KnobGuard::acquire();
+        let kernel = if k3 == 1 { 3 } else { 1 };
         let mut rng = StdRng::seed_from_u64(seed);
-        let g = ConvGeom { in_c: 2, in_h: hw, in_w: hw, kernel: 3, stride: 1, pad: 1 };
         let x = rand_tensor(&mut rng, &[batch, 2, hw, hw]);
-        assert_thread_invariant(|| im2col(&x, &g));
-        assert_serial_matches_parallel(|| im2col(&x, &g));
+        let train = || {
+            let mut conv = Conv2d::new(2, 3, kernel, 1, pad, &mut StdRng::seed_from_u64(seed));
+            let y = conv.forward(&x, true);
+            let gx = conv.backward(&y);
+            let mut all = [y.data(), gx.data()].concat();
+            for (_, grad) in conv.params_grads() {
+                all.extend_from_slice(grad.data());
+            }
+            let n = all.len();
+            Tensor::from_vec(all, &[n])
+        };
+        assert_thread_invariant(train);
+        assert_serial_matches_parallel(train);
         let logits = rand_tensor(&mut rng, &[batch * 7, 11]);
         assert_thread_invariant(|| softmax_rows(&logits));
         assert_serial_matches_parallel(|| softmax_rows(&logits));

@@ -1,7 +1,7 @@
 //! Property-based tests for the tensor algebra core.
 
 use odin_tensor::layers::{BatchNorm2d, Conv2d, LeakyRelu, Relu};
-use odin_tensor::ops::{col2im, im2col, matmul, matmul_nt, matmul_tn, softmax_rows, ConvGeom};
+use odin_tensor::ops::{col2im, matmul, matmul_nt, matmul_tn, softmax_rows, ConvGeom};
 use odin_tensor::{simd, Layer, Sequential, Tensor};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -69,9 +69,11 @@ fn col2im_matches_the_naive_reference_bit_for_bit() {
     }
 }
 
-/// `im2col` by definition: for every output position, every patch
-/// element read from the image or `0.0` off it.
-fn im2col_reference(x: &[f32], g: &ConvGeom, batch: usize) -> Vec<f32> {
+/// The `im2col` matrix by definition, `[B·OH·OW, C·k·k]`: for every
+/// output position, every patch element read from the image or `0.0`
+/// off it. The convolution products read these values from the padded
+/// input without building the matrix.
+fn im2col_reference(x: &[f32], g: &ConvGeom, batch: usize) -> Tensor {
     let mut out = Vec::new();
     for img in x.chunks_exact(g.in_c * g.in_h * g.in_w).take(batch) {
         for oy in 0..g.out_h() {
@@ -94,7 +96,8 @@ fn im2col_reference(x: &[f32], g: &ConvGeom, batch: usize) -> Vec<f32> {
             }
         }
     }
-    out
+    let rows = out.len() / (g.in_c * g.kernel * g.kernel);
+    Tensor::from_vec(out, &[rows, g.in_c * g.kernel * g.kernel])
 }
 
 /// The geometry grid of the convolution identity tests.
@@ -116,20 +119,6 @@ fn conv_geometries() -> impl Iterator<Item = ConvGeom> {
             })
         })
     })
-}
-
-/// `im2col`'s fast paths (3×3 interiors, the 1×1 unit-stride transpose)
-/// write every value the definition does, bit for bit.
-#[test]
-fn im2col_matches_the_naive_reference_bit_for_bit() {
-    for g in conv_geometries() {
-        let x = Tensor::from_vec(
-            (0..2 * g.in_c * g.in_h * g.in_w).map(|i| (i as f32 * 0.53).cos() * 2.0).collect(),
-            &[2, g.in_c, g.in_h, g.in_w],
-        );
-        let got = im2col(&x, &g);
-        assert_eq!(got.data(), &im2col_reference(x.data(), &g, 2)[..], "{g:?}");
-    }
 }
 
 /// What follows the convolution in a stack.
@@ -184,7 +173,7 @@ fn implicit_conv_with_fused_tail_matches_im2col_and_separate_layers() {
                 );
                 simd::set_simd_level(simd::SimdLevel::Scalar);
                 let (w, bias) = (conv.params()[0].clone(), conv.params()[1].clone());
-                let pos = matmul_nt(&im2col(&x, &g), &w);
+                let pos = matmul_nt(&im2col_reference(x.data(), &g, batch), &w);
                 let plane = g.out_h() * g.out_w();
                 let nchw: Vec<f32> = (0..batch * out_c * plane)
                     .map(|i| {
@@ -216,6 +205,125 @@ fn implicit_conv_with_fused_tail_matches_im2col_and_separate_layers() {
                     assert_eq!(got.data(), want.data(), "{g:?} batch {batch} {tail:?} {level:?}");
                     let eval = net.forward(&x, false);
                     assert_eq!(eval.data(), want.data(), "forward {g:?} {tail:?} {level:?}");
+                }
+                simd::reset_simd();
+            }
+        }
+    }
+}
+
+/// The training convolution — forward with its fused activation, then
+/// backward — against its definition at the scalar level: the `im2col`
+/// matrix times the weight plus the bias, the separate activation layer,
+/// `dW = matmul_tn(G, cols)`, `db` as column sums of `G` and `dX =
+/// col2im(matmul(G, W))`, where `G` is the output gradient through the
+/// activation's backward, a row per position. Output, `dW`, `db` and
+/// `dX` bit for bit at every dispatch level, over the geometry grid ×
+/// batch {1, 3} × {no, ReLU, LeakyReLU} activation, with output
+/// channels cycling across the 16-wide panel edges.
+#[test]
+fn training_conv_matches_im2col_and_separate_layers() {
+    let out_cs = [1usize, 5, 12, 16, 17, 33];
+    for (case, g) in conv_geometries().enumerate() {
+        for batch in [1usize, 3] {
+            for act in 0..3usize {
+                let out_c = out_cs[(case + act + batch) % out_cs.len()];
+                let seed = (case * 29 + act * 5 + batch) as u64;
+                let make = || {
+                    let conv = Conv2d::new(g.in_c, out_c, g.kernel, g.stride, g.pad, &mut {
+                        StdRng::seed_from_u64(seed)
+                    });
+                    match act {
+                        1 => conv.fuse_relu(),
+                        2 => conv.fuse_leaky_relu(0.1),
+                        _ => conv,
+                    }
+                };
+                let x = Tensor::from_vec(
+                    (0..batch * g.in_c * g.in_h * g.in_w)
+                        .map(|i| ((i as f32 + seed as f32) * 0.43).sin() * 2.0)
+                        .collect(),
+                    &[batch, g.in_c, g.in_h, g.in_w],
+                );
+                let (oh, ow) = (g.out_h(), g.out_w());
+                let plane = oh * ow;
+                let dy = Tensor::from_vec(
+                    (0..batch * out_c * plane).map(|i| ((i as f32 + 0.5) * 0.71).cos()).collect(),
+                    &[batch, out_c, oh, ow],
+                );
+                // NCHW <-> a row per position.
+                let to_pos = |t: &Tensor| -> Tensor {
+                    let v = (0..batch * plane * out_c)
+                        .map(|i| {
+                            let (r, c) = (i / out_c, i % out_c);
+                            t.data()[(r / plane * out_c + c) * plane + r % plane]
+                        })
+                        .collect();
+                    Tensor::from_vec(v, &[batch * plane, out_c])
+                };
+
+                simd::set_simd_level(simd::SimdLevel::Scalar);
+                let reference = make();
+                let (w, bias) = (reference.params()[0].clone(), reference.params()[1].clone());
+                let cols = im2col_reference(x.data(), &g, batch);
+                let pos = matmul_nt(&cols, &w);
+                let pre: Vec<f32> = (0..batch * out_c * plane)
+                    .map(|i| {
+                        let (b, c, p) = (i / (out_c * plane), i / plane % out_c, i % plane);
+                        pos.data()[(b * plane + p) * out_c + c] + bias.data()[c]
+                    })
+                    .collect();
+                let pre = Tensor::from_vec(pre, &[batch, out_c, oh, ow]);
+                let (want_y, g_nchw) = match act {
+                    1 => {
+                        let mut relu = Relu::new();
+                        (relu.forward(&pre, true), relu.backward(&dy))
+                    }
+                    2 => {
+                        let mut leaky = LeakyRelu::new(0.1);
+                        (leaky.forward(&pre, true), leaky.backward(&dy))
+                    }
+                    _ => (pre, dy.clone()),
+                };
+                let g_pos = to_pos(&g_nchw);
+                let want_dw = matmul_tn(&g_pos, &cols);
+                let want_db: Vec<f32> = (0..out_c)
+                    .map(|c| {
+                        let mut acc = 0.0f32;
+                        for r in 0..batch * plane {
+                            acc += g_pos.data()[r * out_c + c];
+                        }
+                        acc
+                    })
+                    .collect();
+                let want_dx = col2im(&matmul(&g_pos, &w), &g, batch);
+
+                for level in simd::available_levels() {
+                    simd::set_simd_level(level);
+                    let mut conv = make();
+                    let y = conv.forward(&x, true);
+                    assert_eq!(
+                        y.data(),
+                        want_y.data(),
+                        "forward {g:?} batch {batch} act {act} {level:?}"
+                    );
+                    let dx = conv.backward(&dy);
+                    assert_eq!(
+                        dx.data(),
+                        want_dx.data(),
+                        "dX {g:?} batch {batch} act {act} {level:?}"
+                    );
+                    let grads = conv.params_grads();
+                    assert_eq!(
+                        grads[0].1.data(),
+                        want_dw.data(),
+                        "dW {g:?} batch {batch} act {act} {level:?}"
+                    );
+                    assert_eq!(
+                        grads[1].1.data(),
+                        &want_db[..],
+                        "db {g:?} batch {batch} act {act} {level:?}"
+                    );
                 }
                 simd::reset_simd();
             }
@@ -327,7 +435,7 @@ proptest! {
         let g = ConvGeom { in_c: 2, in_h: h, in_w: w, kernel: 3, stride, pad: 1 };
         let n_in = 2 * h * w;
         let x = Tensor::from_vec((0..n_in).map(|i| (i as f32 * 0.13).sin()).collect(), &[1, 2, h, w]);
-        let cols = im2col(&x, &g);
+        let cols = im2col_reference(x.data(), &g, 1);
         let y = Tensor::from_vec(
             (0..cols.numel()).map(|i| (i as f32 * 0.29).cos()).collect(),
             cols.shape(),

@@ -66,10 +66,13 @@ ODIN_NO_SIMD=1 cargo test -q -p odin-tensor -p odin-detect -p odin-gan
 
 # The pinned training and inference hashes ran above at the machine's
 # thread count, at 2 threads and with SIMD off; a serial pool is the
-# one setting left.
-echo "==> ODIN_THREADS=1 training + inference identity (odin-detect, odin-gan)"
+# one setting left. The tensor crate's own suite runs there too: the
+# serial branch of every product (the convolution's `dW` included) and
+# the steady-state allocation count on a one-thread pool.
+echo "==> ODIN_THREADS=1 training + inference identity (odin-detect, odin-gan), odin-tensor"
 ODIN_THREADS=1 cargo test -q -p odin-detect -p odin-gan --test training_identity \
     --test inference_identity
+ODIN_THREADS=1 cargo test -q -p odin-tensor
 
 # The trainer's scheduling (workers, a barrier that trains queued jobs
 # itself, panicking jobs, drop) ran above at the machine's thread count
