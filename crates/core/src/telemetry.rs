@@ -526,6 +526,31 @@ mod tests {
     }
 
     #[test]
+    fn healthz_bytes_are_pinned() {
+        let tel = Telemetry::new();
+        tel.clear_sinks();
+        assert_eq!(
+            tel.render_healthz(),
+            concat!(
+                r#"{"status":"ok","frames":0,"drift_events":0,"clusters":0,"models":0,"#,
+                r#""training_queue_depth":0,"train_in_flight":0,"event_log_queue_depth":0,"#,
+                r#""store_errors":0,"last_store_error":null}"#
+            )
+        );
+        tel.frames.add(12);
+        tel.clusters.set(2);
+        tel.record_store_error("wal append", "disk \"full\" at C:\\odin é");
+        assert_eq!(
+            tel.render_healthz(),
+            concat!(
+                r#"{"status":"degraded","frames":12,"drift_events":0,"clusters":2,"models":0,"#,
+                r#""training_queue_depth":0,"train_in_flight":0,"event_log_queue_depth":0,"#,
+                r#""store_errors":1,"last_store_error":"wal append: disk \"full\" at C:\\odin é"}"#
+            )
+        );
+    }
+
+    #[test]
     fn stage_span_feeds_histogram_and_flight_recorder() {
         let tel = Telemetry::new();
         tel.clear_sinks();
