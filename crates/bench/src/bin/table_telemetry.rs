@@ -112,11 +112,6 @@ fn main() {
     );
 
     if std::fs::create_dir_all(&args.out_dir).is_ok() {
-        let path = args.out_dir.join("table_telemetry_metrics.json");
-        match std::fs::write(&path, odin.telemetry().render_json()) {
-            Ok(()) => println!("metrics dump: {}", path.display()),
-            Err(e) => println!("warning: could not write metrics dump: {e}"),
-        }
         let trace = args.out_dir.join("table_telemetry_trace.json");
         match odin.dump_flight_record(&trace) {
             Ok(()) => println!("chrome trace: {}", trace.display()),

@@ -2,106 +2,23 @@
 //!
 //! Compares a freshly measured experiment table against a committed
 //! baseline (`results/<id>.json`) and flags rows whose numeric column
-//! dropped by more than an allowed percentage. The table JSON is the
-//! string-only format written by [`crate::report::Table::to_json`], so
-//! the reader is a small hand-rolled parser rather than a serde
-//! pipeline — the bench crate stays free of a JSON dependency.
+//! dropped by more than an allowed percentage. Tables are read with
+//! the workspace's one JSON reader, `odin_telemetry::json`.
 
-/// Extracts the `"rows"` array from a table JSON document.
-///
-/// Only the subset of JSON that [`crate::report::Table::to_json`] emits
-/// is understood: an object containing a `"rows"` key whose value is an
-/// array of arrays of strings. Whitespace layout is ignored.
+use odin_telemetry::json::{self, Value};
+
+/// The `"rows"` of a table JSON document written by
+/// [`crate::report::Table::to_json`]: an array of arrays of strings.
 pub fn parse_rows(json: &str) -> Result<Vec<Vec<String>>, String> {
-    let key = json.find("\"rows\"").ok_or("no \"rows\" key in table JSON")?;
-    let bytes = json.as_bytes();
-    let mut i = key + "\"rows\"".len();
-    // Skip to the opening bracket of the rows array.
-    while i < bytes.len() && bytes[i] != b'[' {
-        i += 1;
-    }
-    if i == bytes.len() {
-        return Err("\"rows\" key has no array value".to_string());
-    }
-    i += 1; // past '['
-
-    let chars: Vec<char> = json[i..].chars().collect();
-    let mut pos = 0usize;
-    let mut rows = Vec::new();
-    loop {
-        skip_ws(&chars, &mut pos);
-        match chars.get(pos) {
-            Some(']') => return Ok(rows),
-            Some('[') => {
-                pos += 1;
-                rows.push(parse_string_row(&chars, &mut pos)?);
-            }
-            Some(',') => pos += 1,
-            Some(c) => return Err(format!("unexpected {c:?} in rows array")),
-            None => return Err("unterminated rows array".to_string()),
-        }
-    }
-}
-
-/// Parses one `["cell", ...]` row; `pos` is just past the opening `[`.
-fn parse_string_row(chars: &[char], pos: &mut usize) -> Result<Vec<String>, String> {
-    let mut row = Vec::new();
-    loop {
-        skip_ws(chars, pos);
-        match chars.get(*pos) {
-            Some(']') => {
-                *pos += 1;
-                return Ok(row);
-            }
-            Some(',') => *pos += 1,
-            Some('"') => {
-                *pos += 1;
-                row.push(parse_string(chars, pos)?);
-            }
-            Some(c) => return Err(format!("unexpected {c:?} in row")),
-            None => return Err("unterminated row".to_string()),
-        }
-    }
-}
-
-/// Parses a JSON string body; `pos` is just past the opening quote.
-fn parse_string(chars: &[char], pos: &mut usize) -> Result<String, String> {
-    let mut out = String::new();
-    while let Some(&c) = chars.get(*pos) {
-        *pos += 1;
-        match c {
-            '"' => return Ok(out),
-            '\\' => {
-                let esc = chars.get(*pos).copied().ok_or("unterminated escape")?;
-                *pos += 1;
-                match esc {
-                    '"' => out.push('"'),
-                    '\\' => out.push('\\'),
-                    '/' => out.push('/'),
-                    'n' => out.push('\n'),
-                    'r' => out.push('\r'),
-                    't' => out.push('\t'),
-                    'u' => {
-                        let hex: String =
-                            chars.get(*pos..*pos + 4).ok_or("short \\u")?.iter().collect();
-                        *pos += 4;
-                        let code =
-                            u32::from_str_radix(&hex, 16).map_err(|e| format!("bad \\u: {e}"))?;
-                        out.push(char::from_u32(code).ok_or("bad \\u code point")?);
-                    }
-                    other => return Err(format!("unknown escape \\{other}")),
-                }
-            }
-            c => out.push(c),
-        }
-    }
-    Err("unterminated string".to_string())
-}
-
-fn skip_ws(chars: &[char], pos: &mut usize) {
-    while matches!(chars.get(*pos), Some(' ' | '\n' | '\r' | '\t')) {
-        *pos += 1;
-    }
+    let doc = json::parse(json)?;
+    let rows =
+        doc.get("rows").and_then(Value::as_array).ok_or("no \"rows\" array in table JSON")?;
+    let cells = |row: &Value| -> Option<Vec<String>> {
+        row.as_array()?.iter().map(|cell| cell.as_str().map(str::to_string)).collect()
+    };
+    rows.iter()
+        .map(|row| cells(row).ok_or_else(|| format!("row {row:?} is not an array of strings")))
+        .collect()
 }
 
 /// One row's baseline-vs-candidate comparison.

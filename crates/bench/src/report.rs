@@ -3,6 +3,7 @@
 use std::fs;
 use std::path::PathBuf;
 
+use odin_telemetry::json;
 use serde::Serialize;
 
 /// Common experiment arguments, parsed from the command line.
@@ -114,8 +115,8 @@ impl Table {
 
     /// Renders the table as pretty-printed JSON.
     ///
-    /// The table's value space is strings only, so the writer is a
-    /// small hand-rolled escaper rather than a serde pipeline.
+    /// The table's value space is strings only, so the writer lays the
+    /// document out by hand around `odin_telemetry::json::escape`.
     pub fn to_json(&self) -> String {
         self.render_json(None)
     }
@@ -125,22 +126,26 @@ impl Table {
     /// when `recorded` is given: a number without its scale cannot be
     /// compared with anything.
     fn render_json(&self, recorded: Option<&Args>) -> String {
+        let quote = |s: &str| format!("\"{}\"", json::escape(s));
+        let list = |items: &[String]| {
+            format!("[{}]", items.iter().map(|s| quote(s)).collect::<Vec<_>>().join(", "))
+        };
         let mut out = String::from("{\n");
-        out.push_str(&format!("  \"id\": {},\n", json_str(&self.id)));
-        out.push_str(&format!("  \"title\": {},\n", json_str(&self.title)));
+        out.push_str(&format!("  \"id\": {},\n", quote(&self.id)));
+        out.push_str(&format!("  \"title\": {},\n", quote(&self.title)));
         if let Some(args) = recorded {
             out.push_str(&format!(
                 "  \"recorded\": {{\"scale\": {}, \"seed\": {}, \"git_commit\": {}}},\n",
                 args.scale,
                 args.seed,
-                json_str(&git_commit())
+                quote(&git_commit())
             ));
         }
-        out.push_str(&format!("  \"headers\": {},\n", json_str_array(&self.headers)));
+        out.push_str(&format!("  \"headers\": {},\n", list(&self.headers)));
         out.push_str("  \"rows\": [\n");
         for (i, row) in self.rows.iter().enumerate() {
             let sep = if i + 1 < self.rows.len() { "," } else { "" };
-            out.push_str(&format!("    {}{sep}\n", json_str_array(row)));
+            out.push_str(&format!("    {}{sep}\n", list(row)));
         }
         out.push_str("  ]\n}");
         out
@@ -174,31 +179,6 @@ fn git_commit() -> String {
         .filter(|out| out.status.success())
         .and_then(|out| String::from_utf8(out.stdout).ok())
         .map_or_else(|| "unknown".to_string(), |s| s.trim().to_string())
-}
-
-/// Escapes a string as a JSON string literal.
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-/// Renders a slice of strings as a JSON array literal.
-fn json_str_array(items: &[String]) -> String {
-    let cells: Vec<String> = items.iter().map(|s| json_str(s)).collect();
-    format!("[{}]", cells.join(", "))
 }
 
 /// Formats a float with 3 decimals (the paper's precision).

@@ -1,10 +1,11 @@
 //! `odin flight` — fetch the live flight recorder's Chrome-trace dump
 //! (`GET /flight`) and write it to a file for Perfetto / chrome://tracing.
 
-use std::net::{SocketAddr, ToSocketAddrs};
 use std::path::PathBuf;
 
-use crate::take_value;
+use odin_telemetry::json;
+
+use crate::{take_value, Remote};
 
 pub fn run(args: &[String]) -> Result<(), String> {
     let mut addr: Option<String> = None;
@@ -19,17 +20,9 @@ pub fn run(args: &[String]) -> Result<(), String> {
         i += 1;
     }
     let addr = addr.ok_or("flight needs --addr HOST:PORT")?;
-    let sock: SocketAddr = addr
-        .to_socket_addrs()
-        .map_err(|e| format!("resolving {addr}: {e}"))?
-        .next()
-        .ok_or_else(|| format!("{addr} resolved to nothing"))?;
-    let (status, body) =
-        odin_telemetry::http::get(sock, "/flight").map_err(|e| format!("GET /flight: {e}"))?;
-    if !status.contains("200") {
-        return Err(format!("/flight returned {status}"));
-    }
-    if !body.contains("\"traceEvents\"") {
+    let body = Remote::resolve(&addr)?.get("/flight")?;
+    let trace = json::parse(&body).map_err(|e| format!("/flight did not return JSON: {e}"))?;
+    if trace.get("traceEvents").and_then(json::Value::as_array).is_none() {
         return Err(format!("/flight did not return a Chrome trace: {body}"));
     }
     std::fs::write(&out, &body).map_err(|e| format!("writing {}: {e}", out.display()))?;

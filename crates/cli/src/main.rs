@@ -30,6 +30,7 @@ mod status;
 mod tail;
 mod top;
 
+use std::net::{SocketAddr, ToSocketAddrs};
 use std::process::ExitCode;
 
 const USAGE: &str = "\
@@ -104,4 +105,27 @@ fn main() -> ExitCode {
 fn take_value(args: &[String], i: &mut usize, flag: &str) -> Result<String, String> {
     *i += 1;
     args.get(*i).cloned().ok_or_else(|| format!("{flag} needs a value"))
+}
+
+/// A serving front end, resolved once from `--addr`.
+#[derive(Clone, Copy)]
+struct Remote(SocketAddr);
+
+impl Remote {
+    fn resolve(addr: &str) -> Result<Remote, String> {
+        let mut socks = addr.to_socket_addrs().map_err(|e| format!("resolving {addr}: {e}"))?;
+        socks.next().map(Remote).ok_or_else(|| format!("{addr} resolved to nothing"))
+    }
+
+    /// The body of `GET path`, or an error naming the route when the
+    /// request fails or the status is not 200.
+    fn get(self, path: &str) -> Result<String, String> {
+        let route = path.split('?').next().unwrap_or(path);
+        let (status, body) =
+            odin_telemetry::http::get(self.0, path).map_err(|e| format!("GET {route}: {e}"))?;
+        if !status.contains("200") {
+            return Err(format!("{route} returned {status}: {}", body.trim()));
+        }
+        Ok(body)
+    }
 }

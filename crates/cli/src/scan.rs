@@ -114,7 +114,7 @@ pub fn run(args: &[String]) -> Result<(), String> {
         println!("[");
         for (i, r) in res.records[..shown].iter().enumerate() {
             let comma = if i + 1 < shown { "," } else { "" };
-            println!("  {}{comma}", fmt::json(r));
+            println!("  {}{comma}", r.to_json());
         }
         println!("]");
     } else {

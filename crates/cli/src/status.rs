@@ -2,10 +2,12 @@
 //! Exits nonzero when `/healthz` reports a degraded status or a stream
 //! whose admission queue sits at its cap.
 
-use std::net::{SocketAddr, ToSocketAddrs};
+use std::collections::BTreeSet;
+
+use odin_telemetry::{json, read_samples};
 
 use crate::fmt::{healthz_alarm, recovery_p50};
-use crate::take_value;
+use crate::{take_value, Remote};
 
 pub fn run(args: &[String]) -> Result<(), String> {
     let mut addr: Option<String> = None;
@@ -20,24 +22,12 @@ pub fn run(args: &[String]) -> Result<(), String> {
         i += 1;
     }
     let addr = addr.ok_or("status needs --addr HOST:PORT")?;
-    let sock: SocketAddr = addr
-        .to_socket_addrs()
-        .map_err(|e| format!("resolving {addr}: {e}"))?
-        .next()
-        .ok_or_else(|| format!("{addr} resolved to nothing"))?;
+    let remote = Remote::resolve(&addr)?;
+    let body = remote.get("/healthz")?;
+    println!("healthz: {body}");
+    let health = json::parse(&body).map_err(|e| format!("/healthz: {e}"))?;
 
-    let (hs, health) =
-        odin_telemetry::http::get(sock, "/healthz").map_err(|e| format!("GET /healthz: {e}"))?;
-    if !hs.contains("200") {
-        return Err(format!("/healthz returned {hs}"));
-    }
-    println!("healthz: {health}");
-
-    let (ms, metrics) =
-        odin_telemetry::http::get(sock, "/metrics").map_err(|e| format!("GET /metrics: {e}"))?;
-    if !ms.contains("200") {
-        return Err(format!("/metrics returned {ms}"));
-    }
+    let metrics = remote.get("/metrics")?;
     if raw {
         print!("{metrics}");
         return match healthz_alarm(&health) {
@@ -61,27 +51,20 @@ pub fn run(args: &[String]) -> Result<(), String> {
         "odin_store_errors_total",
     ];
     for line in metrics.lines() {
-        if line.starts_with('#') {
-            continue;
-        }
-        let name = line.split(['{', ' ']).next().unwrap_or("");
-        if INTERESTING.contains(&name) {
+        if INTERESTING.contains(&line.split(['{', ' ']).next().unwrap_or("")) {
             println!("{line}");
         }
     }
     // How long a drifted stream waits for its model: one line per
     // stream of a server, one for a single pipeline.
-    let streams: std::collections::BTreeSet<u32> = metrics
-        .lines()
-        .filter_map(|l| {
-            l.strip_prefix("odin_recovery_ms_count{stream=\"")?.split('"').next()?.parse().ok()
-        })
-        .collect();
+    let samples = read_samples(&metrics);
+    let counts = samples.iter().filter(|s| s.name == "odin_recovery_ms_count");
+    let streams: BTreeSet<u32> = counts.filter_map(|s| s.stream.as_deref()?.parse().ok()).collect();
     if streams.is_empty() {
-        println!("odin_recovery_ms p50 {}", recovery_p50(&metrics, None));
+        println!("odin_recovery_ms p50 {}", recovery_p50(&samples, None));
     }
     for id in streams {
-        println!("odin_recovery_ms{{stream=\"{id}\"}} p50 {}", recovery_p50(&metrics, Some(id)));
+        println!("odin_recovery_ms{{stream=\"{id}\"}} p50 {}", recovery_p50(&samples, Some(id)));
     }
     match healthz_alarm(&health) {
         Some(reason) => Err(format!("unhealthy: {reason}")),

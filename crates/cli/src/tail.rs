@@ -15,14 +15,13 @@
 //! the final cursor on stderr (resume with `--cursor`). `-f` keeps
 //! following; `--for DUR` bounds the follow window (for scripts/CI).
 
-use std::net::{SocketAddr, ToSocketAddrs};
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
-use odin_log::{read_after, Cursor, LogRecord, RecordKind, EVENT_LOG_FILE};
+use odin_log::{parse_events_page, read_after, Cursor, LogRecord, RecordKind, EVENT_LOG_FILE};
 
 use crate::fmt;
-use crate::take_value;
+use crate::{take_value, Remote};
 
 /// Poll interval between file reads (and between empty HTTP pages,
 /// on top of the server-side long-poll) while following.
@@ -32,7 +31,7 @@ const FOLLOW_POLL_MS: u64 = 200;
 const FOLLOW_WAIT_MS: u64 = 2_000;
 
 enum Source {
-    Addr(SocketAddr),
+    Addr(Remote),
     Files(Vec<PathBuf>),
 }
 
@@ -73,14 +72,7 @@ pub fn run(args: &[String]) -> Result<(), String> {
         i += 1;
     }
     let source = match (addr, log, store) {
-        (Some(a), None, None) => {
-            let sock: SocketAddr = a
-                .to_socket_addrs()
-                .map_err(|e| format!("resolving {a}: {e}"))?
-                .next()
-                .ok_or_else(|| format!("{a} resolved to nothing"))?;
-            Source::Addr(sock)
-        }
+        (Some(a), None, None) => Source::Addr(Remote::resolve(&a)?),
         (None, Some(file), None) => Source::Files(vec![file]),
         (None, None, Some(dir)) => Source::Files(store_logs(&dir)?),
         _ => return Err("tail needs exactly one of --addr, --log, --store".to_string()),
@@ -101,7 +93,7 @@ pub fn run(args: &[String]) -> Result<(), String> {
             printed_any = true;
             for r in &records {
                 if json {
-                    println!("{}", fmt::json(r));
+                    println!("{}", r.to_json());
                 } else {
                     println!("{}", fmt::row(r));
                 }
@@ -212,7 +204,7 @@ impl TailState {
     /// plus whether the cursor moved at all.
     fn next_batch(&mut self, follow: bool) -> Result<(Vec<LogRecord>, bool), String> {
         match &self.source {
-            Source::Addr(sock) => {
+            Source::Addr(remote) => {
                 let mut path = format!(
                     "/events?cursor={}&limit={}&wait_ms={}",
                     self.http_cursor,
@@ -223,12 +215,7 @@ impl TailState {
                     path.push_str("&kind=");
                     path.push_str(kind.name());
                 }
-                let (status, body) = odin_telemetry::http::get(*sock, &path)
-                    .map_err(|e| format!("GET /events: {e}"))?;
-                if !status.contains("200") {
-                    return Err(format!("/events returned {status}: {}", body.trim()));
-                }
-                let (cursor, records) = fmt::parse_events_body(&body)?;
+                let (cursor, records) = parse_events_page(&remote.get(&path)?)?;
                 let progressed = cursor != self.http_cursor;
                 self.http_cursor = cursor;
                 Ok((records, progressed))

@@ -363,8 +363,7 @@ impl Odin {
 
     /// The pipeline's telemetry facade: per-stage latency histograms,
     /// counters, the drift timeline, and the structured event log.
-    /// Render with [`Telemetry::render_prometheus`] /
-    /// [`Telemetry::render_json`], or take a typed
+    /// Render with [`Telemetry::render_prometheus`], or take a typed
     /// [`Telemetry::snapshot`].
     pub fn telemetry(&self) -> &Telemetry {
         &self.telemetry

@@ -41,7 +41,7 @@ use std::time::{Duration, Instant};
 use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
 use odin_data::{Condition, Frame, GtBox, Image, ObjectClass, TimeOfDay, Weather};
 use odin_detect::Detector;
-use odin_log::{read_after, Cursor, LogRecord, RecordKind, EVENT_LOG_FILE};
+use odin_log::{events_page, read_after, Cursor, LogRecord, RecordKind, EVENT_LOG_FILE};
 use odin_store::checkpoint::write_atomic;
 use odin_store::{Checkpoint, Decoder, Encoder, StoreError};
 use odin_telemetry::{
@@ -442,13 +442,7 @@ pub(crate) fn events_response(paths: &[PathBuf], req: &Request) -> Response {
     // Each stream's records arrive in seq order; the merge is stable
     // across streams by record time.
     out.sort_by_key(|r| (r.ts_us, r.stream, r.seq));
-    let next: String = cursors.iter().map(|c| c.to_string()).collect::<Vec<_>>().join(",");
-    let records: Vec<String> = out.iter().map(|r| r.to_json()).collect();
-    Response::ok_json(format!(
-        "{{\"cursor\":\"{next}\",\"count\":{},\"records\":[{}]}}",
-        out.len(),
-        records.join(",")
-    ))
+    Response::ok_json(events_page(&cursors, &out))
 }
 
 fn worker_loop(rx: Receiver<Msg>, shards: Vec<Arc<ShardState>>, batch_max: usize, workers: usize) {

@@ -7,8 +7,7 @@
 //! the precondition for output that is bit-identical at any
 //! `ODIN_THREADS` and across checkpoint/restore. Get the facade with
 //! [`crate::pipeline::Odin::telemetry`]; expositions come from
-//! [`Telemetry::render_prometheus`] / [`Telemetry::render_json`] /
-//! [`Telemetry::snapshot`].
+//! [`Telemetry::render_prometheus`] / [`Telemetry::snapshot`].
 //!
 //! Stage timers cover: `encode` (latent projection), `ingest`
 //! (cluster/Δ-band observation), `select` (SELECTOR decision), `detect`
@@ -31,7 +30,8 @@ use std::sync::{Arc, Mutex};
 
 use odin_log::EVENT_LOG_FILE;
 use odin_store::checkpoint::write_atomic;
-use odin_telemetry::render::{render_json, render_prometheus};
+use odin_telemetry::json;
+use odin_telemetry::render::render_prometheus;
 use odin_telemetry::{
     chrome_trace, log_bounds, serve, unpoison, Clock, Counter, EventSink, FlightRecord, Gauge,
     Histogram, HttpHandlers, Level, MetricsServer, Registry, Request, Response, SpanCtx, SpanGuard,
@@ -325,11 +325,6 @@ impl Telemetry {
         render_prometheus(&self.snapshot())
     }
 
-    /// JSON dump of the current state (stable key order).
-    pub fn render_json(&self) -> String {
-        render_json(&self.snapshot())
-    }
-
     /// A copy of the flight recorder's current contents: the most
     /// recent spans and events plus drop counters.
     pub fn flight_record(&self) -> FlightRecord {
@@ -387,7 +382,7 @@ impl Telemetry {
     pub fn render_healthz(&self) -> String {
         let status = if self.store_errors.get() == 0 { "ok" } else { "degraded" };
         let last = match self.last_store_error() {
-            Some(msg) => format!("\"{}\"", healthz_escape(&msg)),
+            Some(msg) => format!("\"{}\"", json::escape(&msg)),
             None => "null".to_string(),
         };
         format!(
@@ -449,21 +444,6 @@ impl Telemetry {
             },
         )
     }
-}
-
-/// Minimal JSON string escape for the healthz `last_store_error` field
-/// (error messages are ASCII-ish; control chars are dropped to space).
-fn healthz_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push(' '),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// RAII guard tying a span to a stage histogram: dropping it closes the
@@ -551,6 +531,21 @@ mod tests {
     }
 
     #[test]
+    fn healthz_keeps_a_control_character_as_an_escape() {
+        let tel = Telemetry::new();
+        tel.clear_sinks();
+        tel.record_store_error("wal append", "line one\nline\ttwo \u{1}");
+        let h = tel.render_healthz();
+        assert!(
+            h.ends_with(r#""last_store_error":"wal append: line one\nline\ttwo \u0001"}"#),
+            "{h}"
+        );
+        let parsed = json::parse(&h).expect("healthz is valid JSON");
+        let last = parsed.get("last_store_error").and_then(json::Value::as_str);
+        assert_eq!(last, Some("wal append: line one\nline\ttwo \u{1}"));
+    }
+
+    #[test]
     fn stage_span_feeds_histogram_and_flight_recorder() {
         let tel = Telemetry::new();
         tel.clear_sinks();
@@ -588,8 +583,6 @@ mod tests {
         assert!(prom.contains("odin_event_log_dropped_total 0"));
         assert!(prom.contains("odin_event_log_queue_depth 0"));
         assert!(prom.contains("# TYPE odin_event_log_flush_ms histogram"));
-        let json = tel.render_json();
-        assert!(json.contains("\"odin_store_errors_total\":0"));
         assert!(tel.render_healthz().contains("\"event_log_queue_depth\":0"));
     }
 }

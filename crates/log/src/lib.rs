@@ -26,7 +26,9 @@
 //!   single column,
 //! * [`tail`] — the live side: durable [`Cursor`]s with
 //!   [`read_after`] for safely tailing a file the writer is still
-//!   appending to (sealed segments only, torn tail invisible), and
+//!   appending to (sealed segments only, torn tail invisible), the
+//!   `GET /events` page's writer ([`events_page`]) and reader
+//!   ([`parse_events_page`]), and
 //!   [`RetentionConfig`]-driven compaction ([`apply_retention`]) that
 //!   drops whole sealed segments from the front under a byte/age
 //!   budget.
@@ -51,5 +53,7 @@ pub use record::{
     EventLogConfig, LogRecord, RecordKind, RetentionConfig, ServedLabel, EVENT_LOG_FILE,
 };
 pub use segment::{read_log, LogFile, SegmentInfo, ZoneMap};
-pub use tail::{apply_retention, collect_after, read_after, Cursor, TailBatch};
+pub use tail::{
+    apply_retention, collect_after, events_page, parse_events_page, read_after, Cursor, TailBatch,
+};
 pub use writer::{LogMetrics, LogWriter};

@@ -1,6 +1,8 @@
 //! Row type and enums for the event log, plus the pipeline-facing
 //! [`EventLogConfig`].
 
+use odin_telemetry::json::Value;
+
 /// File name of the event log inside a store directory (next to the
 /// snapshot and the WAL).
 pub const EVENT_LOG_FILE: &str = "events.odlg";
@@ -191,6 +193,27 @@ impl LogRecord {
         )
     }
 
+    /// Inverse of [`LogRecord::to_json`], from the parsed object; `None`
+    /// when a field is missing or out of range.
+    pub fn from_json(v: &Value) -> Option<Self> {
+        let u64_of = |key| v.get(key)?.as_u64();
+        let f32_of = |key| Some(v.get(key)?.as_f64()? as f32);
+        Some(LogRecord {
+            seq: u64_of("seq")?,
+            kind: RecordKind::parse(v.get("kind")?.as_str()?)?,
+            ts_us: u64_of("ts_us")?,
+            frame: u64_of("frame")?,
+            stream: u64_of("stream")?.try_into().ok()?,
+            cluster: v.get("cluster")?.as_i64()?,
+            served: ServedLabel::parse(v.get("served")?.as_str()?)?,
+            dets: u64_of("dets")?.try_into().ok()?,
+            conf_mean: f32_of("conf_mean")?,
+            conf_max: f32_of("conf_max")?,
+            latency_us: u64_of("latency_us")?,
+            trace: u64_of("trace")?,
+        })
+    }
+
     /// A zeroed frame-kind record, useful as a builder base in tests.
     pub fn empty() -> Self {
         LogRecord {
@@ -280,6 +303,31 @@ impl EventLogConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use odin_telemetry::json;
+
+    #[test]
+    fn record_json_round_trips() {
+        let rec = LogRecord {
+            seq: 9,
+            kind: RecordKind::DriftDetected,
+            ts_us: 123_456,
+            frame: 42,
+            stream: 3,
+            cluster: -1,
+            served: ServedLabel::Teacher,
+            dets: 2,
+            conf_mean: 0.5,
+            conf_max: 0.75,
+            latency_us: 810,
+            trace: u64::MAX,
+        };
+        let parsed = json::parse(&rec.to_json()).expect("valid JSON");
+        assert_eq!(LogRecord::from_json(&parsed), Some(rec));
+        let too_wide = rec.to_json().replace("\"stream\":3", "\"stream\":4294967296");
+        assert_eq!(LogRecord::from_json(&json::parse(&too_wide).unwrap()), None);
+        let missing = rec.to_json().replace("\"trace\":", "\"tracer\":");
+        assert_eq!(LogRecord::from_json(&json::parse(&missing).unwrap()), None);
+    }
 
     #[test]
     fn enum_tags_roundtrip() {

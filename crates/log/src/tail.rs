@@ -26,6 +26,10 @@
 //! sequence numbers inside are untouched, so predicate scans over the
 //! retained suffix are unchanged and the recovered `last_seq` tail
 //! survives (the newest segment is never dropped).
+//!
+//! [`events_page`] and [`parse_events_page`] own the `GET /events`
+//! wire shape: the server writes a page of [`read_after`] batches, and
+//! `odin tail` reads it back.
 
 use std::fmt;
 use std::path::Path;
@@ -33,6 +37,7 @@ use std::path::Path;
 use odin_store::checkpoint::write_atomic;
 use odin_store::framed::read_or_empty;
 use odin_store::StoreError;
+use odin_telemetry::json::{self, Value};
 
 use crate::record::{LogRecord, RetentionConfig};
 use crate::segment::{self, LogFile, HEADER_LEN};
@@ -69,6 +74,31 @@ impl Cursor {
     pub fn parse(s: &str) -> Option<Cursor> {
         let (seq, offset) = s.split_once(':')?;
         Some(Cursor { seq: seq.trim().parse().ok()?, offset: offset.trim().parse().ok()? })
+    }
+}
+
+/// The body of one `GET /events` page: the next cursor of each stream,
+/// comma-joined, then the page's records.
+pub fn events_page(cursors: &[Cursor], records: &[LogRecord]) -> String {
+    let next: String = cursors.iter().map(|c| c.to_string()).collect::<Vec<_>>().join(",");
+    let records: Vec<String> = records.iter().map(|r| r.to_json()).collect();
+    format!(
+        "{{\"cursor\":\"{next}\",\"count\":{},\"records\":[{}]}}",
+        records.len(),
+        records.join(",")
+    )
+}
+
+/// Inverse of [`events_page`]: the cursor string to send back (opaque
+/// to a client) and the records.
+pub fn parse_events_page(body: &str) -> Result<(String, Vec<LogRecord>), String> {
+    let page = json::parse(body)?;
+    let cursor = page.get("cursor").and_then(Value::as_str);
+    let records = page.get("records").and_then(Value::as_array);
+    let records = records.and_then(|rs| rs.iter().map(LogRecord::from_json).collect());
+    match (cursor, records) {
+        (Some(cursor), Some(records)) => Ok((cursor.to_string(), records)),
+        _ => Err(format!("not an /events page: {body}")),
     }
 }
 
@@ -235,6 +265,20 @@ mod tests {
         assert_eq!(Cursor::parse("0:8"), Some(Cursor::default()));
         assert_eq!(Cursor::parse("nope"), None);
         assert_eq!(Cursor::parse("1:x"), None);
+    }
+
+    #[test]
+    fn events_page_round_trips() {
+        let (a, b) = (rec(1), LogRecord { stream: 1, ..rec(2) });
+        let cursors = [Cursor { seq: 2, offset: 40 }, Cursor::default()];
+        let page = events_page(&cursors, &[a, b]);
+        assert_eq!(parse_events_page(&page), Ok(("2:40,0:8".to_string(), vec![a, b])));
+        assert_eq!(
+            parse_events_page(&events_page(&[Cursor::default()], &[])),
+            Ok(("0:8".to_string(), Vec::new()))
+        );
+        assert!(parse_events_page("{\"cursor\":\"0:8\",\"records\":[{\"seq\":1}]}").is_err());
+        assert!(parse_events_page("{\"records\":[]}").is_err());
     }
 
     #[test]

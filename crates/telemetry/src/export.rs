@@ -12,8 +12,8 @@
 //! a deterministic clock — the output participates in the repo's
 //! byte-identical telemetry contract.
 
+use crate::json::{escape, number};
 use crate::recorder::FlightRecord;
-use crate::render::{json_escape, json_f64};
 
 /// Renders `record` in the Chrome Trace Event Format.
 ///
@@ -31,20 +31,20 @@ pub fn chrome_trace(record: &FlightRecord) -> String {
         }
         events.push(format!(
             "{{\"name\":\"{}\",\"cat\":\"span\",\"ph\":\"X\",\"pid\":1,\"tid\":{},\"ts\":{},\"dur\":{},\"args\":{{{}}}}}",
-            json_escape(&s.name),
+            escape(&s.name),
             s.trace,
-            json_f64(s.start_ms * 1e3),
-            json_f64(s.duration_ms() * 1e3),
+            number(s.start_ms * 1e3),
+            number(s.duration_ms() * 1e3),
             args
         ));
     }
     for e in &record.events {
         events.push(format!(
             "{{\"name\":\"{}\",\"cat\":\"event\",\"ph\":\"i\",\"s\":\"g\",\"pid\":1,\"tid\":0,\"ts\":{},\"args\":{{\"level\":\"{}\",\"message\":\"{}\"}}}}",
-            json_escape(&e.target),
-            json_f64(e.at_ms * 1e3),
+            escape(&e.target),
+            number(e.at_ms * 1e3),
             e.level.as_str(),
-            json_escape(&e.message)
+            escape(&e.message)
         ));
     }
     format!(

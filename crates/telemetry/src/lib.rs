@@ -1,9 +1,10 @@
 //! # odin-telemetry
 //!
 //! Observability primitives for the ODIN pipeline, with a determinism
-//! contract: every exposition (Prometheus text, JSON, typed snapshot)
-//! is a pure function of the recorded observations, and the recorded
-//! observations are a pure function of the stream when a deterministic
+//! contract: every exposition (Prometheus text, Chrome-trace JSON,
+//! typed snapshot) is a pure function of the recorded observations,
+//! and the recorded observations are a pure function of the stream
+//! when a deterministic
 //! [`clock::Clock`] is installed. That makes telemetry output
 //! bit-comparable across `ODIN_THREADS` settings and across
 //! checkpoint/restore cycles — the property the repo's telemetry tests
@@ -18,8 +19,10 @@
 //!   ring-buffer ([`event::RingSink`]) sinks,
 //! * [`timeline`] — the drift timeline: drift detected → training job
 //!   queued → model installed, with frame indices and wall times,
-//! * [`render`] — Prometheus text exposition and a hand-rolled JSON
-//!   dump of a [`registry::TelemetrySnapshot`],
+//! * [`render`] — Prometheus text exposition of a
+//!   [`registry::TelemetrySnapshot`], and [`render::read_samples`], its
+//!   reader,
+//! * [`json`] — the workspace's one JSON escaper and one JSON reader,
 //! * [`clock`] — the time source: [`clock::WallClock`] in production,
 //!   [`clock::ManualClock`] for bit-identical tests,
 //! * [`span`] — hierarchical causal tracing: [`span::SpanGuard`]s with
@@ -56,6 +59,7 @@ pub mod clock;
 pub mod event;
 pub mod export;
 pub mod http;
+pub mod json;
 pub mod recorder;
 pub mod registry;
 pub mod render;
@@ -73,6 +77,6 @@ pub use recorder::{FlightRecord, FlightRecorder, RecordedEvent};
 pub use registry::{
     log_bounds, Counter, Gauge, Histogram, HistogramSnapshot, Registry, TelemetrySnapshot,
 };
-pub use render::{render_json, render_prometheus, render_prometheus_grouped};
+pub use render::{read_samples, render_prometheus, render_prometheus_grouped, Sample};
 pub use span::{SpanCtx, SpanGuard, SpanRecord, Tracer, NO_PARENT};
 pub use timeline::{TimelineEvent, TimelineStage};

@@ -1,5 +1,5 @@
-//! Expositions of a [`TelemetrySnapshot`]: Prometheus text format and
-//! a hand-rolled JSON dump.
+//! The Prometheus text exposition of a [`TelemetrySnapshot`], and
+//! [`read_samples`], the one reader of it.
 //!
 //! Both renderers are pure functions of the snapshot. Floats are
 //! formatted with Rust's `Display` (shortest round-trip
@@ -7,6 +7,7 @@
 //! counts; collection order comes from the snapshot, which is already
 //! name-sorted.
 
+use crate::json::{self, escape};
 use crate::registry::TelemetrySnapshot;
 
 /// Renders the snapshot in the Prometheus text exposition format
@@ -76,19 +77,19 @@ pub fn render_prometheus_grouped(shards: &[(String, TelemetrySnapshot)]) -> Stri
     for (name, samples) in &counters {
         out.push_str(&format!("# TYPE {name} counter\n"));
         for (stream, v) in samples {
-            out.push_str(&format!("{name}{{stream=\"{}\"}} {v}\n", json_escape(stream)));
+            out.push_str(&format!("{name}{{stream=\"{}\"}} {v}\n", escape(stream)));
         }
     }
     for (name, samples) in &gauges {
         out.push_str(&format!("# TYPE {name} gauge\n"));
         for (stream, v) in samples {
-            out.push_str(&format!("{name}{{stream=\"{}\"}} {v}\n", json_escape(stream)));
+            out.push_str(&format!("{name}{{stream=\"{}\"}} {v}\n", escape(stream)));
         }
     }
     for (name, samples) in &histograms {
         out.push_str(&format!("# TYPE {name} histogram\n"));
         for (stream, h) in samples {
-            let stream = json_escape(stream);
+            let stream = escape(stream);
             let mut cum = 0u64;
             for (i, &bound) in h.bounds.iter().enumerate() {
                 cum += h.buckets[i];
@@ -123,89 +124,52 @@ pub fn render_prometheus_grouped(shards: &[(String, TelemetrySnapshot)]) -> Stri
     out
 }
 
-pub(crate) fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+/// One sample line of an exposition, read back: the metric name (with
+/// any `_bucket`/`_sum`/`_count` suffix), its `stream` label (set by
+/// [`render_prometheus_grouped`]) and `le` bound, unescaped, and its
+/// value. Other labels are skipped.
+#[derive(Debug, Clone, PartialEq)]
+#[allow(missing_docs)]
+pub struct Sample {
+    pub name: String,
+    pub stream: Option<String>,
+    pub le: Option<String>,
+    pub value: f64,
+}
+
+/// Reads the samples of a [`render_prometheus`] or
+/// [`render_prometheus_grouped`] exposition, in order; comment lines
+/// and lines that do not parse are skipped.
+pub fn read_samples(text: &str) -> Vec<Sample> {
+    text.lines().filter(|l| !l.starts_with('#')).filter_map(read_sample).collect()
+}
+
+fn read_sample(line: &str) -> Option<Sample> {
+    let (series, value) = line.rsplit_once(' ')?;
+    let (name, mut labels) = match series.split_once('{') {
+        Some((name, labels)) => (name, labels.strip_suffix('}')?),
+        None => (series, ""),
+    };
+    let mut sample =
+        Sample { name: name.to_string(), stream: None, le: None, value: value.parse().ok()? };
+    while !labels.is_empty() {
+        let (key, quoted) = labels.split_once('=')?;
+        // A label value is written by the JSON escaper: find its
+        // closing quote, then let the JSON reader unescape it.
+        let bytes = quoted.as_bytes();
+        let mut end = 1;
+        while *bytes.get(end)? != b'"' {
+            end += if bytes[end] == b'\\' { 2 } else { 1 };
         }
+        let text = json::parse(quoted.get(..=end)?).ok()?.as_str()?.to_string();
+        match key {
+            "stream" => sample.stream = Some(text),
+            "le" => sample.le = Some(text),
+            _ => {}
+        }
+        labels = quoted[end + 1..].strip_prefix(',').unwrap_or(&quoted[end + 1..]);
     }
-    out
-}
-
-pub(crate) fn json_f64(v: f64) -> String {
-    // JSON has no NaN/Inf; telemetry never produces them, but guard
-    // anyway so the dump always parses.
-    if v.is_finite() {
-        let s = format!("{v}");
-        // `Display` prints integral floats without a dot; keep them
-        // recognizable as numbers either way (JSON allows both).
-        s
-    } else {
-        "null".to_string()
-    }
-}
-
-fn json_f64_list(vs: &[f64]) -> String {
-    let items: Vec<String> = vs.iter().map(|&v| json_f64(v)).collect();
-    format!("[{}]", items.join(","))
-}
-
-fn json_u64_list(vs: &[u64]) -> String {
-    let items: Vec<String> = vs.iter().map(|v| v.to_string()).collect();
-    format!("[{}]", items.join(","))
-}
-
-/// Renders the snapshot as a JSON object with sorted, stable key order:
-///
-/// ```json
-/// {"counters":{...},"gauges":{...},"histograms":[...],"timeline":[...]}
-/// ```
-pub fn render_json(snap: &TelemetrySnapshot) -> String {
-    let counters: Vec<String> =
-        snap.counters.iter().map(|(k, v)| format!("\"{}\":{v}", json_escape(k))).collect();
-    let gauges: Vec<String> =
-        snap.gauges.iter().map(|(k, v)| format!("\"{}\":{v}", json_escape(k))).collect();
-    let histograms: Vec<String> = snap
-        .histograms
-        .iter()
-        .map(|h| {
-            format!(
-                "{{\"name\":\"{}\",\"bounds\":{},\"buckets\":{},\"count\":{},\"sum_ms\":{}}}",
-                json_escape(&h.name),
-                json_f64_list(&h.bounds),
-                json_u64_list(&h.buckets),
-                h.count,
-                json_f64(h.sum_ms())
-            )
-        })
-        .collect();
-    let timeline: Vec<String> = snap
-        .timeline
-        .iter()
-        .map(|t| {
-            format!(
-                "{{\"stage\":\"{}\",\"cluster\":{},\"frame\":{},\"at_ms\":{}}}",
-                t.stage.as_str(),
-                t.cluster_id,
-                t.frame,
-                json_f64(t.at_ms)
-            )
-        })
-        .collect();
-    format!(
-        "{{\"counters\":{{{}}},\"gauges\":{{{}}},\"histograms\":[{}],\"timeline\":[{}]}}",
-        counters.join(","),
-        gauges.join(","),
-        histograms.join(","),
-        timeline.join(",")
-    )
+    Some(sample)
 }
 
 #[cfg(test)]
@@ -243,17 +207,6 @@ mod tests {
     }
 
     #[test]
-    fn json_render_is_stable_and_escaped() {
-        let a = render_json(&sample_registry().snapshot());
-        let b = render_json(&sample_registry().snapshot());
-        assert_eq!(a, b);
-        assert!(a.starts_with("{\"counters\":{"));
-        assert!(a.contains("\"odin_frames_total\":128"));
-        assert!(a.contains("\"stage\":\"drift_detected\""));
-        assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-    }
-
-    #[test]
     fn grouped_render_labels_every_sample_once_per_stream() {
         let a = sample_registry().snapshot();
         let b = sample_registry().snapshot();
@@ -275,13 +228,56 @@ mod tests {
         );
     }
 
+    /// Every counter, gauge and histogram bucket of `snap`, as
+    /// `read_samples` must give it back for `stream`.
+    fn expected_samples(snap: &TelemetrySnapshot, stream: Option<&str>) -> Vec<Sample> {
+        let sample = |name: String, le: Option<String>, value: f64| Sample {
+            name,
+            stream: stream.map(str::to_string),
+            le,
+            value,
+        };
+        let mut out = Vec::new();
+        for (name, v) in &snap.counters {
+            out.push(sample(name.clone(), None, *v as f64));
+        }
+        for (name, v) in &snap.gauges {
+            out.push(sample(name.clone(), None, *v as f64));
+        }
+        for h in &snap.histograms {
+            let mut cum = 0;
+            for (bound, n) in h.bounds.iter().zip(&h.buckets) {
+                cum += n;
+                out.push(sample(format!("{}_bucket", h.name), Some(bound.to_string()), cum as f64));
+            }
+            out.push(sample(format!("{}_bucket", h.name), Some("+Inf".into()), h.count as f64));
+            out.push(sample(format!("{}_sum", h.name), None, h.sum_ms()));
+            out.push(sample(format!("{}_count", h.name), None, h.count as f64));
+        }
+        out
+    }
+
+    #[test]
+    fn samples_read_back_from_both_shapes() {
+        let snap = sample_registry().snapshot();
+        assert_eq!(read_samples(&render_prometheus(&snap)), expected_samples(&snap, None));
+
+        let streams = ["0", "a \"b\" \\c, d=}"];
+        let grouped = render_prometheus_grouped(&streams.map(|s| (s.to_string(), snap.clone())));
+        let mut read = read_samples(&grouped);
+        // The grouped shape interleaves streams per metric; order by
+        // stream to compare with the per-stream expectation.
+        read.sort_by_key(|s| streams.iter().position(|&id| s.stream.as_deref() == Some(id)));
+        let expected: Vec<Sample> =
+            streams.iter().flat_map(|id| expected_samples(&snap, Some(id))).collect();
+        assert_eq!(read, expected);
+        assert!(read_samples("# TYPE x counter\nx{le=\"1} 2\nnot a sample\n").is_empty());
+    }
+
     #[test]
     fn renders_of_empty_snapshot_are_valid() {
         let snap = TelemetrySnapshot::default();
         assert_eq!(render_prometheus(&snap), "");
-        assert_eq!(
-            render_json(&snap),
-            "{\"counters\":{},\"gauges\":{},\"histograms\":[],\"timeline\":[]}"
-        );
+        assert_eq!(render_prometheus_grouped(&[("0".to_string(), snap)]), "");
     }
 }

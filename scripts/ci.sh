@@ -126,8 +126,9 @@ jq -e '.traceEvents | length > 0' "$SMOKE_DIR/table_telemetry_trace.json" >/dev/
 # and /metrics must carry per-stream labeled serving gauges/counters
 # for every shard. The live-observability verbs then run against the
 # same window: `odin tail` must stream the detect -> install arc with
-# per-stream monotonic seqs, `tail -f` must follow, `top --once` must
-# render and exit zero, and `flight` must pull a non-empty Chrome trace.
+# per-stream monotonic seqs, `tail -f` must follow, `top --once` and
+# `status` must render and exit zero, and `flight` must pull a
+# non-empty Chrome trace.
 echo "==> multi-stream serving smoke (multistream_server example)"
 ODIN_BIN=target/release/odin
 MS_DIR=/tmp/odin-ci-multistream
@@ -171,6 +172,12 @@ jq -s -e 'group_by(.stream) | length == 4 and all(.[];
 jq -s -e 'length > 0' "$MS_DIR/tail_follow.json" >/dev/null
 "$ODIN_BIN" top --addr "$MS_ADDR" --once >"$MS_DIR/top.log"
 grep -q 'status: ok' "$MS_DIR/top.log"
+# `status` against the sharded exposition: its /healthz carries
+# queue_cap and queue_depths, its recovery histogram is labeled per
+# stream — neither shape reaches `status` in the single-pipeline smoke.
+"$ODIN_BIN" status --addr "$MS_ADDR" >"$MS_DIR/status.log"
+grep -q '"status":"ok"' "$MS_DIR/status.log"
+grep -q '^odin_recovery_ms{stream="3"} p50 ' "$MS_DIR/status.log"
 "$ODIN_BIN" flight --addr "$MS_ADDR" --out "$MS_DIR/flight.json" >/dev/null
 jq -e '.traceEvents | length > 0' "$MS_DIR/flight.json" >/dev/null
 wait "$SERVER_PID"

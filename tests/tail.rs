@@ -19,7 +19,9 @@ use odin_data::{Frame, SceneGen, Subset};
 use odin_detect::{Detector, DetectorArch};
 use odin_drift::ManagerConfig;
 use odin_log::writer::{LogMetrics, LogWriter};
-use odin_log::{read_after, read_log, scan_log, Cursor, LogRecord, Predicate, RecordKind};
+use odin_log::{
+    parse_events_page, read_after, read_log, scan_log, Cursor, LogRecord, Predicate, RecordKind,
+};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -70,39 +72,12 @@ fn rec(seq: u64) -> LogRecord {
     LogRecord { seq, ts_us: seq * 1000, frame: seq, ..LogRecord::empty() }
 }
 
-// -- tiny JSON scrapers for the hand-rolled /events body --------------
-
-/// The string value of `"key":"..."` at its first occurrence.
-fn json_str(body: &str, key: &str) -> String {
-    let pat = format!("\"{key}\":\"");
-    let start = body.find(&pat).unwrap_or_else(|| panic!("no {key} in {body}")) + pat.len();
-    body[start..].split('"').next().unwrap().to_string()
-}
-
-/// Every numeric value of `"key":N` in order of occurrence.
-fn json_u64s(body: &str, key: &str) -> Vec<u64> {
-    let pat = format!("\"{key}\":");
-    let mut out = Vec::new();
-    let mut rest = body;
-    while let Some(i) = rest.find(&pat) {
-        rest = &rest[i + pat.len()..];
-        let digits: String = rest.chars().take_while(|c| c.is_ascii_digit()).collect();
-        out.push(digits.parse().expect("numeric field"));
-    }
-    out
-}
-
-/// Every string value of `"key":"..."` in order of occurrence.
-fn json_strs(body: &str, key: &str) -> Vec<String> {
-    let pat = format!("\"{key}\":\"");
-    let mut out = Vec::new();
-    let mut rest = body;
-    while let Some(i) = rest.find(&pat) {
-        rest = &rest[i + pat.len()..];
-        out.push(rest.split('"').next().unwrap().to_string());
-        rest = &rest[1..];
-    }
-    out
+/// `GET /events` through the one page reader: the next cursor and
+/// the page's records.
+fn events(addr: std::net::SocketAddr, path: &str) -> (String, Vec<LogRecord>) {
+    let (status, body) = odin_telemetry::http::get(addr, path).expect("events");
+    assert!(status.contains("200"), "{status}: {body}");
+    parse_events_page(&body).expect("an /events page")
 }
 
 /// `GET /events` pages the sharded server's logs end to end: every
@@ -146,21 +121,15 @@ fn http_events_pages_the_sharded_log_with_cursors() {
     let mut kinds: Vec<String> = Vec::new();
     let mut per_stream: Vec<Vec<u64>> = vec![Vec::new(); 2];
     loop {
-        let path = format!("/events?cursor={cursor}&limit=32");
-        let (status, body) = odin_telemetry::http::get(addr, &path).expect("events");
-        assert!(status.contains("200"), "{status}: {body}");
-        let next = json_str(&body, "cursor");
-        let seqs = json_u64s(&body, "seq");
-        let streams = json_u64s(&body, "stream");
-        assert_eq!(seqs.len(), streams.len());
-        if seqs.is_empty() {
+        let (next, records) = events(addr, &format!("/events?cursor={cursor}&limit=32"));
+        if records.is_empty() {
             assert_eq!(next, cursor, "empty page must not move the cursor");
             break;
         }
-        for (seq, stream) in seqs.iter().zip(&streams) {
-            per_stream[*stream as usize].push(*seq);
+        for r in &records {
+            per_stream[r.stream as usize].push(r.seq);
         }
-        kinds.extend(json_strs(&body, "kind"));
+        kinds.extend(records.iter().map(|r| r.kind.name().to_string()));
         cursor = next;
     }
     for (stream, seqs) in per_stream.iter().enumerate() {
@@ -173,13 +142,9 @@ fn http_events_pages_the_sharded_log_with_cursors() {
     assert!(kinds.iter().any(|k| k == "model_installed"), "no install in {kinds:?}");
 
     // A kind filter narrows the records but still pages the cursor.
-    let (status, body) =
-        odin_telemetry::http::get(addr, "/events?kind=drift&limit=1000").expect("filtered");
-    assert!(status.contains("200"), "{status}");
-    let filtered = json_strs(&body, "kind");
+    let (drained, filtered) = events(addr, "/events?kind=drift&limit=1000");
     assert!(!filtered.is_empty());
-    assert!(filtered.iter().all(|k| k == "drift_detected"), "{filtered:?}");
-    let drained = json_str(&body, "cursor");
+    assert!(filtered.iter().all(|r| r.kind == RecordKind::DriftDetected), "{filtered:?}");
     assert_eq!(drained, cursor, "full filtered read must land on the drained cursor");
 
     let (status, _) = odin_telemetry::http::get(addr, "/events?cursor=zap").expect("bad cursor");
@@ -216,10 +181,8 @@ fn events_long_poll_waits_for_new_records() {
         odin.process(f);
     }
     odin.flush_store();
-    let (status, body) = odin_telemetry::http::get(addr, "/events").expect("drain");
-    assert!(status.contains("200"), "{status}");
-    let cursor = json_str(&body, "cursor");
-    assert!(!json_u64s(&body, "seq").is_empty(), "first read must see the flushed prefix");
+    let (cursor, records) = events(addr, "/events");
+    assert!(!records.is_empty(), "first read must see the flushed prefix");
 
     std::thread::scope(|s| {
         s.spawn(|| {
@@ -230,11 +193,8 @@ fn events_long_poll_waits_for_new_records() {
             odin.flush_store();
         });
         let started = Instant::now();
-        let path = format!("/events?cursor={cursor}&wait_ms=2000");
-        let (status, body) = odin_telemetry::http::get(addr, &path).expect("long poll");
-        assert!(status.contains("200"), "{status}");
-        let seqs = json_u64s(&body, "seq");
-        assert!(!seqs.is_empty(), "long poll returned empty: {body}");
+        let (_, records) = events(addr, &format!("/events?cursor={cursor}&wait_ms=2000"));
+        assert!(!records.is_empty(), "long poll returned empty");
         assert!(
             started.elapsed() >= Duration::from_millis(200),
             "records were not supposed to exist before the writer thread ran"
