@@ -19,8 +19,8 @@
 //!   → train queued → model installed) by joining log records on their
 //!   causal trace id.
 //!
-//! The CLI is dependency-free: argument parsing is hand-rolled and the
-//! HTTP client is the one-shot helper from `odin-telemetry`.
+//! The CLI is dependency-free: argument parsing is hand-rolled; HTTP,
+//! JSON and the Prometheus exposition go through `odin-telemetry`.
 
 mod explain;
 mod flight;

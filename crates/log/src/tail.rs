@@ -82,11 +82,8 @@ impl Cursor {
 pub fn events_page(cursors: &[Cursor], records: &[LogRecord]) -> String {
     let next: String = cursors.iter().map(|c| c.to_string()).collect::<Vec<_>>().join(",");
     let records: Vec<String> = records.iter().map(|r| r.to_json()).collect();
-    format!(
-        "{{\"cursor\":\"{next}\",\"count\":{},\"records\":[{}]}}",
-        records.len(),
-        records.join(",")
-    )
+    let (count, records) = (records.len(), records.join(","));
+    format!("{{\"cursor\":\"{next}\",\"count\":{count},\"records\":[{records}]}}")
 }
 
 /// Inverse of [`events_page`]: the cursor string to send back (opaque

@@ -4,8 +4,6 @@
 //! [`Value::as_u64`] reads `u64::MAX` and trace ids exactly; nesting
 //! deeper than [`MAX_DEPTH`] is an `Err`, never a stack overflow.
 
-use std::str::FromStr;
-
 /// Deepest array/object nesting [`parse`] accepts.
 pub const MAX_DEPTH: usize = 64;
 
@@ -80,7 +78,7 @@ impl Value {
         self.number()
     }
 
-    fn number<T: FromStr>(&self) -> Option<T> {
+    fn number<T: std::str::FromStr>(&self) -> Option<T> {
         let Value::Number(text) = self else { return None };
         text.parse().ok()
     }
