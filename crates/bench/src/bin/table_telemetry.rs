@@ -6,8 +6,8 @@
 //! the telemetry subsystem: one row per stage histogram with count /
 //! mean / p95 / total, the counter set, the drift timeline (detected →
 //! queued → installed per cluster), and the overall frame rate with
-//! telemetry enabled. The full metric state is also dumped as JSON next
-//! to the table for machine consumption.
+//! telemetry enabled. The flight record is written next to the table
+//! as a Chrome trace.
 
 use std::time::Instant;
 
@@ -119,18 +119,5 @@ fn main() {
         }
     }
 
-    // Optional exposition window for scrape smoke tests: with
-    // ODIN_SERVE_MS=<n> the run stays alive for n ms serving /metrics,
-    // /trace, and /healthz on an ephemeral loopback port. The bound
-    // address is printed in a stable, greppable form for the caller.
-    if let Some(ms) = std::env::var("ODIN_SERVE_MS").ok().and_then(|v| v.parse::<u64>().ok()) {
-        if ms > 0 {
-            let server = odin.telemetry().serve(("127.0.0.1", 0)).expect("bind metrics server");
-            println!("serving telemetry at http://{} for {ms} ms", server.addr());
-            use std::io::Write;
-            std::io::stdout().flush().expect("flush stdout");
-            std::thread::sleep(std::time::Duration::from_millis(ms));
-        }
-    }
     let _ = std::fs::remove_dir_all(&store_dir);
 }

@@ -80,13 +80,11 @@ pub fn healthz_alarm(health: &Value) -> Option<String> {
     Some(format!("stream {stream} queue depth {depth} at cap {cap}"))
 }
 
-/// One histogram read back out of an exposition's samples — the
-/// `stream`'s series of a grouped exposition, or the unlabeled series
-/// of a single pipeline's. `None` when the exposition has no such
-/// series (an older server).
-fn histogram(samples: &[Sample], name: &str, stream: Option<u32>) -> Option<HistogramSnapshot> {
+/// One `stream`'s histogram read back out of an exposition's samples.
+/// `None` when the exposition has no such series (an older server).
+fn histogram(samples: &[Sample], name: &str, stream: u32) -> Option<HistogramSnapshot> {
     let series = format!("{name}_bucket");
-    let stream = stream.map(|id| id.to_string());
+    let stream = Some(stream.to_string());
     let (mut bounds, mut buckets, mut seen) = (Vec::new(), Vec::new(), 0u64);
     for s in samples.iter().filter(|s| s.name == series && s.stream == stream) {
         let cumulative = s.value as u64;
@@ -106,7 +104,7 @@ fn histogram(samples: &[Sample], name: &str, stream: Option<u32>) -> Option<Hist
 /// `odin_recovery_ms` as `status` and `top` show it: the interpolated
 /// median drift-detected → model-installed time and how many recoveries
 /// it is the median of; `-` before the first one completes.
-pub fn recovery_p50(samples: &[Sample], stream: Option<u32>) -> String {
+pub fn recovery_p50(samples: &[Sample], stream: u32) -> String {
     match histogram(samples, "odin_recovery_ms", stream) {
         Some(h) if h.count > 0 => {
             let us = (h.quantile_interp_ms(0.5) * 1_000.0).round() as u64;
@@ -146,22 +144,25 @@ mod tests {
 
     #[test]
     fn recovery_p50_reads_both_exposition_shapes() {
-        let plain = "odin_recovery_ms_bucket{le=\"1000\"} 0\n\
-                     odin_recovery_ms_bucket{le=\"2000\"} 4\n\
-                     odin_recovery_ms_bucket{le=\"+Inf\"} 4\n\
-                     odin_recovery_ms_sum 6100\nodin_recovery_ms_count 4\n";
-        let plain = read_samples(plain);
-        assert_eq!(recovery_p50(&plain, None), "1.500s (n=4)");
         let grouped = "odin_recovery_ms_bucket{stream=\"0\",le=\"1000\"} 0\n\
                        odin_recovery_ms_bucket{stream=\"0\",le=\"+Inf\"} 0\n\
                        odin_recovery_ms_bucket{stream=\"1\",le=\"1000\"} 2\n\
-                       odin_recovery_ms_bucket{stream=\"1\",le=\"+Inf\"} 2\n";
+                       odin_recovery_ms_bucket{stream=\"1\",le=\"+Inf\"} 2\n\
+                       odin_recovery_ms_bucket{stream=\"2\",le=\"1000\"} 0\n\
+                       odin_recovery_ms_bucket{stream=\"2\",le=\"2000\"} 4\n\
+                       odin_recovery_ms_bucket{stream=\"2\",le=\"+Inf\"} 4\n";
         let grouped = read_samples(grouped);
-        assert_eq!(recovery_p50(&grouped, Some(0)), "-", "no recovery completed yet");
-        assert_eq!(recovery_p50(&grouped, Some(1)), "500.0ms (n=2)");
-        assert_eq!(recovery_p50(&grouped, None), "-", "no unlabeled series");
-        let older = read_samples("odin_frames_total 7\n");
-        assert_eq!(recovery_p50(&older, None), "-", "older server");
+        assert_eq!(recovery_p50(&grouped, 0), "-", "no recovery completed yet");
+        assert_eq!(recovery_p50(&grouped, 1), "500.0ms (n=2)");
+        assert_eq!(recovery_p50(&grouped, 2), "1.500s (n=4)");
+        assert_eq!(recovery_p50(&grouped, 3), "-", "no such stream");
+        // An unlabeled series belongs to no stream.
+        let plain = read_samples(
+            "odin_recovery_ms_bucket{le=\"1000\"} 2\nodin_recovery_ms_bucket{le=\"+Inf\"} 2\n",
+        );
+        assert_eq!(recovery_p50(&plain, 0), "-", "unlabeled series");
+        let older = read_samples("odin_frames_total{stream=\"0\"} 7\n");
+        assert_eq!(recovery_p50(&older, 0), "-", "older server");
     }
 
     #[test]

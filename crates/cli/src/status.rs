@@ -56,15 +56,12 @@ pub fn run(args: &[String]) -> Result<(), String> {
         }
     }
     // How long a drifted stream waits for its model: one line per
-    // stream of a server, one for a single pipeline.
+    // stream.
     let samples = read_samples(&metrics);
     let counts = samples.iter().filter(|s| s.name == "odin_recovery_ms_count");
     let streams: BTreeSet<u32> = counts.filter_map(|s| s.stream.as_deref()?.parse().ok()).collect();
-    if streams.is_empty() {
-        println!("odin_recovery_ms p50 {}", recovery_p50(&samples, None));
-    }
     for id in streams {
-        println!("odin_recovery_ms{{stream=\"{id}\"}} p50 {}", recovery_p50(&samples, Some(id)));
+        println!("odin_recovery_ms{{stream=\"{id}\"}} p50 {}", recovery_p50(&samples, id));
     }
     match healthz_alarm(&health) {
         Some(reason) => Err(format!("unhealthy: {reason}")),

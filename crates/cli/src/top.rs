@@ -59,10 +59,9 @@ pub fn run(args: &[String]) -> Result<(), String> {
     }
 }
 
-/// The value of `name` for `stream` (`None`: an unlabeled,
-/// single-pipeline exposition), 0 when absent.
-fn get(samples: &[Sample], name: &str, stream: Option<u32>) -> f64 {
-    let stream = stream.map(|id| id.to_string());
+/// The value of `name` for `stream`, 0 when absent.
+fn get(samples: &[Sample], name: &str, stream: u32) -> f64 {
+    let stream = Some(stream.to_string());
     samples.iter().find(|s| s.name == name && s.stream == stream).map_or(0.0, |s| s.value)
 }
 
@@ -87,9 +86,7 @@ fn render(addr: &str, health: &Value, m: &[Sample], prev: Option<(Duration, &[Sa
     );
     let streams: BTreeSet<u32> =
         m.iter().filter_map(|s| s.stream.as_deref()?.parse().ok()).collect();
-    let rows: Vec<Option<u32>> =
-        if streams.is_empty() { vec![None] } else { streams.into_iter().map(Some).collect() };
-    for s in rows {
+    for s in streams {
         let frames = get(m, "odin_frames_total", s);
         let fps = match prev {
             Some((dt, p)) if dt.as_secs_f64() > 0.0 => {
@@ -97,16 +94,13 @@ fn render(addr: &str, health: &Value, m: &[Sample], prev: Option<(Duration, &[Sa
             }
             _ => "-".to_string(),
         };
-        let depth = match s {
-            Some(id) => queue_depths.get(id as usize).and_then(Value::as_u64).unwrap_or(0),
-            None => 0,
-        };
+        let depth = queue_depths.get(s as usize).and_then(Value::as_u64).unwrap_or(0);
         let installs = get(m, "odin_models_installed_lite_total", s)
             + get(m, "odin_models_installed_specialized_total", s);
         let precision = if get(m, "odin_serve_precision", s) >= 1.0 { "int8" } else { "f32" };
         println!(
             "{:<7} {:>9} {:>8} {:>6} {:>5} {:>10} {:>6} {:>9} {:>10} {:>9}  {}",
-            s.map(|id| id.to_string()).unwrap_or_else(|| "-".to_string()),
+            s,
             frames as u64,
             fps,
             depth,

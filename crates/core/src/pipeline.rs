@@ -363,8 +363,8 @@ impl Odin {
 
     /// The pipeline's telemetry facade: per-stage latency histograms,
     /// counters, the drift timeline, and the structured event log.
-    /// Render with [`Telemetry::render_prometheus`], or take a typed
-    /// [`Telemetry::snapshot`].
+    /// Take a typed [`Telemetry::snapshot`]; an [`crate::server::OdinServer`]
+    /// serves it as `/metrics`.
     pub fn telemetry(&self) -> &Telemetry {
         &self.telemetry
     }

@@ -17,7 +17,8 @@
 //!   `stream="<id>"` labels.
 //!
 //! Frames enter through [`OdinServer::submit`] (or `POST
-//! /ingest/<stream>` once [`OdinServer::serve`] is up), pass admission
+//! /ingest/<stream>` once [`OdinServer::serve`] is up — the workspace's
+//! one HTTP front end; one camera is a one-stream server), pass admission
 //! control (per-stream queue cap → HTTP 429 backpressure), and are
 //! routed to serving workers. Each worker owns a static subset of
 //! shards (`stream % workers`), so every shard sees its frames in FIFO
@@ -41,12 +42,14 @@ use std::time::{Duration, Instant};
 use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
 use odin_data::{Condition, Frame, GtBox, Image, ObjectClass, TimeOfDay, Weather};
 use odin_detect::Detector;
-use odin_log::{events_page, read_after, Cursor, LogRecord, RecordKind, EVENT_LOG_FILE};
+use odin_log::segment::scan_bytes;
+use odin_log::{collect_after, events_page, Cursor, LogRecord, RecordKind, EVENT_LOG_FILE};
 use odin_store::checkpoint::write_atomic;
+use odin_store::framed::read_or_empty;
 use odin_store::{Checkpoint, Decoder, Encoder, StoreError};
 use odin_telemetry::{
     chrome_trace, log_bounds, render_prometheus_grouped, Counter, FlightRecord, Gauge, Histogram,
-    HttpHandlers, MetricsServer, Request, Response, TelemetrySnapshot,
+    MetricsServer, Request, Response, TelemetrySnapshot,
 };
 use odin_tensor::par;
 use parking_lot::Mutex;
@@ -286,8 +289,8 @@ impl ServerInner {
         chrome_trace(&merged)
     }
 
-    /// `"degraded"` once any shard has counted a store error, like the
-    /// standalone [`Telemetry::render_healthz`].
+    /// Liveness JSON: `"status"` is `"ok"` until any shard counts a
+    /// store error, then `"degraded"`.
     fn render_healthz(&self) -> String {
         let depths: Vec<String> =
             self.shards.iter().map(|s| s.depth.load(Ordering::SeqCst).to_string()).collect();
@@ -324,6 +327,12 @@ impl ServerInner {
     fn route(&self, req: &Request) -> Option<Response> {
         if req.method == "GET" {
             return match req.path.as_str() {
+                "/metrics" => Some(Response {
+                    status: "200 OK",
+                    content_type: "text/plain; version=0.0.4; charset=utf-8",
+                    body: self.render_metrics().into_bytes(),
+                }),
+                "/healthz" => Some(Response::ok_json(self.render_healthz())),
                 "/events" => Some(self.render_events(req)),
                 "/flight" => Some(Response::ok_json(self.render_trace())),
                 _ => None,
@@ -366,20 +375,18 @@ impl ServerInner {
 /// Longest a `GET /events` request may long-poll. Kept well under the
 /// HTTP client/server read timeouts (5 s) so a quiet log returns an
 /// empty batch instead of a dropped connection.
-pub(crate) const EVENTS_MAX_WAIT_MS: u64 = 2_000;
+const EVENTS_MAX_WAIT_MS: u64 = 2_000;
 
 /// Poll interval while a long-poll waits for new sealed records.
 const EVENTS_POLL_MS: u64 = 25;
 
-/// Shared `GET /events` implementation for the sharded server and the
-/// single-pipeline [`Telemetry::serve`] route: one event-log path per
-/// stream, one [`Cursor`] per path in the comma-joined `cursor` query
-/// parameter. Reads only sealed segments ([`read_after`]), merges by
-/// `(ts_us, stream, seq)`, and long-polls up to `wait_ms` when the
-/// request would otherwise return nothing. A `kind` filter drops
+/// `GET /events`: one event-log path per stream, one [`Cursor`] per
+/// path in the comma-joined `cursor` query parameter. A page holds at
+/// most `limit` records in all ([`read_page`]) and long-polls up to
+/// `wait_ms` when it would otherwise be empty. A `kind` filter drops
 /// non-matching records *after* the cursors advance, so a filtered
 /// tail still makes progress through frame traffic.
-pub(crate) fn events_response(paths: &[PathBuf], req: &Request) -> Response {
+fn events_response(paths: &[PathBuf], req: &Request) -> Response {
     let n = paths.len();
     let limit = req
         .query_param("limit")
@@ -416,33 +423,62 @@ pub(crate) fn events_response(paths: &[PathBuf], req: &Request) -> Response {
         }
     };
     let deadline = Instant::now() + Duration::from_millis(wait_ms);
-    let mut out: Vec<LogRecord> = Vec::new();
     loop {
-        for (i, path) in paths.iter().enumerate() {
-            match read_after(path, cursors[i], limit) {
-                Ok(batch) => {
-                    cursors[i] = batch.next;
-                    out.extend(
-                        batch.records.into_iter().filter(|r| kind.is_none_or(|k| r.kind == k)),
-                    );
-                }
-                Err(e) => {
-                    return Response::text(
-                        "500 Internal Server Error",
-                        format!("event log read failed: {e}\n"),
-                    );
-                }
+        let page = match read_page(paths, &mut cursors, limit) {
+            Ok(page) => page,
+            Err(e) => {
+                return Response::text(
+                    "500 Internal Server Error",
+                    format!("event log read failed: {e}\n"),
+                );
             }
-        }
+        };
+        let out: Vec<LogRecord> =
+            page.into_iter().filter(|r| kind.is_none_or(|k| r.kind == k)).collect();
         if !out.is_empty() || Instant::now() >= deadline {
-            break;
+            return Response::ok_json(events_page(&cursors, &out));
         }
         std::thread::sleep(Duration::from_millis(EVENTS_POLL_MS));
     }
-    // Each stream's records arrive in seq order; the merge is stable
-    // across streams by record time.
-    out.sort_by_key(|r| (r.ts_us, r.stream, r.seq));
-    Response::ok_json(events_page(&cursors, &out))
+}
+
+/// The first `limit` sealed records after `cursors` across `paths`,
+/// merged by `(ts_us, stream, seq)`. Each stream is read up to `limit`
+/// records and gives a prefix of them; its cursor moves past exactly
+/// that prefix, found again in the log already scanned.
+fn read_page(
+    paths: &[PathBuf],
+    cursors: &mut [Cursor],
+    limit: usize,
+) -> Result<Vec<LogRecord>, StoreError> {
+    let mut logs = Vec::with_capacity(paths.len());
+    let mut batches = Vec::with_capacity(paths.len());
+    for (path, &cursor) in paths.iter().zip(cursors.iter()) {
+        let log = scan_bytes(read_or_empty(path)?)?;
+        let batch = collect_after(&log, cursor, limit)?;
+        batches.push((batch.records.into_iter().peekable(), batch.next));
+        logs.push(log);
+    }
+    let mut taken = vec![0; paths.len()];
+    let mut page = Vec::new();
+    while page.len() < limit {
+        let heads = batches.iter_mut().enumerate();
+        let next =
+            heads.filter_map(|(i, (b, _))| b.peek().map(|r| ((r.ts_us, r.stream, r.seq), i)));
+        let Some((_, i)) = next.min() else { break };
+        page.extend(batches[i].0.next());
+        taken[i] += 1;
+    }
+    for (i, (rest, next)) in batches.iter_mut().enumerate() {
+        cursors[i] = match (rest.peek(), taken[i]) {
+            (None, _) => *next,
+            // `collect_after` raises a limit of 0 to 1: a stream that
+            // gave nothing keeps its cursor.
+            (Some(_), 0) => cursors[i],
+            (Some(_), k) => collect_after(&logs[i], cursors[i], k)?.next,
+        };
+    }
+    Ok(page)
 }
 
 fn worker_loop(rx: Receiver<Msg>, shards: Vec<Arc<ShardState>>, batch_max: usize, workers: usize) {
@@ -642,8 +678,8 @@ impl OdinServer {
     /// returns the bound address. Endpoints: `POST /ingest/<stream>`
     /// (body: [`encode_ingest_frame`]; 200 with a result summary, 429
     /// under backpressure), `GET /metrics` (all shards merged, every
-    /// sample labeled `stream="<id>"`), `GET /trace` and `GET /flight`
-    /// (merged Chrome-trace of the live flight recorders), `GET
+    /// sample labeled `stream="<id>"`), `GET /flight` (merged
+    /// Chrome-trace of the live flight recorders), `GET
     /// /healthz` (liveness + queue depths + cap), and `GET
     /// /events?cursor=&kind=&limit=&wait_ms=` (cursor-paged long-poll
     /// tail of the per-stream event logs; requires
@@ -652,21 +688,13 @@ impl OdinServer {
         &mut self,
         addr: A,
     ) -> std::io::Result<std::net::SocketAddr> {
-        let m = Arc::clone(&self.inner);
-        let t = Arc::clone(&self.inner);
-        let h = Arc::clone(&self.inner);
-        let r = Arc::clone(&self.inner);
+        let inner = Arc::clone(&self.inner);
         let server = odin_telemetry::http::serve(
             addr,
-            HttpHandlers {
-                metrics: Arc::new(move || m.render_metrics()),
-                trace: Arc::new(move || t.render_trace()),
-                healthz: Arc::new(move || h.render_healthz()),
-                route: Some(Arc::new(move |req: &Request| r.route(req))),
-                // The body cap is whatever the frame codec itself
-                // writes for the largest legal frame.
-                max_body: encode_ingest_frame(&max_ingest_frame()).len(),
-            },
+            Arc::new(move |req: &Request| inner.route(req)),
+            // The body cap is whatever the frame codec itself writes
+            // for the largest legal frame.
+            encode_ingest_frame(&max_ingest_frame()).len(),
         )?;
         let bound = server.addr();
         self.http = Some(server);
@@ -927,6 +955,39 @@ mod tests {
             enc.put_u8(0);
         }
         enc.into_bytes()
+    }
+
+    #[test]
+    fn every_route_keeps_its_status_line_and_content_type() {
+        use std::io::{Read, Write};
+        let mut server = new_server(quick_cfg());
+        let addr = server.serve("127.0.0.1:0").expect("bind");
+        // The status line and Content-Type of one request, and its body.
+        let send = |method: &str, path: &str| {
+            let mut stream = std::net::TcpStream::connect(addr).expect("connect");
+            write!(stream, "{method} {path} HTTP/1.1\r\nHost: odin\r\n\r\n").expect("send");
+            let mut response = String::new();
+            stream.read_to_string(&mut response).expect("read");
+            let (head, body) = response.split_once("\r\n\r\n").expect("a header block");
+            let mut lines = head.lines();
+            let status = lines.next().unwrap_or("").to_string();
+            let content_type = lines.find_map(|l| l.strip_prefix("Content-Type: ")).unwrap_or("");
+            (format!("{status} | {content_type}"), body.to_string())
+        };
+        let json = "HTTP/1.1 200 OK | application/json; charset=utf-8";
+        let (head, body) = send("GET", "/metrics");
+        assert_eq!(head, "HTTP/1.1 200 OK | text/plain; version=0.0.4; charset=utf-8");
+        assert_eq!(body, server.render_metrics());
+        let (head, body) = send("GET", "/healthz");
+        assert_eq!((head.as_str(), body), (json, server.render_healthz()));
+        let (head, body) = send("GET", "/flight");
+        assert_eq!(head, json);
+        assert!(body.contains("\"traceEvents\""), "{body}");
+        let text = |status: &str| format!("HTTP/1.1 {status} | text/plain; charset=utf-8");
+        assert_eq!(send("GET", "/events").0, text("404 Not Found"), "no store attached");
+        assert_eq!(send("GET", "/trace").0, text("404 Not Found"));
+        assert_eq!(send("POST", "/metrics").0, text("405 Method Not Allowed"));
+        server.shutdown();
     }
 
     #[test]

@@ -6,8 +6,8 @@
 //! histogram bucket bounds are fixed for the life of the pipeline —
 //! the precondition for output that is bit-identical at any
 //! `ODIN_THREADS` and across checkpoint/restore. Get the facade with
-//! [`crate::pipeline::Odin::telemetry`]; expositions come from
-//! [`Telemetry::render_prometheus`] / [`Telemetry::snapshot`].
+//! [`crate::pipeline::Odin::telemetry`]; a typed copy comes from
+//! [`Telemetry::snapshot`].
 //!
 //! Stage timers cover: `encode` (latent projection), `ingest`
 //! (cluster/Δ-band observation), `select` (SELECTOR decision), `detect`
@@ -20,22 +20,19 @@
 //! the histogram records a [`odin_telemetry::SpanRecord`] into the
 //! always-on flight recorder, linked by parent id into a per-frame or
 //! per-recovery trace. [`Telemetry::render_chrome_trace`] exports the
-//! recorder as Chrome-trace JSON (loadable in Perfetto), and
-//! [`Telemetry::serve`] exposes `/metrics`, `/trace`, and `/healthz`
-//! over a zero-dependency HTTP server.
+//! recorder as Chrome-trace JSON (loadable in Perfetto). The HTTP
+//! exposition (`/metrics`, `/flight`, `/healthz`, `/events`) is
+//! [`crate::server::OdinServer::serve`]'s; one camera is a one-stream
+//! server.
 
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 
-use odin_log::EVENT_LOG_FILE;
 use odin_store::checkpoint::write_atomic;
-use odin_telemetry::json;
-use odin_telemetry::render::render_prometheus;
 use odin_telemetry::{
-    chrome_trace, log_bounds, serve, unpoison, Clock, Counter, EventSink, FlightRecord, Gauge,
-    Histogram, HttpHandlers, Level, MetricsServer, Registry, Request, Response, SpanCtx, SpanGuard,
-    StderrSink, TelemetrySnapshot, TimelineEvent, TimelineStage,
+    chrome_trace, log_bounds, unpoison, Clock, Counter, FlightRecord, Gauge, Histogram, Level,
+    Registry, SpanCtx, SpanGuard, TelemetrySnapshot, TimelineEvent, TimelineStage,
 };
 
 /// Bucket bounds (ms) shared by the fast per-frame stages. Log-spaced
@@ -135,12 +132,11 @@ impl std::fmt::Debug for Telemetry {
 }
 
 impl Telemetry {
-    /// Creates a facade with every pipeline metric pre-registered and a
-    /// warn-level stderr sink installed (so store failures stay visible
-    /// on the console by default).
+    /// Creates a facade with every pipeline metric pre-registered.
+    /// Warnings and errors are echoed to stderr (so store failures stay
+    /// visible on the console) until [`Telemetry::clear_sinks`].
     pub fn new() -> Self {
         let registry = Arc::new(Registry::new());
-        registry.add_sink(Arc::new(StderrSink::default()));
         let stage = stage_bounds();
         Telemetry {
             frames: registry.counter("odin_frames_total"),
@@ -253,17 +249,14 @@ impl Telemetry {
         self.registry.set_clock(clock);
     }
 
-    /// Adds an event sink (events fan out to all sinks).
-    pub fn add_sink(&self, sink: Arc<dyn EventSink>) {
-        self.registry.add_sink(sink);
-    }
-
-    /// Removes every event sink, including the default stderr sink.
+    /// Stops echoing warnings and errors to stderr; the flight recorder
+    /// keeps every event.
     pub fn clear_sinks(&self) {
         self.registry.clear_sinks();
     }
 
-    /// Emits a structured event.
+    /// Records a leveled event in the flight recorder (warnings and
+    /// errors also go to stderr until [`Telemetry::clear_sinks`]).
     pub fn event(&self, level: Level, target: &'static str, message: impl Into<String>) {
         self.registry.event(level, target, message);
     }
@@ -320,11 +313,6 @@ impl Telemetry {
         self.registry.load(snap);
     }
 
-    /// Prometheus text exposition of the current state.
-    pub fn render_prometheus(&self) -> String {
-        render_prometheus(&self.snapshot())
-    }
-
     /// A copy of the flight recorder's current contents: the most
     /// recent spans and events plus drop counters.
     pub fn flight_record(&self) -> FlightRecord {
@@ -353,12 +341,6 @@ impl Telemetry {
         unpoison(self.dump_path.lock()).clone()
     }
 
-    /// The pipeline's event-log path, derived from the store directory
-    /// the flight dump points into. `None` until a store is attached.
-    pub fn event_log_path(&self) -> Option<PathBuf> {
-        self.flight_dump_path().and_then(|p| p.parent().map(|d| d.join(EVENT_LOG_FILE)))
-    }
-
     /// Dumps the flight record to the configured path, if one is set —
     /// atomically, so a crash mid-dump keeps the previous one. A failed
     /// dump emits a warn event and nothing else — in particular it must
@@ -376,74 +358,6 @@ impl Telemetry {
             }
         }
     }
-
-    /// Liveness summary as a small JSON object: `status` is `"ok"`
-    /// until the first store error, then `"degraded"`.
-    pub fn render_healthz(&self) -> String {
-        let status = if self.store_errors.get() == 0 { "ok" } else { "degraded" };
-        let last = match self.last_store_error() {
-            Some(msg) => format!("\"{}\"", json::escape(&msg)),
-            None => "null".to_string(),
-        };
-        format!(
-            concat!(
-                "{{\"status\":\"{}\",\"frames\":{},\"drift_events\":{},",
-                "\"clusters\":{},\"models\":{},\"training_queue_depth\":{},",
-                "\"train_in_flight\":{},\"event_log_queue_depth\":{},",
-                "\"store_errors\":{},\"last_store_error\":{}}}"
-            ),
-            status,
-            self.frames.get(),
-            self.drift_events.get(),
-            self.clusters.get(),
-            self.models.get(),
-            self.queue_depth.get(),
-            self.in_flight.get(),
-            self.event_log_queue_depth.get(),
-            self.store_errors.get(),
-            last,
-        )
-    }
-
-    /// Starts the blocking exposition server on `addr` (use port 0 for
-    /// an ephemeral port; the bound address is on the returned handle):
-    /// `/metrics` (Prometheus text), `/trace` and `/flight`
-    /// (Chrome-trace JSON of the flight recorder), `/healthz`
-    /// (liveness JSON), and `/events` (cursor-paged long-poll tail of
-    /// the event log — 404 until a store is attached). The server
-    /// reads live state — each scrape re-renders from the shared
-    /// registry.
-    pub fn serve<A: std::net::ToSocketAddrs>(&self, addr: A) -> io::Result<MetricsServer> {
-        let metrics = self.clone();
-        let trace = self.clone();
-        let healthz = self.clone();
-        let routed = self.clone();
-        serve(
-            addr,
-            HttpHandlers {
-                metrics: Arc::new(move || metrics.render_prometheus()),
-                trace: Arc::new(move || trace.render_chrome_trace()),
-                healthz: Arc::new(move || healthz.render_healthz()),
-                route: Some(Arc::new(move |req: &Request| {
-                    if req.method != "GET" {
-                        return None;
-                    }
-                    match req.path.as_str() {
-                        "/flight" => Some(Response::ok_json(routed.render_chrome_trace())),
-                        "/events" => Some(match routed.event_log_path() {
-                            Some(path) => crate::server::events_response(&[path], req),
-                            None => Response::text(
-                                "404 Not Found",
-                                "no store attached; /events serves the persistent event log\n",
-                            ),
-                        }),
-                        _ => None,
-                    }
-                })),
-                max_body: 0,
-            },
-        )
-    }
 }
 
 /// RAII guard tying a span to a stage histogram: dropping it closes the
@@ -451,16 +365,6 @@ impl Telemetry {
 pub(crate) struct StageSpan {
     span: Option<SpanGuard>,
     hist: Histogram,
-}
-
-impl StageSpan {
-    /// Tags the underlying span with a cluster id.
-    #[allow(dead_code)]
-    pub(crate) fn set_cluster(&mut self, cluster: usize) {
-        if let Some(s) = self.span.as_mut() {
-            s.set_cluster(cluster);
-        }
-    }
 }
 
 impl Drop for StageSpan {
@@ -480,6 +384,7 @@ impl Default for Telemetry {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use odin_telemetry::render_prometheus_grouped;
 
     #[test]
     fn clone_shares_state() {
@@ -491,58 +396,6 @@ mod tests {
         other.record_store_error("wal append", "disk full");
         assert_eq!(tel.store_errors.get(), 1);
         assert_eq!(tel.last_store_error().as_deref(), Some("wal append: disk full"));
-    }
-
-    #[test]
-    fn healthz_flips_to_degraded_on_store_error() {
-        let tel = Telemetry::new();
-        tel.clear_sinks();
-        assert!(tel.render_healthz().contains("\"status\":\"ok\""));
-        assert!(tel.render_healthz().contains("\"last_store_error\":null"));
-        tel.record_store_error("wal append", "disk \"full\"");
-        let h = tel.render_healthz();
-        assert!(h.contains("\"status\":\"degraded\""));
-        assert!(h.contains("\\\"full\\\""));
-    }
-
-    #[test]
-    fn healthz_bytes_are_pinned() {
-        let tel = Telemetry::new();
-        tel.clear_sinks();
-        assert_eq!(
-            tel.render_healthz(),
-            concat!(
-                r#"{"status":"ok","frames":0,"drift_events":0,"clusters":0,"models":0,"#,
-                r#""training_queue_depth":0,"train_in_flight":0,"event_log_queue_depth":0,"#,
-                r#""store_errors":0,"last_store_error":null}"#
-            )
-        );
-        tel.frames.add(12);
-        tel.clusters.set(2);
-        tel.record_store_error("wal append", "disk \"full\" at C:\\odin é");
-        assert_eq!(
-            tel.render_healthz(),
-            concat!(
-                r#"{"status":"degraded","frames":12,"drift_events":0,"clusters":2,"models":0,"#,
-                r#""training_queue_depth":0,"train_in_flight":0,"event_log_queue_depth":0,"#,
-                r#""store_errors":1,"last_store_error":"wal append: disk \"full\" at C:\\odin é"}"#
-            )
-        );
-    }
-
-    #[test]
-    fn healthz_keeps_a_control_character_as_an_escape() {
-        let tel = Telemetry::new();
-        tel.clear_sinks();
-        tel.record_store_error("wal append", "line one\nline\ttwo \u{1}");
-        let h = tel.render_healthz();
-        assert!(
-            h.ends_with(r#""last_store_error":"wal append: line one\nline\ttwo \u0001"}"#),
-            "{h}"
-        );
-        let parsed = json::parse(&h).expect("healthz is valid JSON");
-        let last = parsed.get("last_store_error").and_then(json::Value::as_str);
-        assert_eq!(last, Some("wal append: line one\nline\ttwo \u{1}"));
     }
 
     #[test]
@@ -569,20 +422,23 @@ mod tests {
     fn renders_cover_preregistered_metrics() {
         let tel = Telemetry::new();
         tel.clear_sinks();
-        let prom = tel.render_prometheus();
-        assert!(prom.contains("odin_frames_total 0"));
+        let prom = render_prometheus_grouped(&[("0".into(), tel.snapshot())]);
         assert!(prom.contains("# TYPE odin_stage_encode_ms histogram"));
-        assert!(prom.contains("odin_attic_hits_total 0"));
-        assert!(prom.contains("odin_attic_misses_total 0"));
-        assert!(prom.contains("odin_attic_archived_total 0"));
-        assert!(prom.contains("odin_attic_evicted_total 0"));
-        assert!(prom.contains("odin_train_orphaned_total 0"));
-        assert!(prom.contains("odin_train_cancelled_total 0"));
-        assert!(prom.contains("odin_train_failed_total 0"));
-        assert!(prom.contains("odin_event_log_appended_total 0"));
-        assert!(prom.contains("odin_event_log_dropped_total 0"));
-        assert!(prom.contains("odin_event_log_queue_depth 0"));
         assert!(prom.contains("# TYPE odin_event_log_flush_ms histogram"));
-        assert!(tel.render_healthz().contains("\"event_log_queue_depth\":0"));
+        for metric in [
+            "odin_frames_total",
+            "odin_attic_hits_total",
+            "odin_attic_misses_total",
+            "odin_attic_archived_total",
+            "odin_attic_evicted_total",
+            "odin_train_orphaned_total",
+            "odin_train_cancelled_total",
+            "odin_train_failed_total",
+            "odin_event_log_appended_total",
+            "odin_event_log_dropped_total",
+            "odin_event_log_queue_depth",
+        ] {
+            assert!(prom.contains(&format!("{metric}{{stream=\"0\"}} 0\n")), "{metric}");
+        }
     }
 }

@@ -1,17 +1,11 @@
-//! Structured, leveled event log.
+//! Event severity.
 //!
-//! Replaces ad-hoc `eprintln!` calls in the pipeline: components emit
-//! [`Event`]s through the registry, which fans them out to every
-//! registered [`EventSink`]. The default production sink is
-//! [`StderrSink`] at [`Level::Warn`]; tests and the bench bins use
-//! [`RingSink`] to capture events in memory.
+//! Components emit events through
+//! [`Registry::event`](crate::registry::Registry::event), which stamps
+//! them into the flight recorder and echoes warnings and errors to
+//! stderr. [`Level`] orders them.
 
-use std::collections::VecDeque;
-use std::sync::Mutex;
-
-use crate::unpoison;
-
-/// Severity of an [`Event`], ordered `Debug < Info < Warn < Error`.
+/// Severity of an event, ordered `Debug < Info < Warn < Error`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Level {
     /// Fine-grained diagnostics (per-frame decisions).
@@ -58,185 +52,15 @@ impl Level {
     }
 }
 
-/// One structured log record.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Event {
-    /// Severity.
-    pub level: Level,
-    /// Component that emitted the event, e.g. `"store"` or `"pipeline"`.
-    pub target: &'static str,
-    /// Human-readable message.
-    pub message: String,
-}
-
-/// A destination for [`Event`]s.
-///
-/// Sinks must be cheap and non-blocking; `emit` is called inline on the
-/// pipeline's hot path for Error-level store failures.
-pub trait EventSink: Send + Sync {
-    /// Delivers one event.
-    fn emit(&self, event: &Event);
-}
-
-/// Writes events at or above a minimum level to stderr, formatted as
-/// `odin[level] target: message`.
-#[derive(Debug)]
-pub struct StderrSink {
-    min: Level,
-}
-
-impl StderrSink {
-    /// Creates a sink that passes events at `min` level or above.
-    pub fn new(min: Level) -> Self {
-        StderrSink { min }
-    }
-}
-
-impl Default for StderrSink {
-    /// The production default: warnings and errors only.
-    fn default() -> Self {
-        StderrSink::new(Level::Warn)
-    }
-}
-
-impl EventSink for StderrSink {
-    fn emit(&self, event: &Event) {
-        if event.level >= self.min {
-            eprintln!("odin[{}] {}: {}", event.level.as_str(), event.target, event.message);
-        }
-    }
-}
-
-/// Keeps the last `cap` events at or above a minimum level in memory,
-/// dropping the oldest first.
-#[derive(Debug)]
-pub struct RingSink {
-    cap: usize,
-    min: Level,
-    buf: Mutex<VecDeque<Event>>,
-}
-
-impl RingSink {
-    /// Creates a ring buffer holding at most `cap` events of any level
-    /// (`cap` is clamped to at least 1).
-    pub fn new(cap: usize) -> Self {
-        RingSink::with_min(cap, Level::Debug)
-    }
-
-    /// Like [`RingSink::new`], but events below `min` are discarded
-    /// instead of buffered — they neither occupy capacity nor evict
-    /// older, more severe events.
-    pub fn with_min(cap: usize, min: Level) -> Self {
-        let cap = cap.max(1);
-        RingSink { cap, min, buf: Mutex::new(VecDeque::with_capacity(cap)) }
-    }
-
-    /// The buffered events, oldest first.
-    pub fn events(&self) -> Vec<Event> {
-        unpoison(self.buf.lock()).iter().cloned().collect()
-    }
-
-    /// Number of buffered events.
-    pub fn len(&self) -> usize {
-        unpoison(self.buf.lock()).len()
-    }
-
-    /// True when no events are buffered.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-impl EventSink for RingSink {
-    fn emit(&self, event: &Event) {
-        if event.level < self.min {
-            return;
-        }
-        let mut buf = unpoison(self.buf.lock());
-        if buf.len() == self.cap {
-            buf.pop_front();
-        }
-        buf.push_back(event.clone());
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn ev(level: Level, message: &str) -> Event {
-        Event { level, target: "test", message: message.to_string() }
-    }
 
     #[test]
     fn levels_are_ordered() {
         assert!(Level::Debug < Level::Info);
         assert!(Level::Info < Level::Warn);
         assert!(Level::Warn < Level::Error);
-    }
-
-    #[test]
-    fn ring_sink_keeps_most_recent() {
-        let sink = RingSink::new(2);
-        assert!(sink.is_empty());
-        sink.emit(&ev(Level::Info, "a"));
-        sink.emit(&ev(Level::Info, "b"));
-        sink.emit(&ev(Level::Error, "c"));
-        let events = sink.events();
-        assert_eq!(events.len(), 2);
-        assert_eq!(events[0].message, "b");
-        assert_eq!(events[1].message, "c");
-    }
-
-    #[test]
-    fn ring_sink_cap_is_at_least_one() {
-        let sink = RingSink::new(0);
-        sink.emit(&ev(Level::Info, "only"));
-        sink.emit(&ev(Level::Info, "kept"));
-        assert_eq!(sink.len(), 1);
-        assert_eq!(sink.events()[0].message, "kept");
-    }
-
-    #[test]
-    fn ring_sink_wraparound_retains_exactly_the_tail() {
-        let cap = 7;
-        let sink = RingSink::new(cap);
-        // Push far more than capacity, crossing the wrap boundary many
-        // times, and check the buffer is exactly the most recent `cap`
-        // in emission order after every single emit.
-        for i in 0..100 {
-            sink.emit(&ev(Level::Info, &format!("m{i}")));
-            let events = sink.events();
-            let expect_len = cap.min(i + 1);
-            assert_eq!(events.len(), expect_len);
-            for (j, e) in events.iter().enumerate() {
-                let expected = i + 1 - expect_len + j;
-                assert_eq!(e.message, format!("m{expected}"), "after emit {i}");
-            }
-        }
-        assert_eq!(sink.len(), cap);
-    }
-
-    #[test]
-    fn ring_sink_filters_below_min_level() {
-        let sink = RingSink::with_min(4, Level::Warn);
-        sink.emit(&ev(Level::Debug, "d"));
-        sink.emit(&ev(Level::Info, "i"));
-        sink.emit(&ev(Level::Warn, "w"));
-        sink.emit(&ev(Level::Error, "e"));
-        let kept: Vec<_> = sink.events().iter().map(|e| e.message.clone()).collect();
-        assert_eq!(kept, ["w", "e"]);
-
-        // Filtered events must not evict retained ones: fill to cap
-        // with errors, then spam debug — the errors survive.
-        let sink = RingSink::with_min(2, Level::Warn);
-        sink.emit(&ev(Level::Error, "e1"));
-        sink.emit(&ev(Level::Error, "e2"));
-        for _ in 0..50 {
-            sink.emit(&ev(Level::Debug, "noise"));
-        }
-        let kept: Vec<_> = sink.events().iter().map(|e| e.message.clone()).collect();
-        assert_eq!(kept, ["e1", "e2"]);
     }
 
     #[test]

@@ -1,15 +1,12 @@
 //! A zero-dependency blocking HTTP server.
 //!
-//! Serves three built-in read-only endpoints from caller-supplied
-//! render closures:
-//!
-//! * `/metrics` — Prometheus text exposition,
-//! * `/trace` — Chrome-trace JSON of the flight recorder,
-//! * `/healthz` — liveness JSON derived from pipeline stats.
-//!
-//! plus an optional catch-all [`RouteHandler`] for everything else —
-//! the multi-stream ingest front end (`POST /ingest/<stream>`) is built
-//! on it.
+//! [`serve`] answers every request through one caller-supplied
+//! [`RouteHandler`]; a request it does not claim is `404` (`GET`) or
+//! `405` (any other method). The server owns only the wire: request
+//! parsing, the body cap (`413`), the header cap (`431`), a malformed
+//! `Content-Length` (`400`) and the response framing. The sharded
+//! serving front end (`odin_core::server::OdinServer`) is the one
+//! router in the workspace.
 //!
 //! The server is deliberately minimal: `std::net::TcpListener` and
 //! `Connection: close` on every response. [`serve`] starts
@@ -37,10 +34,6 @@ pub const MAX_CONNECTION_THREADS: usize = 8;
 /// Cap on the request line plus all headers, in bytes. A request whose
 /// header block does not end within it is answered `431` unread.
 pub const MAX_HEADER_BYTES: usize = 8 * 1024;
-
-/// A render closure for one built-in endpoint: called per request,
-/// returns the full response body.
-pub type Handler = Arc<dyn Fn() -> String + Send + Sync>;
 
 /// One parsed HTTP request, as seen by a [`RouteHandler`].
 #[derive(Debug, Clone)]
@@ -95,30 +88,11 @@ impl Response {
     }
 }
 
-/// A catch-all handler consulted for requests that do not match a
-/// built-in endpoint. Returning `None` falls through to 404/405.
+/// The router a server answers every request with. Returning `None`
+/// falls through to 404/405.
 pub type RouteHandler = Arc<dyn Fn(&Request) -> Option<Response> + Send + Sync>;
 
-/// The endpoint renderers a server is built from.
-#[derive(Clone)]
-pub struct HttpHandlers {
-    /// Body for `GET /metrics` (Prometheus text format).
-    pub metrics: Handler,
-    /// Body for `GET /trace` (Chrome-trace JSON).
-    pub trace: Handler,
-    /// Body for `GET /healthz` (liveness JSON).
-    pub healthz: Handler,
-    /// Catch-all for every other request (any method). `None` keeps the
-    /// classic three-endpoint exposition server.
-    pub route: Option<RouteHandler>,
-    /// Largest request body, in bytes, the server will allocate for and
-    /// read; a longer `Content-Length` is answered `413` unread. `0` for
-    /// a read-only server. The owner of the routes knows its largest
-    /// legal payload — this crate does not.
-    pub max_body: usize,
-}
-
-/// A running exposition server. Dropping it shuts the listener down and
+/// A running HTTP server. Dropping it shuts the listener down and
 /// joins the handler threads.
 pub struct MetricsServer {
     addr: SocketAddr,
@@ -165,30 +139,38 @@ impl Drop for MetricsServer {
     }
 }
 
-/// Binds `addr` and serves `handlers` on [`MAX_CONNECTION_THREADS`]
-/// background threads until the returned [`MetricsServer`] is shut down
-/// or dropped. Every thread accepts on the one listener and answers the
-/// connections it accepts.
-pub fn serve<A: ToSocketAddrs>(addr: A, handlers: HttpHandlers) -> std::io::Result<MetricsServer> {
+/// Binds `addr` and answers every request with `route` on
+/// [`MAX_CONNECTION_THREADS`] background threads until the returned
+/// [`MetricsServer`] is shut down or dropped. Every thread accepts on
+/// the one listener and answers the connections it accepts.
+///
+/// `max_body` is the largest request body, in bytes, the server will
+/// allocate for and read; a longer `Content-Length` is answered `413`
+/// unread. The owner of the routes knows its largest legal payload —
+/// this crate does not.
+pub fn serve<A: ToSocketAddrs>(
+    addr: A,
+    route: RouteHandler,
+    max_body: usize,
+) -> std::io::Result<MetricsServer> {
     let listener = Arc::new(TcpListener::bind(addr)?);
     let addr = listener.local_addr()?;
-    let handlers = Arc::new(handlers);
     let mut server =
         MetricsServer { addr, stop: Arc::new(AtomicBool::new(false)), handlers: Vec::new() };
     for _ in 0..MAX_CONNECTION_THREADS {
-        let (listener, handlers, stop) = (listener.clone(), handlers.clone(), server.stop.clone());
+        let (listener, route, stop) = (listener.clone(), route.clone(), server.stop.clone());
         // On a failed spawn `?` drops `server`, which stops and joins
         // the handlers already running.
         let handle = std::thread::Builder::new()
             .name("odin-http-conn".to_string())
-            .spawn(move || accept_loop(&listener, &handlers, &stop))?;
+            .spawn(move || accept_loop(&listener, &route, max_body, &stop))?;
         server.handlers.push(handle);
     }
     Ok(server)
 }
 
 /// One handler thread: accept, answer, repeat until `stop`.
-fn accept_loop(listener: &TcpListener, handlers: &HttpHandlers, stop: &AtomicBool) {
+fn accept_loop(listener: &TcpListener, route: &RouteHandler, max_body: usize, stop: &AtomicBool) {
     loop {
         let accepted = listener.accept();
         if stop.load(Ordering::SeqCst) {
@@ -198,11 +180,11 @@ fn accept_loop(listener: &TcpListener, handlers: &HttpHandlers, stop: &AtomicBoo
         // A misbehaving client must not wedge a handler.
         let _ = stream.set_read_timeout(Some(Duration::from_secs(5)));
         let _ = stream.set_write_timeout(Some(Duration::from_secs(5)));
-        // The thread outlives the request: a panicking render or route
-        // closure costs its own connection (dropped in the unwind, the
-        // client sees it close), not an eighth of the server.
+        // The thread outlives the request: a panicking route costs its
+        // own connection (dropped in the unwind, the client sees it
+        // close), not an eighth of the server.
         let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            handle_connection(stream, handlers)
+            handle_connection(stream, route, max_body)
         }));
     }
 }
@@ -269,27 +251,22 @@ fn read_request(
     Ok(Ok(Request { method, path, query, body }))
 }
 
-fn handle_connection(stream: TcpStream, handlers: &HttpHandlers) -> std::io::Result<()> {
+fn handle_connection(
+    stream: TcpStream,
+    route: &RouteHandler,
+    max_body: usize,
+) -> std::io::Result<()> {
     let mut reader = BufReader::new(stream);
-    let request = read_request(&mut reader, handlers.max_body)?;
+    let request = read_request(&mut reader, max_body)?;
     let rejected = request.is_err();
     let response = match request {
         Err(rejection) => rejection,
-        Ok(request) => match (request.method.as_str(), request.path.as_str()) {
-            ("GET", "/metrics") => Response {
-                status: "200 OK",
-                content_type: "text/plain; version=0.0.4; charset=utf-8",
-                body: (handlers.metrics)().into_bytes(),
-            },
-            ("GET", "/trace") => Response::ok_json((handlers.trace)().into_bytes()),
-            ("GET", "/healthz") => Response::ok_json((handlers.healthz)().into_bytes()),
-            _ => match handlers.route.as_ref().and_then(|r| r(&request)) {
-                Some(resp) => resp,
-                None if request.method != "GET" => {
-                    Response::text("405 Method Not Allowed", "method not allowed\n")
-                }
-                None => Response::text("404 Not Found", "not found\n"),
-            },
+        Ok(request) => match route(&request) {
+            Some(resp) => resp,
+            None if request.method != "GET" => {
+                Response::text("405 Method Not Allowed", "method not allowed\n")
+            }
+            None => Response::text("404 Not Found", "not found\n"),
         },
     };
 
@@ -376,14 +353,17 @@ pub fn post(addr: SocketAddr, path: &str, body: &[u8]) -> std::io::Result<(Strin
 mod tests {
     use super::*;
 
-    fn handlers() -> HttpHandlers {
-        HttpHandlers {
-            metrics: Arc::new(|| "odin_frames_total 42\n".to_string()),
-            trace: Arc::new(|| "{\"traceEvents\":[]}".to_string()),
-            healthz: Arc::new(|| "{\"status\":\"ok\"}".to_string()),
-            route: None,
-            max_body: 1024,
-        }
+    /// Serves, with a 1024-byte body cap, a router that answers
+    /// `GET /healthz` and asks `extra` about every other request.
+    fn serve_with(
+        extra: impl Fn(&Request) -> Option<Response> + Send + Sync + 'static,
+    ) -> MetricsServer {
+        let route: RouteHandler =
+            Arc::new(move |req: &Request| match (req.method.as_str(), req.path.as_str()) {
+                ("GET", "/healthz") => Some(Response::ok_json("{\"status\":\"ok\"}")),
+                _ => extra(req),
+            });
+        serve("127.0.0.1:0", route, 1024).expect("bind")
     }
 
     /// Sends `request` verbatim and returns `(status_line, body)`.
@@ -401,7 +381,7 @@ mod tests {
 
     #[test]
     fn unparsable_content_length_is_400_not_an_empty_body() {
-        let server = serve("127.0.0.1:0", handlers()).expect("bind");
+        let server = serve_with(|_| None);
         for bad in ["twelve", "-1", "1e3", "", "99999999999999999999999999"] {
             let req = format!("POST /echo HTTP/1.1\r\nContent-Length: {bad}\r\n\r\n");
             let (status, _) = raw(server.addr(), req.as_bytes());
@@ -412,7 +392,7 @@ mod tests {
 
     #[test]
     fn oversized_body_is_413_without_reading_or_allocating_it() {
-        let server = serve("127.0.0.1:0", handlers()).expect("bind");
+        let server = serve_with(|_| None);
         // Only the headers are sent: a server that tried to read (or
         // allocate) the declared exabyte would hang or abort instead.
         let req = format!("POST /echo HTTP/1.1\r\nContent-Length: {}\r\n\r\n", u64::MAX / 2);
@@ -430,7 +410,7 @@ mod tests {
 
     #[test]
     fn oversized_header_block_is_431() {
-        let server = serve("127.0.0.1:0", handlers()).expect("bind");
+        let server = serve_with(|_| None);
         // One endless header line, many small ones, and an endless
         // request line: none may buffer past the cap.
         let long_line =
@@ -452,26 +432,8 @@ mod tests {
     }
 
     #[test]
-    fn serves_all_three_endpoints() {
-        let server = serve("127.0.0.1:0", handlers()).expect("bind");
-        let addr = server.addr();
-
-        let (status, body) = get(addr, "/metrics").expect("metrics");
-        assert!(status.contains("200"), "{status}");
-        assert_eq!(body, "odin_frames_total 42\n");
-
-        let (status, body) = get(addr, "/trace").expect("trace");
-        assert!(status.contains("200"), "{status}");
-        assert!(body.contains("traceEvents"));
-
-        let (status, body) = get(addr, "/healthz").expect("healthz");
-        assert!(status.contains("200"), "{status}");
-        assert_eq!(body, "{\"status\":\"ok\"}");
-    }
-
-    #[test]
     fn unknown_paths_get_404_and_server_survives() {
-        let server = serve("127.0.0.1:0", handlers()).expect("bind");
+        let server = serve_with(|_| None);
         let (status, _) = get(server.addr(), "/nope").expect("request");
         assert!(status.contains("404"), "{status}");
         // Still serving after the 404.
@@ -481,28 +443,23 @@ mod tests {
 
     #[test]
     fn shutdown_is_idempotent_and_frees_the_port() {
-        let mut server = serve("127.0.0.1:0", handlers()).expect("bind");
+        let mut server = serve_with(|_| None);
         let addr = server.addr();
         server.shutdown();
         server.shutdown();
         drop(server);
         // The port can be rebound after shutdown.
-        let server2 = serve(addr, handlers()).expect("rebind");
-        let (status, _) = get(server2.addr(), "/metrics").expect("metrics");
-        assert!(status.contains("200"), "{status}");
+        let server2 = serve(addr, Arc::new(|_: &Request| None), 0).expect("rebind");
+        let (status, _) = get(server2.addr(), "/nope").expect("request");
+        assert!(status.contains("404"), "{status}");
     }
 
     #[test]
     fn route_handler_sees_post_bodies_and_falls_through() {
-        let mut h = handlers();
-        h.route = Some(Arc::new(|req: &Request| {
-            if req.method == "POST" && req.path == "/echo" {
-                Some(Response::ok_json(req.body.clone()))
-            } else {
-                None
-            }
-        }));
-        let server = serve("127.0.0.1:0", h).expect("bind");
+        let server = serve_with(|req: &Request| {
+            (req.method == "POST" && req.path == "/echo")
+                .then(|| Response::ok_json(req.body.clone()))
+        });
         let (status, body) = post(server.addr(), "/echo", b"{\"x\":1}").expect("post");
         assert!(status.contains("200"), "{status}");
         assert_eq!(body, "{\"x\":1}");
@@ -511,25 +468,22 @@ mod tests {
         assert!(status.contains("405"), "{status}");
         let (status, _) = get(server.addr(), "/nope").expect("get");
         assert!(status.contains("404"), "{status}");
-        // Built-ins still served with a route installed.
-        let (status, _) = get(server.addr(), "/healthz").expect("healthz");
-        assert!(status.contains("200"), "{status}");
+        // A POST to a GET route falls through too.
+        let (status, _) = post(server.addr(), "/healthz", b"").expect("post");
+        assert!(status.contains("405"), "{status}");
+        assert_still_serving(server.addr());
     }
 
     #[test]
     fn query_strings_reach_the_route_handler() {
-        let mut h = handlers();
-        h.route = Some(Arc::new(|req: &Request| {
-            if req.path == "/q" {
+        let server = serve_with(|req: &Request| {
+            (req.path == "/q").then(|| {
                 let cursor = req.query_param("cursor").unwrap_or("-");
                 let kind = req.query_param("kind").unwrap_or("-");
                 let flag = req.query_param("flag").map(|_| "y").unwrap_or("n");
-                Some(Response::text("200 OK", format!("{cursor}|{kind}|{flag}")))
-            } else {
-                None
-            }
-        }));
-        let server = serve("127.0.0.1:0", h).expect("bind");
+                Response::text("200 OK", format!("{cursor}|{kind}|{flag}"))
+            })
+        });
         let (status, body) =
             get(server.addr(), "/q?cursor=7:128,0:8&kind=drift&flag").expect("get");
         assert!(status.contains("200"), "{status}");
@@ -544,19 +498,15 @@ mod tests {
         use std::sync::mpsc;
         let (release_tx, release_rx) = mpsc::channel::<()>();
         let release_rx = std::sync::Mutex::new(release_rx);
-        let mut h = handlers();
-        h.route = Some(Arc::new(move |req: &Request| {
-            if req.path == "/slow" {
+        let server = serve_with(move |req: &Request| {
+            (req.path == "/slow").then(|| {
                 // Park until the test releases us (bounded so a
                 // regression to serial handling fails instead of
                 // hanging forever).
                 let _ = release_rx.lock().unwrap().recv_timeout(Duration::from_secs(5));
-                Some(Response::text("200 OK", "slept\n"))
-            } else {
-                None
-            }
-        }));
-        let server = serve("127.0.0.1:0", h).expect("bind");
+                Response::text("200 OK", "slept\n")
+            })
+        });
         let addr = server.addr();
         let slow = std::thread::spawn(move || get(addr, "/slow"));
         // Give the slow request time to occupy its handler thread.
@@ -579,16 +529,16 @@ mod tests {
     fn parking_route(
         entered: std::sync::mpsc::Sender<()>,
         release: std::sync::mpsc::Receiver<()>,
-    ) -> RouteHandler {
+    ) -> impl Fn(&Request) -> Option<Response> + Send + Sync + 'static {
         let entered = std::sync::Mutex::new(entered);
         let release = std::sync::Mutex::new(release);
-        Arc::new(move |req: &Request| {
+        move |req: &Request| {
             (req.path == "/park").then(|| {
                 let _ = entered.lock().unwrap().send(());
                 let _ = release.lock().unwrap().recv_timeout(Duration::from_secs(10));
                 Response::text("200 OK", "released\n")
             })
-        })
+        }
     }
 
     #[test]
@@ -596,9 +546,7 @@ mod tests {
         use std::sync::mpsc;
         let (entered_tx, entered_rx) = mpsc::channel();
         let (release_tx, release_rx) = mpsc::channel();
-        let mut h = handlers();
-        h.route = Some(parking_route(entered_tx, release_rx));
-        let server = serve("127.0.0.1:0", h).expect("bind");
+        let server = serve_with(parking_route(entered_tx, release_rx));
         let addr = server.addr();
         let clients: Vec<_> = (0..3 * MAX_CONNECTION_THREADS)
             .map(|_| std::thread::spawn(move || get(addr, "/park")))
@@ -621,12 +569,10 @@ mod tests {
 
     #[test]
     fn a_panicking_route_costs_its_connection_not_a_handler() {
-        let mut h = handlers();
-        h.route = Some(Arc::new(|req: &Request| {
+        let server = serve_with(|req: &Request| {
             assert!(req.path != "/boom", "route panics on purpose");
             None
-        }));
-        let server = serve("127.0.0.1:0", h).expect("bind");
+        });
         // More panics than there are handlers.
         for _ in 0..2 * MAX_CONNECTION_THREADS {
             // Closed without a response: end of stream or a reset.
@@ -642,9 +588,7 @@ mod tests {
         use std::sync::mpsc;
         let (entered_tx, entered_rx) = mpsc::channel();
         let (release_tx, release_rx) = mpsc::channel();
-        let mut h = handlers();
-        h.route = Some(parking_route(entered_tx, release_rx));
-        let mut server = serve("127.0.0.1:0", h).expect("bind");
+        let mut server = serve_with(parking_route(entered_tx, release_rx));
         let addr = server.addr();
         let client = std::thread::spawn(move || get(addr, "/park"));
         entered_rx.recv_timeout(Duration::from_secs(5)).expect("request in flight");
@@ -665,6 +609,6 @@ mod tests {
         assert_eq!(body, "released\n");
         down_rx.recv_timeout(Duration::from_secs(5)).expect("shutdown returns once answered");
         stopper.join().expect("join");
-        serve(addr, handlers()).expect("port is free after shutdown");
+        serve(addr, Arc::new(|_: &Request| None), 0).expect("port is free after shutdown");
     }
 }

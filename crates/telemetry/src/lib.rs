@@ -14,13 +14,13 @@
 //!   [`registry::Gauge`]s, and fixed-bucket latency
 //!   [`registry::Histogram`]s (log-spaced bounds chosen at
 //!   registration, so merged output never depends on thread count),
-//! * [`event`] — a structured, leveled event log: [`event::EventSink`]
-//!   fan-out with stderr ([`event::StderrSink`]) and in-memory
-//!   ring-buffer ([`event::RingSink`]) sinks,
+//! * [`event`] — event severity: [`registry::Registry::event`] records
+//!   leveled events in the flight recorder and echoes warnings and
+//!   errors to stderr,
 //! * [`timeline`] — the drift timeline: drift detected → training job
 //!   queued → model installed, with frame indices and wall times,
-//! * [`render`] — Prometheus text exposition of a
-//!   [`registry::TelemetrySnapshot`], and [`render::read_samples`], its
+//! * [`render`] — Prometheus text exposition of labeled
+//!   [`registry::TelemetrySnapshot`]s, and [`render::read_samples`], its
 //!   reader,
 //! * [`json`] — the workspace's one JSON escaper and one JSON reader,
 //! * [`clock`] — the time source: [`clock::WallClock`] in production,
@@ -32,8 +32,8 @@
 //!   (ring buffers of recent spans and events),
 //! * [`export`] — Chrome-trace (Perfetto) JSON export of a
 //!   [`recorder::FlightRecord`],
-//! * [`http`] — a zero-dependency blocking exposition server
-//!   ([`http::serve`]) with `/metrics`, `/trace`, and `/healthz`.
+//! * [`http`] — a zero-dependency blocking HTTP server
+//!   ([`http::serve`]) that answers every request through one router.
 //!
 //! The crate has no dependencies (not even on the rest of the
 //! workspace) so any ODIN crate can embed it without cycles.
@@ -67,16 +67,15 @@ pub mod span;
 pub mod timeline;
 
 pub use clock::{Clock, ManualClock, WallClock};
-pub use event::{Event, EventSink, Level, RingSink, StderrSink};
+pub use event::Level;
 pub use export::chrome_trace;
 pub use http::{
-    get, post, serve, Handler, HttpHandlers, MetricsServer, Request, Response, RouteHandler,
-    MAX_CONNECTION_THREADS,
+    get, post, serve, MetricsServer, Request, Response, RouteHandler, MAX_CONNECTION_THREADS,
 };
 pub use recorder::{FlightRecord, FlightRecorder, RecordedEvent};
 pub use registry::{
     log_bounds, Counter, Gauge, Histogram, HistogramSnapshot, Registry, TelemetrySnapshot,
 };
-pub use render::{read_samples, render_prometheus, render_prometheus_grouped, Sample};
+pub use render::{read_samples, render_prometheus_grouped, Sample};
 pub use span::{SpanCtx, SpanGuard, SpanRecord, Tracer, NO_PARENT};
 pub use timeline::{TimelineEvent, TimelineStage};

@@ -178,6 +178,38 @@ mod tests {
     }
 
     #[test]
+    fn event_ring_keeps_exactly_the_newest_events() {
+        let cap = 7;
+        let rec = FlightRecorder::new(1, cap);
+        // Far more than capacity, crossing the wrap boundary many
+        // times: after every event the ring is the newest `cap` in
+        // emission order.
+        for i in 0..100 {
+            rec.record_event(event(&format!("m{i}")));
+            let snap = rec.snapshot();
+            let kept = cap.min(i + 1);
+            let expected: Vec<String> = (i + 1 - kept..=i).map(|j| format!("m{j}")).collect();
+            assert_eq!(
+                snap.events.iter().map(|e| &e.message).collect::<Vec<_>>(),
+                expected.iter().collect::<Vec<_>>()
+            );
+            assert_eq!(snap.dropped_events, (i + 1 - kept) as u64);
+        }
+    }
+
+    #[test]
+    fn capacities_are_at_least_one() {
+        let rec = FlightRecorder::new(0, 0);
+        rec.record_span(span(1));
+        rec.record_span(span(2));
+        rec.record_event(event("only"));
+        rec.record_event(event("kept"));
+        let snap = rec.snapshot();
+        assert_eq!(snap.spans.iter().map(|s| s.id).collect::<Vec<_>>(), [2]);
+        assert_eq!(snap.events.iter().map(|e| e.message.as_str()).collect::<Vec<_>>(), ["kept"]);
+    }
+
+    #[test]
     fn load_roundtrips_and_truncates_to_capacity() {
         let rec = FlightRecorder::new(8, 8);
         for id in 0..5 {

@@ -1,5 +1,5 @@
 //! The metrics registry: named counters, gauges, and deterministic
-//! fixed-bucket latency histograms, plus event fan-out and the drift
+//! fixed-bucket latency histograms, plus leveled events and the drift
 //! timeline.
 //!
 //! Determinism contract: histogram bucket bounds are fixed at
@@ -11,11 +11,11 @@
 //! rendered output is byte-stable.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 
 use crate::clock::{Clock, WallClock};
-use crate::event::{Event, EventSink, Level};
+use crate::event::Level;
 use crate::recorder::{FlightRecord, FlightRecorder, RecordedEvent};
 use crate::span::{ClockCell, Tracer};
 use crate::timeline::{TimelineEvent, TimelineStage};
@@ -275,7 +275,9 @@ pub struct Registry {
     counters: Mutex<BTreeMap<String, Counter>>,
     gauges: Mutex<BTreeMap<String, Gauge>>,
     histograms: Mutex<BTreeMap<String, Histogram>>,
-    sinks: RwLock<Vec<Arc<dyn EventSink>>>,
+    /// Whether [`Registry::event`] echoes warnings and errors to
+    /// stderr; on until [`Registry::clear_sinks`].
+    echo_stderr: AtomicBool,
     timeline: Mutex<Vec<TimelineEvent>>,
     recorder: Arc<FlightRecorder>,
     tracer: Tracer,
@@ -293,8 +295,9 @@ impl std::fmt::Debug for Registry {
 }
 
 impl Registry {
-    /// Creates an empty registry with a [`WallClock`], no sinks, and an
-    /// always-on flight recorder at default capacity.
+    /// Creates an empty registry with a [`WallClock`], an always-on
+    /// flight recorder at default capacity, and warnings and errors
+    /// echoed to stderr.
     pub fn new() -> Self {
         let clock: ClockCell = Arc::new(RwLock::new(Arc::new(WallClock::new()) as Arc<dyn Clock>));
         let recorder = Arc::new(FlightRecorder::default());
@@ -304,7 +307,7 @@ impl Registry {
             counters: Mutex::new(BTreeMap::new()),
             gauges: Mutex::new(BTreeMap::new()),
             histograms: Mutex::new(BTreeMap::new()),
-            sinks: RwLock::new(Vec::new()),
+            echo_stderr: AtomicBool::new(true),
             timeline: Mutex::new(Vec::new()),
             recorder,
             tracer,
@@ -364,29 +367,26 @@ impl Registry {
             .clone()
     }
 
-    /// Adds an event sink; events fan out to every registered sink.
-    pub fn add_sink(&self, sink: Arc<dyn EventSink>) {
-        unpoison(self.sinks.write()).push(sink);
-    }
-
-    /// Removes all event sinks.
+    /// Stops echoing events to stderr; the flight recorder keeps
+    /// recording them.
     pub fn clear_sinks(&self) {
-        unpoison(self.sinks.write()).clear();
+        self.echo_stderr.store(false, Ordering::Relaxed);
     }
 
-    /// Emits a structured event to every sink and stamps a copy into
-    /// the flight recorder.
+    /// Records a leveled event in the flight recorder and, until
+    /// [`Registry::clear_sinks`], prints warnings and errors to stderr
+    /// as `odin[level] target: message`.
     pub fn event(&self, level: Level, target: &'static str, message: impl Into<String>) {
-        let event = Event { level, target, message: message.into() };
+        let message = message.into();
+        if level >= Level::Warn && self.echo_stderr.load(Ordering::Relaxed) {
+            eprintln!("odin[{}] {target}: {message}", level.as_str());
+        }
         self.recorder.record_event(RecordedEvent {
             at_ms: self.now_ms(),
             level,
             target: std::borrow::Cow::Borrowed(target),
-            message: event.message.clone(),
+            message,
         });
-        for sink in unpoison(self.sinks.read()).iter() {
-            sink.emit(&event);
-        }
     }
 
     /// Appends one drift-timeline marker, stamped with the registry
@@ -465,7 +465,6 @@ impl Default for Registry {
 mod tests {
     use super::*;
     use crate::clock::ManualClock;
-    use crate::event::RingSink;
 
     #[test]
     fn counters_and_gauges_are_shared_handles() {
@@ -632,14 +631,19 @@ mod tests {
     #[test]
     fn events_fan_out_to_sinks() {
         let reg = Registry::new();
-        let ring = Arc::new(RingSink::new(8));
-        reg.add_sink(ring.clone());
+        let clock = Arc::new(ManualClock::new());
+        reg.set_clock(clock.clone());
+        clock.set_ms(5.0);
+        reg.clear_sinks(); // silences stderr, not the recorder
         reg.event(Level::Warn, "store", "disk full");
-        assert_eq!(ring.len(), 1);
-        assert_eq!(ring.events()[0].message, "disk full");
-        reg.clear_sinks();
-        reg.event(Level::Warn, "store", "dropped");
-        assert_eq!(ring.len(), 1);
+        reg.event(Level::Debug, "pipeline", "noise");
+        let events = reg.flight_record().events;
+        let seen: Vec<_> =
+            events.iter().map(|e| (e.at_ms, e.level, &*e.target, e.message.as_str())).collect();
+        assert_eq!(
+            seen,
+            [(5.0, Level::Warn, "store", "disk full"), (5.0, Level::Debug, "pipeline", "noise")]
+        );
     }
 
     #[test]

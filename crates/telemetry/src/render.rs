@@ -1,61 +1,22 @@
-//! The Prometheus text exposition of a [`TelemetrySnapshot`], and
-//! [`read_samples`], the one reader of it.
+//! The Prometheus text exposition of labeled [`TelemetrySnapshot`]s,
+//! and [`read_samples`], the one reader of it.
 //!
-//! Both renderers are pure functions of the snapshot. Floats are
+//! The renderer is a pure function of its snapshots. Floats are
 //! formatted with Rust's `Display` (shortest round-trip
 //! representation), which is deterministic across platforms and thread
 //! counts; collection order comes from the snapshot, which is already
 //! name-sorted.
 
-use crate::json::{self, escape};
 use crate::registry::TelemetrySnapshot;
 
-/// Renders the snapshot in the Prometheus text exposition format
-/// (version 0.0.4): one `# TYPE` line per metric, cumulative
-/// `_bucket{le="..."}` series plus `_sum`/`_count` for histograms, and
-/// the drift timeline as trailing comment lines.
-pub fn render_prometheus(snap: &TelemetrySnapshot) -> String {
-    let mut out = String::new();
-    for (name, v) in &snap.counters {
-        out.push_str(&format!("# TYPE {name} counter\n{name} {v}\n"));
-    }
-    for (name, v) in &snap.gauges {
-        out.push_str(&format!("# TYPE {name} gauge\n{name} {v}\n"));
-    }
-    for h in &snap.histograms {
-        let name = &h.name;
-        out.push_str(&format!("# TYPE {name} histogram\n"));
-        let mut cum = 0u64;
-        for (i, &bound) in h.bounds.iter().enumerate() {
-            cum += h.buckets[i];
-            out.push_str(&format!("{name}_bucket{{le=\"{bound}\"}} {cum}\n"));
-        }
-        out.push_str(&format!("{name}_bucket{{le=\"+Inf\"}} {}\n", h.count));
-        out.push_str(&format!("{name}_sum {}\n", h.sum_ms()));
-        out.push_str(&format!("{name}_count {}\n", h.count));
-    }
-    if !snap.timeline.is_empty() {
-        out.push_str("# odin drift timeline: stage cluster frame at_ms\n");
-        for t in &snap.timeline {
-            out.push_str(&format!(
-                "# timeline {} {} {} {}\n",
-                t.stage.as_str(),
-                t.cluster_id,
-                t.frame,
-                t.at_ms
-            ));
-        }
-    }
-    out
-}
-
-/// Renders several labeled snapshots — one per stream shard of a
-/// multi-stream server — as a single merged Prometheus exposition.
-/// Each metric gets one `# TYPE` line, followed by one sample per
-/// shard carrying a `stream="<label>"` label (histogram buckets merge
-/// the `stream` label with `le`). Like [`render_prometheus`] this is a
-/// pure function of its inputs: shard order is the caller's, metric
-/// order is name-sorted, so output is deterministic.
+/// Renders labeled snapshots — one per stream shard of a server — as
+/// one Prometheus text exposition (version 0.0.4). Each metric gets one
+/// `# TYPE` line, followed by one sample per shard carrying a
+/// `stream="<label>"` label; histograms are cumulative
+/// `_bucket{stream="..",le=".."}` series plus `_sum`/`_count`, and each
+/// shard's drift timeline follows as comment lines. Shard order is the
+/// caller's and metric order is name-sorted, so output is
+/// deterministic.
 pub fn render_prometheus_grouped(shards: &[(String, TelemetrySnapshot)]) -> String {
     use std::collections::BTreeMap;
     let mut counters: BTreeMap<&str, Vec<(&str, u64)>> = BTreeMap::new();
@@ -77,19 +38,19 @@ pub fn render_prometheus_grouped(shards: &[(String, TelemetrySnapshot)]) -> Stri
     for (name, samples) in &counters {
         out.push_str(&format!("# TYPE {name} counter\n"));
         for (stream, v) in samples {
-            out.push_str(&format!("{name}{{stream=\"{}\"}} {v}\n", escape(stream)));
+            out.push_str(&format!("{name}{{stream=\"{}\"}} {v}\n", escape_label(stream)));
         }
     }
     for (name, samples) in &gauges {
         out.push_str(&format!("# TYPE {name} gauge\n"));
         for (stream, v) in samples {
-            out.push_str(&format!("{name}{{stream=\"{}\"}} {v}\n", escape(stream)));
+            out.push_str(&format!("{name}{{stream=\"{}\"}} {v}\n", escape_label(stream)));
         }
     }
     for (name, samples) in &histograms {
         out.push_str(&format!("# TYPE {name} histogram\n"));
         for (stream, h) in samples {
-            let stream = escape(stream);
+            let stream = escape_label(stream);
             let mut cum = 0u64;
             for (i, &bound) in h.bounds.iter().enumerate() {
                 cum += h.buckets[i];
@@ -107,6 +68,9 @@ pub fn render_prometheus_grouped(shards: &[(String, TelemetrySnapshot)]) -> Stri
     }
     for (stream, snap) in shards {
         if !snap.timeline.is_empty() {
+            // A comment ends at its line: a newline in the label must
+            // not start a line of its own.
+            let stream = stream.replace('\n', "\\n");
             out.push_str(&format!(
                 "# odin drift timeline [stream {stream}]: stage cluster frame at_ms\n"
             ));
@@ -137,9 +101,25 @@ pub struct Sample {
     pub value: f64,
 }
 
-/// Reads the samples of a [`render_prometheus`] or
-/// [`render_prometheus_grouped`] exposition, in order; comment lines
-/// and lines that do not parse are skipped.
+/// Escapes a label value the way the Prometheus text format defines:
+/// `\`, `"` and newline become `\\`, `\"` and `\n`, and every other
+/// character is written as it is.
+fn escape_label(value: &str) -> String {
+    let mut out = String::with_capacity(value.len());
+    for c in value.chars() {
+        match c {
+            '\\' => out.push_str("\\\\"),
+            '"' => out.push_str("\\\""),
+            '\n' => out.push_str("\\n"),
+            c => out.push(c),
+        }
+    }
+    out
+}
+
+/// Reads the samples of a Prometheus text exposition, such as
+/// [`render_prometheus_grouped`] writes, in order; comment lines and
+/// lines that do not parse are skipped.
 pub fn read_samples(text: &str) -> Vec<Sample> {
     text.lines().filter(|l| !l.starts_with('#')).filter_map(read_sample).collect()
 }
@@ -154,22 +134,37 @@ fn read_sample(line: &str) -> Option<Sample> {
         Sample { name: name.to_string(), stream: None, le: None, value: value.parse().ok()? };
     while !labels.is_empty() {
         let (key, quoted) = labels.split_once('=')?;
-        // A label value is written by the JSON escaper: find its
-        // closing quote, then let the JSON reader unescape it.
-        let bytes = quoted.as_bytes();
-        let mut end = 1;
-        while *bytes.get(end)? != b'"' {
-            end += if bytes[end] == b'\\' { 2 } else { 1 };
-        }
-        let text = json::parse(quoted.get(..=end)?).ok()?.as_str()?.to_string();
+        let (text, rest) = read_label(quoted)?;
         match key {
             "stream" => sample.stream = Some(text),
             "le" => sample.le = Some(text),
             _ => {}
         }
-        labels = quoted[end + 1..].strip_prefix(',').unwrap_or(&quoted[end + 1..]);
+        labels = rest.strip_prefix(',').unwrap_or(rest);
     }
     Some(sample)
+}
+
+/// The label value `quoted` starts with, between double quotes,
+/// unescaped, and the text after its closing quote. `None` for an
+/// unterminated value or an escape the text format does not define.
+fn read_label(quoted: &str) -> Option<(String, &str)> {
+    let body = quoted.strip_prefix('"')?;
+    let mut value = String::new();
+    let mut chars = body.char_indices();
+    while let Some((i, c)) = chars.next() {
+        match c {
+            '"' => return Some((value, &body[i + 1..])),
+            '\\' => value.push(match chars.next()?.1 {
+                '\\' => '\\',
+                '"' => '"',
+                'n' => '\n',
+                _ => return None,
+            }),
+            c => value.push(c),
+        }
+    }
+    None
 }
 
 #[cfg(test)]
@@ -195,15 +190,15 @@ mod tests {
 
     #[test]
     fn prometheus_render_has_cumulative_buckets() {
-        let text = render_prometheus(&sample_registry().snapshot());
+        let text = render_prometheus_grouped(&[("0".to_string(), sample_registry().snapshot())]);
         assert!(text.contains("# TYPE odin_frames_total counter"));
-        assert!(text.contains("odin_frames_total 128"));
+        assert!(text.contains("odin_frames_total{stream=\"0\"} 128"));
         assert!(text.contains("# TYPE odin_clusters gauge"));
-        assert!(text.contains("odin_stage_encode_ms_bucket{le=\"0.5\"} 1"));
-        assert!(text.contains("odin_stage_encode_ms_bucket{le=\"5\"} 2"));
-        assert!(text.contains("odin_stage_encode_ms_bucket{le=\"+Inf\"} 3"));
-        assert!(text.contains("odin_stage_encode_ms_count 3"));
-        assert!(text.contains("# timeline drift_detected 1 64 0"));
+        assert!(text.contains("odin_stage_encode_ms_bucket{stream=\"0\",le=\"0.5\"} 1"));
+        assert!(text.contains("odin_stage_encode_ms_bucket{stream=\"0\",le=\"5\"} 2"));
+        assert!(text.contains("odin_stage_encode_ms_bucket{stream=\"0\",le=\"+Inf\"} 3"));
+        assert!(text.contains("odin_stage_encode_ms_count{stream=\"0\"} 3"));
+        assert!(text.contains("# timeline [stream 0] drift_detected 1 64 0"));
     }
 
     #[test]
@@ -230,10 +225,10 @@ mod tests {
 
     /// Every counter, gauge and histogram bucket of `snap`, as
     /// `read_samples` must give it back for `stream`.
-    fn expected_samples(snap: &TelemetrySnapshot, stream: Option<&str>) -> Vec<Sample> {
+    fn expected_samples(snap: &TelemetrySnapshot, stream: &str) -> Vec<Sample> {
         let sample = |name: String, le: Option<String>, value: f64| Sample {
             name,
-            stream: stream.map(str::to_string),
+            stream: Some(stream.to_string()),
             le,
             value,
         };
@@ -260,7 +255,10 @@ mod tests {
     #[test]
     fn samples_read_back_from_both_shapes() {
         let snap = sample_registry().snapshot();
-        assert_eq!(read_samples(&render_prometheus(&snap)), expected_samples(&snap, None));
+        let unlabeled = "# TYPE odin_frames_total counter\nodin_frames_total 128\n";
+        let frames =
+            Sample { name: "odin_frames_total".into(), stream: None, le: None, value: 128.0 };
+        assert_eq!(read_samples(unlabeled), [frames]);
 
         let streams = ["0", "a \"b\" \\c, d=}"];
         let grouped = render_prometheus_grouped(&streams.map(|s| (s.to_string(), snap.clone())));
@@ -269,15 +267,29 @@ mod tests {
         // stream to compare with the per-stream expectation.
         read.sort_by_key(|s| streams.iter().position(|&id| s.stream.as_deref() == Some(id)));
         let expected: Vec<Sample> =
-            streams.iter().flat_map(|id| expected_samples(&snap, Some(id))).collect();
+            streams.iter().flat_map(|id| expected_samples(&snap, id)).collect();
         assert_eq!(read, expected);
         assert!(read_samples("# TYPE x counter\nx{le=\"1} 2\nnot a sample\n").is_empty());
+        // An escape the text format does not define is no sample.
+        assert!(read_samples("x{stream=\"a\\tb\"} 1\n").is_empty());
+    }
+
+    #[test]
+    fn label_values_escape_only_what_prometheus_defines() {
+        let stream = "tab\t cr\r soh\u{1} nl\n end";
+        let text = render_prometheus_grouped(&[(stream.to_string(), sample_registry().snapshot())]);
+        assert!(
+            text.contains("odin_frames_total{stream=\"tab\t cr\r soh\u{1} nl\\n end\"} 128\n"),
+            "{text:?}"
+        );
+        assert!(text.contains("# timeline [stream tab\t cr\r soh\u{1} nl\\n end] drift_detected"));
+        let snap = sample_registry().snapshot();
+        assert_eq!(read_samples(&text), expected_samples(&snap, stream));
     }
 
     #[test]
     fn renders_of_empty_snapshot_are_valid() {
         let snap = TelemetrySnapshot::default();
-        assert_eq!(render_prometheus(&snap), "");
         assert_eq!(render_prometheus_grouped(&[("0".to_string(), snap)]), "");
     }
 }

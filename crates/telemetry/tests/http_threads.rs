@@ -10,7 +10,7 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use odin_telemetry::http::{get, serve, HttpHandlers, MAX_CONNECTION_THREADS};
+use odin_telemetry::http::{get, serve, Request, Response, MAX_CONNECTION_THREADS};
 
 /// `Threads:` of `/proc/self/status`.
 fn process_threads() -> usize {
@@ -22,17 +22,9 @@ fn process_threads() -> usize {
 #[test]
 fn handler_threads_are_spawned_once_and_joined_on_shutdown() {
     let before = process_threads();
-    let mut server = serve(
-        "127.0.0.1:0",
-        HttpHandlers {
-            metrics: Arc::new(String::new),
-            trace: Arc::new(String::new),
-            healthz: Arc::new(|| "{\"status\":\"ok\"}".to_string()),
-            route: None,
-            max_body: 0,
-        },
-    )
-    .expect("bind");
+    let healthz =
+        |req: &Request| (req.path == "/healthz").then(|| Response::ok_json("{\"status\":\"ok\"}"));
+    let mut server = serve("127.0.0.1:0", Arc::new(healthz), 0).expect("bind");
     let serving = process_threads();
     assert_eq!(serving, before + MAX_CONNECTION_THREADS);
 

@@ -11,7 +11,8 @@
 //! POST /ingest/<stream>  (body: odin_core::encode_ingest_frame)
 //! GET  /metrics          every sample labeled {stream="<id>"}
 //! GET  /healthz          liveness + per-stream queue depths
-//! GET  /trace            merged Chrome trace, spans grouped per stream
+//! GET  /flight           merged Chrome trace, spans grouped per stream
+//! GET  /events           cursor-paged tail of the per-stream event logs
 //! ```
 //!
 //! Run: `cargo run --release --example multistream_server`

@@ -30,11 +30,11 @@ echo "==> cargo fmt --all -- --check"
 cargo fmt --all -- --check
 
 # Diagnostics in the pipeline crates must flow through the telemetry
-# event log (leveled, sink-routable, test-capturable), not raw stderr.
-# odin-telemetry's StderrSink is the one place allowed to eprintln.
+# event log (leveled, kept by the flight recorder), not raw stderr.
+# odin-telemetry's Registry::event is the one place allowed to eprintln.
 echo "==> eprintln gate (crates/core, crates/store)"
 if grep -rn 'eprintln!' crates/core/src crates/store/src; then
-    echo "error: eprintln! in pipeline crates; use Telemetry::event / an EventSink" >&2
+    echo "error: eprintln! in pipeline crates; use Telemetry::event" >&2
     exit 1
 fi
 
@@ -97,25 +97,16 @@ ODIN_THREADS=2 cargo test -q -p odin-core --test checkpoint -- \
 ODIN_THREADS=2 cargo test -q -p odin-log --test prefix_sweep
 ODIN_THREADS=2 cargo run --release -p odin-core --example warm_restart >/dev/null
 
-# Telemetry + exposition smoke: the stage-latency table must run
-# end-to-end (store enabled, drift recovered, metrics and Chrome trace
-# dumped) without a single store error, while serving /metrics,
-# /healthz, and /trace on a loopback ephemeral port that we scrape with
-# curl and validate with jq.
-echo "==> telemetry + exposition smoke (table_telemetry --scale 0.05)"
+# Telemetry smoke: the stage-latency table must run end-to-end (store
+# enabled, drift recovered, metrics and Chrome trace dumped) without a
+# single store error. The HTTP exposition is scraped in the
+# multi-stream smoke below.
+echo "==> telemetry smoke (table_telemetry --scale 0.05)"
 SMOKE_DIR=/tmp/odin-ci-telemetry
 rm -rf "$SMOKE_DIR"
 mkdir -p "$SMOKE_DIR"
-start_server "$SMOKE_DIR/run.log" telemetry env ODIN_SERVE_MS=15000 \
-    cargo run --release -p odin-bench --bin table_telemetry -- --scale 0.05 --out "$SMOKE_DIR"
-ADDR=$SERVER_ADDR
-# grep -c (not -q): -q exits at the first match, racing curl's
-# remaining writes (EPIPE -> curl exit 23 under pipefail); -c drains
-# the whole stream and still fails when there is no match.
-curl -fsS "http://$ADDR/metrics" | grep -c '^odin_frames_total' >/dev/null
-curl -fsS "http://$ADDR/healthz" | jq -e '.status == "ok"' >/dev/null
-curl -fsS "http://$ADDR/trace" | jq -e '.traceEvents | length > 0' >/dev/null
-wait "$SERVER_PID"
+cargo run --release -p odin-bench --bin table_telemetry -- --scale 0.05 --out "$SMOKE_DIR" \
+    >"$SMOKE_DIR/run.log"
 grep -q "store errors: 0" "$SMOKE_DIR/run.log"
 jq -e '.traceEvents | length > 0' "$SMOKE_DIR/table_telemetry_trace.json" >/dev/null
 
@@ -145,9 +136,10 @@ for _ in $(seq 1 150); do
 done
 grep -q '^http ingest: 40 frames accepted across 4 streams' "$MS_DIR/run.log"
 curl -fsS "http://$MS_ADDR/healthz" | jq -e '.status == "ok" and .streams == 4' >/dev/null
-# grep -c (not -q) for the same SIGPIPE reason as above: -q bails at
-# the first match and the echo side of the pipe dies with 141 once the
-# exposition outgrows the pipe buffer.
+# grep -c (not -q): -q bails at the first match and the echo side of
+# the pipe dies with 141 (SIGPIPE) once the exposition outgrows the
+# pipe buffer; -c drains the whole stream and still fails when there is
+# no match.
 MS_METRICS=$(curl -fsS "http://$MS_ADDR/metrics")
 for s in 0 1 2 3; do
     echo "$MS_METRICS" | grep -c "^odin_server_queue_depth{stream=\"$s\"}" >/dev/null
@@ -155,7 +147,6 @@ for s in 0 1 2 3; do
     echo "$MS_METRICS" | grep -c "^odin_frames_total{stream=\"$s\"}" >/dev/null
     echo "$MS_METRICS" | grep -c "^odin_serve_precision{stream=\"$s\"}" >/dev/null
 done
-curl -fsS "http://$MS_ADDR/trace" | jq -e '.traceEvents | length > 0' >/dev/null
 # `odin tail` over GET /events: the one-shot drain must carry the full
 # recovery arc (drift detected and model installed on every stream) and
 # per-stream seqs must be strictly monotonic — no dropped or torn
@@ -173,10 +164,11 @@ jq -s -e 'length > 0' "$MS_DIR/tail_follow.json" >/dev/null
 "$ODIN_BIN" top --addr "$MS_ADDR" --once >"$MS_DIR/top.log"
 grep -q 'status: ok' "$MS_DIR/top.log"
 # `status` against the sharded exposition: its /healthz carries
-# queue_cap and queue_depths, its recovery histogram is labeled per
-# stream — neither shape reaches `status` in the single-pipeline smoke.
+# queue_cap and queue_depths, and its metrics and recovery histogram
+# are labeled per stream.
 "$ODIN_BIN" status --addr "$MS_ADDR" >"$MS_DIR/status.log"
 grep -q '"status":"ok"' "$MS_DIR/status.log"
+grep -q '^odin_frames_total{stream="0"}' "$MS_DIR/status.log"
 grep -q '^odin_recovery_ms{stream="3"} p50 ' "$MS_DIR/status.log"
 "$ODIN_BIN" flight --addr "$MS_ADDR" --out "$MS_DIR/flight.json" >/dev/null
 jq -e '.traceEvents | length > 0' "$MS_DIR/flight.json" >/dev/null
@@ -186,10 +178,10 @@ wait "$SERVER_PID"
 # two tensor thread counts and require byte-identical events.odlg and
 # events.wal (both logs inherit replay determinism), then drive the `odin` CLI over the
 # written store: `scan` must find the drift records with predicate
-# filters and report zone-map pruning, `explain` must reconstruct the
-# detect -> queued -> installed arc, and `status` must answer against a
-# live exposition endpoint. A small log_throughput run keeps the bench
-# bin itself green.
+# filters and report zone-map pruning, and `explain` must reconstruct
+# the detect -> queued -> installed arc (`status` runs against the live
+# server in the multi-stream smoke). A small log_throughput run keeps
+# the bench bin itself green.
 echo "==> event log + odin CLI smoke (event_log example, both thread counts)"
 EL_DIR=/tmp/odin-ci-eventlog
 rm -rf "$EL_DIR"
@@ -212,13 +204,6 @@ grep -q 'pruned by zone maps' "$EL_DIR/scan.stats"
 grep -q 'drift detected' "$EL_DIR/explain.log"
 grep -q 'train queued' "$EL_DIR/explain.log"
 grep -q 'model installed' "$EL_DIR/explain.log"
-# `odin status` against the telemetry exposition window.
-start_server "$EL_DIR/serve.log" telemetry env ODIN_SERVE_MS=15000 \
-    cargo run --release -p odin-bench --bin table_telemetry -- --scale 0.05 --out "$EL_DIR"
-"$ODIN_BIN" status --addr "$SERVER_ADDR" >"$EL_DIR/status.log"
-grep -q '"status":"ok"' "$EL_DIR/status.log"
-grep -q '^odin_frames_total' "$EL_DIR/status.log"
-wait "$SERVER_PID"
 cargo run --release -p odin-bench --bin log_throughput -- \
     --scale 0.1 --out /tmp/odin-ci-bench >/dev/null
 

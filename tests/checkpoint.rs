@@ -15,6 +15,7 @@ use odin_core::{AtticConfig, CheckpointPolicy, SNAPSHOT_FILE, WAL_FILE};
 use odin_data::{Frame, RecurringSchedule, SceneGen, Subset};
 use odin_detect::{Detection, Detector, DetectorArch};
 use odin_drift::ManagerConfig;
+use odin_telemetry::render_prometheus_grouped;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -298,8 +299,12 @@ fn attic_survives_checkpoint_and_wal_replay() {
     live.flush_store();
     let (archived, _) = live.attic_stats();
     assert!(archived > 0, "fixture never archived a model");
-    let prom = live.telemetry().render_prometheus();
-    assert!(!prom.contains("odin_attic_hits_total 0"), "fixture never hit the attic");
+    let prom = render_prometheus_grouped(&[("0".into(), live.telemetry().snapshot())]);
+    assert!(prom.contains("odin_attic_hits_total{stream=\"0\"} "), "{prom}");
+    assert!(
+        !prom.contains("odin_attic_hits_total{stream=\"0\"} 0\n"),
+        "fixture never hit the attic"
+    );
 
     // WAL-only replay: state (attic included) converges from the log.
     let replayed = Odin::restore_from_dir(&dir).expect("restore from dir");

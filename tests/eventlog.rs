@@ -23,7 +23,7 @@ use odin_data::{Frame, RecurringSchedule, SceneGen, Subset};
 use odin_detect::{Detector, DetectorArch};
 use odin_drift::ManagerConfig;
 use odin_log::{scan_log, scan_store, LogRecord, Predicate, RecordKind, ServedLabel};
-use odin_telemetry::ManualClock;
+use odin_telemetry::{render_prometheus_grouped, ManualClock};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -257,8 +257,8 @@ fn crash_mid_write_resumes_sequence_and_keeps_arcs() {
 }
 
 /// The event-log metric family and health fields are live: appends are
-/// counted per shard, the queue drains after a flush, and both healthz
-/// renders expose the queue depth.
+/// counted per shard, the queue drains after a flush, and healthz
+/// exposes each shard's queue depth.
 #[test]
 fn metrics_and_healthz_surface_the_event_log() {
     let dir = scratch("metrics");
@@ -292,8 +292,6 @@ fn metrics_and_healthz_surface_the_event_log() {
     assert!(metrics.contains("odin_event_log_queue_depth{stream=\"0\"} 0"), "{metrics}");
     let health = server.render_healthz();
     assert!(health.contains("\"event_log_queue_depths\":[0,0]"), "{health}");
-    let shard_health = server.with_shard(0, |o| o.telemetry().render_healthz());
-    assert!(shard_health.contains("\"event_log_queue_depth\":0"), "{shard_health}");
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -306,23 +304,32 @@ fn event_log_disk_failure_degrades_health_without_a_flush() {
     let dir = scratch("disk-failure");
     let mut cfg = quick_cfg();
     cfg.event_log.retention = RetentionConfig { max_bytes: 1, max_age_us: 0 };
-    let teacher = Detector::heavy(48, &mut StdRng::seed_from_u64(0));
-    let mut odin = Odin::new(Box::new(HistogramEncoder::new()), teacher, cfg, 42);
-    odin.telemetry().clear_sinks();
-    odin.enable_store(&dir, CheckpointPolicy::Manual).expect("enable_store");
-    std::fs::create_dir_all(dir.join(format!("{EVENT_LOG_FILE}.tmp"))).expect("squat");
+    let cfg = ServerConfig { streams: 1, workers: 1, queue_cap: 64, batch_max: 8, odin: cfg };
+    let server = OdinServer::build(
+        cfg,
+        |_| Box::new(HistogramEncoder::new()),
+        Detector::heavy(48, &mut StdRng::seed_from_u64(0)),
+        42,
+    );
+    server.with_shard(0, |o| o.telemetry().clear_sinks());
+    server.enable_store(&dir, CheckpointPolicy::Manual).expect("enable_store");
+    let shard_dir = dir.join(STREAMS_DIR).join("0");
+    std::fs::create_dir_all(shard_dir.join(format!("{EVENT_LOG_FILE}.tmp"))).expect("squat");
     let (night, _) = night_then_day(40);
     // 40 frames seal two 16-record segments; the second one is over
     // budget, so its compaction fails.
-    odin.process_stream(&night);
+    for f in &night {
+        server.process(0, f.clone()).expect("admitted");
+    }
     let deadline = Instant::now() + Duration::from_secs(20);
-    while odin.stats().store_errors == 0 && Instant::now() < deadline {
+    while server.with_shard(0, |o| o.stats().store_errors) == 0 && Instant::now() < deadline {
         std::thread::sleep(Duration::from_millis(5));
     }
-    let health = odin.telemetry().render_healthz();
+    let health = server.render_healthz();
     assert!(health.contains("\"status\":\"degraded\""), "{health}");
-    odin.flush_store();
-    let last = odin.telemetry().last_store_error().expect("the flush reports the failure");
+    server.with_shard(0, |o| o.flush_store());
+    let last = server.with_shard(0, |o| o.telemetry().last_store_error());
+    let last = last.expect("the flush reports the failure");
     assert!(last.starts_with("event-log flush failed"), "{last}");
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -407,6 +414,7 @@ fn disabled_log_writes_nothing() {
     odin.process_stream(&night);
     odin.flush_store();
     assert!(!dir.join(EVENT_LOG_FILE).exists(), "disabled log still wrote a file");
-    assert!(odin.telemetry().render_prometheus().contains("odin_event_log_appended_total 0"));
+    let metrics = render_prometheus_grouped(&[("0".into(), odin.telemetry().snapshot())]);
+    assert!(metrics.contains("odin_event_log_appended_total{stream=\"0\"} 0\n"), "{metrics}");
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -7,10 +7,11 @@
 //! [`ScanStats`] consistent on the retained suffix.
 
 use std::path::PathBuf;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use odin_core::encoder::HistogramEncoder;
-use odin_core::pipeline::{Odin, OdinConfig};
+use odin_core::pipeline::OdinConfig;
 use odin_core::server::{OdinServer, ServerConfig};
 use odin_core::specializer::SpecializerConfig;
 use odin_core::training::TrainingMode;
@@ -22,6 +23,7 @@ use odin_log::writer::{LogMetrics, LogWriter};
 use odin_log::{
     parse_events_page, read_after, read_log, scan_log, Cursor, LogRecord, Predicate, RecordKind,
 };
+use odin_telemetry::ManualClock;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -161,26 +163,30 @@ fn http_events_pages_the_sharded_log_with_cursors() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// A long-poll on the single-pipeline exposition server parks until
-/// new sealed records land, then returns them (instead of returning
-/// empty immediately or timing out the connection).
+/// A long-poll on a one-stream server parks until new sealed records
+/// land, then returns them (instead of returning empty immediately or
+/// timing out the connection).
 #[test]
 fn events_long_poll_waits_for_new_records() {
     let dir = scratch("longpoll");
-    let mut rng = StdRng::seed_from_u64(0);
-    let teacher = Detector::heavy(48, &mut rng);
-    let mut odin = Odin::new(Box::new(HistogramEncoder::new()), teacher, quick_cfg(), 42);
-    odin.telemetry().clear_sinks();
-    odin.enable_store(&dir, CheckpointPolicy::Manual).expect("enable_store");
-    let server = odin.telemetry().serve("127.0.0.1:0").expect("bind");
-    let addr = server.addr();
+    let cfg =
+        ServerConfig { streams: 1, workers: 1, queue_cap: 64, batch_max: 8, odin: quick_cfg() };
+    let mut server = OdinServer::build(
+        cfg,
+        |_| Box::new(HistogramEncoder::new()),
+        Detector::heavy(48, &mut StdRng::seed_from_u64(0)),
+        42,
+    );
+    server.with_shard(0, |o| o.telemetry().clear_sinks());
+    server.enable_store(&dir, CheckpointPolicy::Manual).expect("enable_store");
+    let addr = server.serve("127.0.0.1:0").expect("bind");
 
     let gen = SceneGen::new(48);
     let frames = gen.subset_frames(&mut StdRng::seed_from_u64(7), Subset::Day, 20);
     for f in &frames[..4] {
-        odin.process(f);
+        server.process(0, f.clone()).expect("admitted");
     }
-    odin.flush_store();
+    server.with_shard(0, |o| o.flush_store());
     let (cursor, records) = events(addr, "/events");
     assert!(!records.is_empty(), "first read must see the flushed prefix");
 
@@ -188,9 +194,9 @@ fn events_long_poll_waits_for_new_records() {
         s.spawn(|| {
             std::thread::sleep(Duration::from_millis(250));
             for f in &frames[4..] {
-                odin.process(f);
+                server.process(0, f.clone()).expect("admitted");
             }
-            odin.flush_store();
+            server.with_shard(0, |o| o.flush_store());
         });
         let started = Instant::now();
         let (_, records) = events(addr, &format!("/events?cursor={cursor}&wait_ms=2000"));
@@ -201,10 +207,68 @@ fn events_long_poll_waits_for_new_records() {
         );
     });
 
-    // /flight also works on the single-pipeline server.
+    // /flight also works on a one-stream server.
     let (status, body) = odin_telemetry::http::get(addr, "/flight").expect("flight");
     assert!(status.contains("200"), "{status}");
     assert!(body.contains("\"traceEvents\""), "{body}");
+    server.shutdown();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// `limit` bounds a whole page, not each stream's share of it: three
+/// pages of `limit=2` over two streams' six records return every record
+/// once, in the `(ts_us, stream, seq)` order of one unbounded page, and
+/// the page after them is empty.
+#[test]
+fn events_limit_bounds_the_page_across_streams() {
+    let dir = scratch("limit");
+    let cfg =
+        ServerConfig { streams: 2, workers: 1, queue_cap: 64, batch_max: 1, odin: quick_cfg() };
+    let mut server = OdinServer::build(
+        cfg,
+        |_| Box::new(HistogramEncoder::new()),
+        Detector::heavy(48, &mut StdRng::seed_from_u64(0)),
+        42,
+    );
+    // One manual clock for both shards, advanced between frames, so the
+    // records' times interleave the streams.
+    let clock = Arc::new(ManualClock::new());
+    for i in 0..2 {
+        server.with_shard(i, |o| {
+            o.telemetry().clear_sinks();
+            o.telemetry().set_clock(clock.clone());
+        });
+    }
+    server.enable_store(&dir, CheckpointPolicy::Manual).expect("enable_store");
+    let frames = SceneGen::new(48).subset_frames(&mut StdRng::seed_from_u64(7), Subset::Day, 6);
+    for (f, stream) in frames.iter().zip([1, 0, 0, 1, 0, 1]) {
+        server.process(stream, f.clone()).expect("admitted");
+        clock.advance_ms(1.0);
+    }
+    for i in 0..2 {
+        server.with_shard(i, |o| o.flush_store());
+    }
+    let addr = server.serve("127.0.0.1:0").expect("bind");
+    let order = |records: &[LogRecord]| -> Vec<(u32, u64)> {
+        records.iter().map(|r| (r.stream, r.seq)).collect()
+    };
+
+    let (end, all) = events(addr, "/events?limit=4096");
+    assert_eq!(order(&all), [(1, 1), (0, 1), (0, 2), (1, 2), (0, 3), (1, 3)]);
+    let mut cursor = String::new();
+    let mut paged = Vec::new();
+    for _ in 0..3 {
+        let (next, records) = events(addr, &format!("/events?cursor={cursor}&limit=2"));
+        assert_eq!(records.len(), 2, "page at {cursor:?}");
+        paged.extend(records);
+        cursor = next;
+    }
+    assert_eq!(paged, all);
+    assert_eq!(cursor, end);
+    let (next, records) = events(addr, &format!("/events?cursor={cursor}&limit=2"));
+    assert!(records.is_empty(), "{records:?}");
+    assert_eq!(next, cursor);
+    server.shutdown();
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -14,7 +14,7 @@ use odin_core::CheckpointPolicy;
 use odin_data::{Frame, SceneGen, Subset};
 use odin_detect::{Detector, DetectorArch};
 use odin_drift::ManagerConfig;
-use odin_telemetry::{Level, ManualClock, RingSink, TimelineStage};
+use odin_telemetry::{render_prometheus_grouped, Level, ManualClock, TimelineStage};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -52,6 +52,12 @@ fn new_odin() -> Odin {
     odin
 }
 
+/// The pipeline's Prometheus exposition, as a one-stream server's
+/// `/metrics` serves it.
+fn render(odin: &Odin) -> String {
+    render_prometheus_grouped(&[("0".into(), odin.telemetry().snapshot())])
+}
+
 fn night_then_day(n_each: usize) -> (Vec<Frame>, Vec<Frame>) {
     let gen = SceneGen::new(48);
     let mut rng = StdRng::seed_from_u64(2);
@@ -81,13 +87,13 @@ fn renders_are_identical_across_thread_counts() {
         let mut odin = new_odin();
         odin.process_stream(&night);
         odin.process_stream(&day);
-        odin.telemetry().render_prometheus()
+        render(&odin)
     };
 
     let prom1 = render_with(1);
     let prom2 = render_with(2);
     assert_eq!(prom1, prom2, "prometheus exposition depends on thread count");
-    assert!(prom1.contains("odin_frames_total 100"));
+    assert!(prom1.contains("odin_frames_total{stream=\"0\"} 100\n"));
 }
 
 /// A checkpoint carries the full telemetry state: the restored pipeline,
@@ -111,8 +117,8 @@ fn renders_survive_checkpoint_restore() {
     restored.process_stream(&day);
 
     assert_eq!(
-        original.telemetry().render_prometheus(),
-        restored.telemetry().render_prometheus(),
+        render(&original),
+        render(&restored),
         "prometheus exposition diverged across checkpoint/restore"
     );
     assert_eq!(original.telemetry().timeline(), restored.telemetry().timeline());
@@ -159,8 +165,6 @@ fn store_write_failures_are_counted_and_reported() {
     let (night, _) = night_then_day(60);
 
     let mut odin = new_odin();
-    let ring = Arc::new(RingSink::new(32));
-    odin.telemetry().add_sink(ring.clone());
     odin.enable_store(&dir, CheckpointPolicy::EveryNFrames(10)).expect("enable store");
 
     odin.process_stream(&night[..20]);
@@ -181,11 +185,13 @@ fn store_write_failures_are_counted_and_reported() {
     let last = stats.last_store_error.expect("no last_store_error recorded");
     assert!(last.contains("snapshot write"), "unexpected error text: {last}");
     assert!(
-        ring.events().iter().any(|e| e.level == Level::Error && e.target == "store"),
-        "no error-level store event reached the sink"
+        odin.telemetry().flight_record().events.iter().any(|e| e.level == Level::Error
+            && e.target == "store"
+            && e.message.contains("snapshot write")),
+        "no error-level store event reached the flight recorder"
     );
     // Serving never stopped: every frame was still processed.
-    assert!(odin.telemetry().render_prometheus().contains("odin_frames_total 60"));
+    assert!(render(&odin).contains("odin_frames_total{stream=\"0\"} 60\n"));
     std::fs::remove_file(&dir).ok();
 }
 
@@ -206,8 +212,8 @@ fn recovery_histogram_times_the_episodes_this_process_saw_open() {
     let installed = odin.stats().models_installed;
     assert!(installed >= 2, "fixture: expected a recovery per regime");
     assert_eq!(recovery(&odin).count, installed, "one sample per completed recovery");
-    let rendered = odin.telemetry().render_prometheus();
-    assert!(rendered.contains(&format!("odin_recovery_ms_count {installed}")));
+    let rendered = render(&odin);
+    assert!(rendered.contains(&format!("odin_recovery_ms_count{{stream=\"0\"}} {installed}\n")));
 
     // A snapshot taken mid-training, restored: the job is resubmitted
     // and its model installs, but the drift that opened the episode was
